@@ -11,7 +11,6 @@ from .gaussfilt import (
     GaussianBelief,
     PredictedObservation,
     SigmaPointParams,
-    log_likelihood_increment,
     predict,
     sigma_points,
     update,
@@ -23,7 +22,6 @@ from .switching import (
     SwitchingFilter,
     estimate,
     model_average,
-    predict_all,
     prune,
     reports_no_corruption,
 )
@@ -43,11 +41,9 @@ __all__ = [
     "sigma_points",
     "predict",
     "update",
-    "log_likelihood_increment",
     "Branch",
     "BranchSet",
     "SwitchingFilter",
-    "predict_all",
     "prune",
     "estimate",
     "model_average",

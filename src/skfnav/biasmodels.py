@@ -155,20 +155,23 @@ def augment(
     return np.concatenate([x, theta]), Q_aug
 
 
-def quadratic_offsets(theta_points: np.ndarray, tau: float, n_channels: int) -> np.ndarray:
+def quadratic_offsets(theta_points: np.ndarray, tau, n_channels: int) -> np.ndarray:
     """Offsets implied by learned quadratic coefficients carried in the state.
 
-    ``theta_points`` is ``(n, 3)`` for one coefficient triple shared across
-    channels, or ``(n, 3 * n_channels)`` with one contiguous (A, B, C) triple
-    per channel.  Returns ``(n, n_channels)``.
+    ``theta_points`` is ``(..., n, 3)`` for one coefficient triple shared
+    across channels, or ``(..., n, 3 * n_channels)`` with one contiguous
+    (A, B, C) triple per channel.  ``tau`` is a scalar or holds one value per
+    leading index (shape ``theta_points.shape[:-2]``).  Returns
+    ``(..., n, n_channels)``.
     """
-    basis = np.array([1.0, tau, tau * tau])
-    n, width = theta_points.shape
+    tau = np.asarray(tau, dtype=float)
+    basis = np.stack([np.ones_like(tau), tau, tau * tau], axis=-1)[..., None, :, None]
+    *lead, n, width = theta_points.shape
     if width == 3:
-        shared = theta_points @ basis
-        return np.repeat(shared[:, None], n_channels, axis=1)
+        shared = (theta_points @ basis[..., 0, :, :])[..., 0]
+        return np.repeat(shared[..., None], n_channels, axis=-1)
     if width == 3 * n_channels:
-        return theta_points.reshape(n, n_channels, 3) @ basis
+        return (theta_points.reshape(*lead, n, n_channels, 3) @ basis)[..., 0]
     raise ConfigError(
         f"parameter block width {width} fits neither shared nor per-channel "
         f"layout for {n_channels} channels"

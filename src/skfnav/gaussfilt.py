@@ -1,9 +1,15 @@
 """Gaussian filtering with the scaled unscented transform.
 
-Prediction and update over arbitrary nonlinear state/observation maps, plus
-the constant-free marginal log-likelihood increment used to score competing
-observation models.  Maps are vectorized: they take an ``(n, d)`` array of
-points and return an ``(n, d_out)`` array.
+Prediction and update over arbitrary nonlinear state/observation maps; the
+update also returns the constant-free marginal log-likelihood increment used
+to score competing observation models.
+
+Beliefs may be stacked (means ``(B, d)``, covariances ``(B, d, d)``): a stack
+takes one batched factorisation and one call of each map, and each slice goes
+through the same LAPACK/BLAS routine as a single belief, so the results are
+bit-for-bit the per-belief ones.  Dynamics maps take ``(n, d)`` points (a
+stack's flattened row-wise); observation maps take the sigma points as shaped
+``(..., 2d+1, d)`` and return ``(..., 2d+1, m)``.
 """
 
 from __future__ import annotations
@@ -25,13 +31,19 @@ _JITTERS = tuple(1e-12 * 10.0**i for i in range(7))  # 1e-12 .. 1e-6
 _EIG_FLOOR = -1e-9
 
 
+def _T(mat: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (of each matrix in a stack)."""
+    return np.swapaxes(mat, -1, -2)
+
+
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + _T(mat))
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Gaussian state estimate: mean vector and symmetric covariance."""
+    """Gaussian state estimate: mean vector and symmetric covariance, or a
+    stack of them along a leading axis."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -46,9 +58,19 @@ class GaussianBelief:
             )
         return cls(mean=mean, cov=cov)
 
+    @classmethod
+    def stack(cls, beliefs) -> "GaussianBelief":
+        return cls(
+            mean=np.stack([b.mean for b in beliefs]),
+            cov=np.stack([b.cov for b in beliefs]),
+        )
+
+    def unstack(self) -> list["GaussianBelief"]:
+        return [GaussianBelief(mean=m, cov=c) for m, c in zip(self.mean, self.cov)]
+
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -78,10 +100,14 @@ class SigmaPointParams:
 
 @dataclass(frozen=True)
 class PredictedObservation:
-    """Predicted measurement mean and innovation covariance (noise included)."""
+    """Predicted measurement mean, innovation covariance (noise included) and
+    the constant-free log-likelihood increment ``-log|D| - (y-mu)^T D^{-1}
+    (y-mu)`` of the measurement.  The increment is comparable across filters
+    sharing an observation stream; it is not a calibrated probability."""
 
     mu: np.ndarray
     D: np.ndarray
+    log_lik: np.ndarray
 
 
 def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
@@ -89,12 +115,15 @@ def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
 
     Tries Cholesky first, then an eigenvalue factorization with negative
     eigenvalues above ``_EIG_FLOOR`` clipped to zero, then Cholesky with an
-    escalating diagonal jitter.  Raises CovarianceError when all fail.
+    escalating diagonal jitter.  Raises CovarianceError when all fail.  A
+    stack whose batched Cholesky fails is factored one matrix at a time.
     """
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
+    if cov.ndim > 2:
+        return np.stack([_sqrt_factor(c) for c in cov])
     try:
         eigvals, eigvecs = np.linalg.eigh(symmetrize(cov))
     except np.linalg.LinAlgError:
@@ -112,15 +141,16 @@ def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
 def sigma_points(
     belief: GaussianBelief, params: SigmaPointParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted point set ``(points (2d+1, d), mean weights, cov weights)``."""
+    """Weighted point set ``(points (..., 2d+1, d), mean weights, cov weights)``."""
     dim = belief.dim
     scale = params.scaled_dim(dim)
     factor = _sqrt_factor(belief.cov)
-    spread = np.sqrt(scale) * factor.T  # rows are scaled factor columns
-    points = np.empty((2 * dim + 1, dim))
-    points[0] = belief.mean
-    points[1 : dim + 1] = belief.mean + spread
-    points[dim + 1 :] = belief.mean - spread
+    spread = np.sqrt(scale) * _T(factor)  # rows are scaled factor columns
+    mean = belief.mean[..., None, :]
+    points = np.empty(belief.mean.shape[:-1] + (2 * dim + 1, dim))
+    points[..., 0, :] = belief.mean
+    points[..., 1 : dim + 1, :] = mean + spread
+    points[..., dim + 1 :, :] = mean - spread
     wm, wc = params.weights(dim)
     return points, wm, wc
 
@@ -129,8 +159,8 @@ def _moments(
     points: np.ndarray, wm: np.ndarray, wc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     mean = wm @ points
-    dev = points - mean
-    cov = (dev.T * wc) @ dev
+    dev = points - mean[..., None, :]
+    cov = (_T(dev) * wc) @ dev
     return mean, symmetrize(cov)
 
 
@@ -140,13 +170,16 @@ def predict(
     Q: np.ndarray,
     params: SigmaPointParams,
 ) -> GaussianBelief:
-    """Unscented prediction through ``dynamics`` with additive noise ``Q``."""
+    """Unscented prediction through ``dynamics`` with additive noise ``Q``.
+
+    A stack's sigma points go through ``dynamics`` in one call."""
     points, wm, wc = sigma_points(belief, params)
-    propagated = np.asarray(dynamics(points), dtype=float)
+    rows = points.reshape(-1, belief.dim)
+    propagated = np.asarray(dynamics(rows), dtype=float).reshape(points.shape)
     if not np.all(np.isfinite(propagated)):
         raise DynamicsDivergedError("dynamics diverged: non-finite propagated state")
     mean, cov = _moments(propagated, wm, wc)
-    return GaussianBelief.create(mean, cov + Q)
+    return GaussianBelief(mean=mean, cov=symmetrize(cov + Q))
 
 
 def update(
@@ -157,28 +190,36 @@ def update(
     params: SigmaPointParams,
 ) -> tuple[GaussianBelief, PredictedObservation]:
     """Unscented measurement update; returns the posterior and the predicted
-    observation (mean and innovation covariance) used for likelihood scoring."""
+    observation, whose ``log_lik`` scores ``y`` from the same innovation
+    factor that forms the gain."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if not np.all(np.isfinite(y)):
         raise InvalidMeasurementError("invalid measurement: non-finite entries")
     points, wm, wc = sigma_points(belief, params)
     obs_points = np.asarray(observation(points), dtype=float)
-    if obs_points.shape[1] != y.size:
+    if obs_points.shape[-1] != y.size:
         raise InvalidMeasurementError(
             f"measurement dimension {y.size} does not match observation map "
-            f"output {obs_points.shape[1]}"
+            f"output {obs_points.shape[-1]}"
         )
     mu = wm @ obs_points
-    dev_y = obs_points - mu
-    D = symmetrize((dev_y.T * wc) @ dev_y + R)
-    dev_x = points - belief.mean
-    cross = (dev_x.T * wc) @ dev_y
+    dev_y = obs_points - mu[..., None, :]
+    D = symmetrize((_T(dev_y) * wc) @ dev_y + R)
+    dev_x = points - belief.mean[..., None, :]
+    cross = (_T(dev_x) * wc) @ dev_y
     chol = _cholesky_innovation(D)
     # K = cross D^{-1} via two triangular solves
-    gain = _cho_solve(chol, cross.T).T
-    mean = belief.mean + gain @ (y - mu)
-    cov = belief.cov - gain @ D @ gain.T
-    return GaussianBelief.create(mean, cov), PredictedObservation(mu=mu, D=D)
+    gain = _T(_cho_solve(chol, _T(cross)))
+    resid = (y - mu)[..., None]
+    mean = belief.mean + (gain @ resid)[..., 0]
+    cov = belief.cov - gain @ D @ _T(gain)
+    white = np.linalg.solve(chol, resid)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    log_lik = -log_det - (_T(white) @ white)[..., 0, 0]
+    return (
+        GaussianBelief(mean=mean, cov=symmetrize(cov)),
+        PredictedObservation(mu=mu, D=D, log_lik=log_lik),
+    )
 
 
 def _cholesky_innovation(D: np.ndarray) -> np.ndarray:
@@ -186,25 +227,13 @@ def _cholesky_innovation(D: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(D)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationError("innovation covariance singular") from exc
-    diag = np.diag(chol)
-    if diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > 1e14:
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    lo, hi = diag.min(axis=-1), diag.max(axis=-1)
+    if np.any(lo <= 0.0) or np.any((hi / lo) ** 2 > 1e14):
         raise SingularInnovationError("innovation covariance singular")
     return chol
 
+
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     z = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, z)
-
-
-def log_likelihood_increment(y: np.ndarray, pred: PredictedObservation) -> float:
-    """Constant-free log-likelihood term ``-log|D| - (y-mu)^T D^{-1} (y-mu)``.
-
-    Comparable across filters sharing an observation stream; not a calibrated
-    probability.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    chol = _cholesky_innovation(pred.D)
-    resid = y - pred.mu
-    white = np.linalg.solve(chol, resid)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-log_det - white @ white)
+    return np.linalg.solve(_T(chol), z)

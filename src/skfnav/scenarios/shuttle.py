@@ -138,7 +138,10 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     """
     n_fine = cfg.n_steps * cfg.oversample
     dt_f = cfg.dt / cfg.oversample
-    state = NavState15(*cfg.init_state)
+    try:
+        state = NavState15(*cfg.init_state)
+    except ValueError as exc:
+        raise ConfigError(f"invalid init_state: {exc}") from exc
     fine_states = np.empty((n_fine + 1, 15))
     fine_imu = np.empty((n_fine, 6))
     fine_states[0] = state.as_vector()

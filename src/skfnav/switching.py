@@ -8,29 +8,24 @@ branches update with their own onset hypothesis.  Each branch accumulates the
 constant-free log-likelihood of its observation stream, and the population of
 corrupted branches is pruned to a fixed capacity by discarding the lowest
 accumulated score (the nominal branch is exempt).
+
+Each step works on all live branches at once: their beliefs are stacked so
+that prediction makes one factorisation and one dynamics call, and the
+measurement update one factorisation and one scored update.  A branch whose
+numerics fail freezes alone: when the stack raises, that stage is re-run one
+branch at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .biasmodels import quadratic_offsets
-from .exceptions import (
-    ConfigError,
-    DynamicsDivergedError,
-    InvalidMeasurementError,
-    SkfnavError,
-)
-from .gaussfilt import (
-    GaussianBelief,
-    SigmaPointParams,
-    log_likelihood_increment,
-    predict,
-    update,
-)
+from .exceptions import ConfigError, InvalidMeasurementError, SkfnavError
+from .gaussfilt import GaussianBelief, SigmaPointParams, predict, update
 
 
 @dataclass
@@ -40,6 +35,7 @@ class Branch:
     A branch whose numerics diverge (hostile measurements can drive the
     nominal model into singular territory) is frozen: it keeps its last
     belief and score but no longer updates, spawns, or accumulates evidence.
+    ``SwitchingFilter.step`` updates its branches in place.
     """
 
     s_index: int
@@ -53,7 +49,7 @@ class Branch:
     def record(self):
         if self.history is not None:
             self.history.append(
-                (self.belief.mean.copy(), np.diag(self.belief.cov).copy(), self.log_lik)
+                (self.belief.mean.copy(), self.belief.cov.diagonal().copy(), self.log_lik)
             )
 
 
@@ -131,27 +127,27 @@ def init(
     return BranchSet(nominal=nominal, corrupted=[], capacity=capacity)
 
 
-def predict_all(
-    branches: BranchSet,
-    dynamics: Callable[[np.ndarray], np.ndarray],
-    Q_aug: np.ndarray,
-    params: SigmaPointParams,
-) -> BranchSet:
-    """Standard prediction applied to every branch; scores unchanged."""
-    def advance(branch: Branch) -> Branch:
-        try:
-            belief = predict(branch.belief, dynamics, Q_aug, params)
-        except DynamicsDivergedError as exc:
-            raise DynamicsDivergedError(
-                f"branch t_s={branch.t_s}: {exc}", step=exc.step
-            ) from exc
-        return replace(branch, belief=belief)
+def _live_results(branches: list[Branch], stage) -> list[tuple[int, object]]:
+    """``(index, result)`` for every live branch in ``branches``.
 
-    return BranchSet(
-        nominal=advance(branches.nominal),
-        corrupted=[advance(b) for b in branches.corrupted],
-        capacity=branches.capacity,
-    )
+    ``stage(group)`` returns one result per branch of ``group``, computed on
+    one stack.  When it raises for the whole stack, it is re-run one branch
+    at a time, and a branch that fails alone gets ``None``.
+    """
+    live = [i for i, b in enumerate(branches) if not b.frozen]
+    if not live:
+        return []
+    try:
+        return list(zip(live, stage([branches[i] for i in live])))
+    except SkfnavError:
+        pass
+    results = []
+    for i in live:
+        try:
+            results.append((i, stage([branches[i]])[0]))
+        except SkfnavError:
+            results.append((i, None))
+    return results
 
 
 def prune(branches: BranchSet) -> tuple[BranchSet, list[Branch]]:
@@ -253,50 +249,20 @@ class SwitchingFilter:
         self.branches = init(x0, C0, d_theta, capacity=capacity, keep_history=keep_history)
         self.k = 0
 
-    # -- observation maps ------------------------------------------------
-    def _observe_nominal(self, points: np.ndarray) -> np.ndarray:
-        return points[:, self.observed].copy()
-
-    def _observe_corrupted(self, points: np.ndarray, s_index: int, k: int) -> np.ndarray:
-        z = points[:, self.observed].copy()
-        if k > s_index:
-            tau = (k - s_index) * self.dt
-            z += quadratic_offsets(points[:, self.d_x :], tau, self.observed.size)
-        return z
-
     # -- stepping ---------------------------------------------------------
-    def _predict_branch(self, branch: Branch, k: int) -> Branch:
-        if branch.frozen:
-            return branch
-        try:
-            belief = predict(
-                branch.belief, lambda pts: self.dynamics(pts, k), self.Q_aug, self.params
+    def _observe(self, points: np.ndarray, group: Sequence[Branch], k: int) -> np.ndarray:
+        """Observation map for the stacked sigma points of ``group``: the
+        observed columns, plus for each corrupted branch the quadratic offset
+        at its own ``tau = (k - s) dt`` (the nominal branch, first when
+        present, adds none)."""
+        z = np.ascontiguousarray(points[..., self.observed])
+        first = int(group[0].is_nominal)
+        if first < len(group):
+            taus = np.array([(k - b.s_index) * self.dt for b in group[first:]])
+            z[first:] += quadratic_offsets(
+                points[first:, :, self.d_x :], taus, self.observed.size
             )
-        except SkfnavError:
-            return replace(branch, frozen=True)
-        return replace(branch, belief=belief)
-
-    def _update_branch(self, branch: Branch, obs_map, y, s_index, is_nominal, k) -> Branch:
-        """Measurement update plus score increment; divergence freezes the
-        branch in place.  Spawning (``s_index == k``) copies the history."""
-        history = branch.history
-        if not is_nominal and s_index == k and history is not None:
-            history = list(history)
-        try:
-            belief, pred = update(branch.belief, obs_map, y, self.R, self.params)
-            log_lik = branch.log_lik + log_likelihood_increment(y, pred)
-            frozen = False
-        except SkfnavError:
-            belief, log_lik, frozen = branch.belief, branch.log_lik, True
-        return Branch(
-            s_index=s_index,
-            t_s=s_index * self.dt,
-            log_lik=log_lik,
-            belief=belief,
-            is_nominal=is_nominal,
-            frozen=frozen,
-            history=history,
-        )
+        return z
 
     def step(self, y: Optional[np.ndarray] = None) -> StepDiagnostics:
         """Advance one step; ``y`` must be supplied exactly at observation
@@ -313,44 +279,56 @@ class SwitchingFilter:
                     f"measurement dimension {y.size} != {self.observed.size}"
                 )
 
-        self.branches = BranchSet(
-            nominal=self._predict_branch(self.branches.nominal, k),
-            corrupted=[self._predict_branch(b, k) for b in self.branches.corrupted],
-            capacity=self.branches.capacity,
-        )
+        branches = self.branches.all_branches()
+
+        def predict_group(group):
+            stacked = GaussianBelief.stack([b.belief for b in group])
+            dynamics = lambda pts: self.dynamics(pts, k)  # noqa: E731
+            return predict(stacked, dynamics, self.Q_aug, self.params).unstack()
+
+        for i, belief in _live_results(branches, predict_group):
+            if belief is None:
+                branches[i].frozen = True
+            else:
+                branches[i].belief = belief
 
         spawned_s = None
         pruned_info: tuple = ()
         scores_before: tuple = ()
         if y is not None:
-            pre_nominal = self.branches.nominal
-            if pre_nominal.frozen:
-                new_nominal = pre_nominal
-                updated = list(self.branches.corrupted)
-            else:
-                new_nominal = self._update_branch(
-                    pre_nominal, self._observe_nominal, y, 0, True, k
-                )
-                updated = list(self.branches.corrupted)
-                updated.append(self._update_branch(
-                    pre_nominal,
-                    lambda pts: self._observe_corrupted(pts, k, k),
-                    y, k, False, k,
+
+            def update_group(group):
+                stacked = GaussianBelief.stack([b.belief for b in group])
+                observe = lambda pts: self._observe(pts, group, k)  # noqa: E731
+                posterior, pred = update(stacked, observe, y, self.R, self.params)
+                return list(zip(posterior.unstack(), pred.log_lik.tolist()))
+
+            nominal_live = not branches[0].frozen
+            for i, result in _live_results(branches, update_group):
+                if result is None:
+                    branches[i].frozen = True
+                else:
+                    branches[i].belief, increment = result
+                    branches[i].log_lik += increment
+            if nominal_live:
+                # the spawn's observation map at s == k adds no offset, so its
+                # update (or freeze) is the nominal branch's
+                nominal = branches[0]
+                branches.append(replace(
+                    nominal,
+                    s_index=k,
+                    t_s=k * self.dt,
+                    is_nominal=False,
+                    history=None if nominal.history is None else list(nominal.history),
                 ))
                 spawned_s = k
-            updated = [
-                b if b.frozen or b.s_index == spawned_s else self._update_branch(
-                    b,
-                    lambda pts, s=b.s_index: self._observe_corrupted(pts, s, k),
-                    y, b.s_index, False, k,
-                )
-                for b in updated
-            ]
-            candidate = BranchSet(
-                nominal=new_nominal, corrupted=updated, capacity=self.branches.capacity
-            )
-            scores_before = tuple((b.s_index, b.log_lik) for b in candidate.corrupted)
-            self.branches, removed = prune(candidate)
+
+        self.branches = BranchSet(
+            nominal=branches[0], corrupted=branches[1:], capacity=self.branches.capacity
+        )
+        if y is not None:
+            scores_before = tuple((b.s_index, b.log_lik) for b in self.branches.corrupted)
+            self.branches, removed = prune(self.branches)
             pruned_info = tuple((b.s_index, b.log_lik) for b in removed)
 
         for branch in self.branches.all_branches():

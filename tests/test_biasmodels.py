@@ -165,3 +165,12 @@ class TestQuadraticOffsets:
     def test_bad_width_rejected(self):
         with pytest.raises(ConfigError):
             quadratic_offsets(np.zeros((1, 5)), 1.0, 2)
+
+    @pytest.mark.parametrize("width,channels", [(3, 2), (9, 3)])
+    def test_stack_with_one_tau_per_slice(self, width, channels):
+        theta = np.random.default_rng(width).standard_normal((4, 7, width))
+        taus = np.array([0.5, 1.0, 2.5, 7.0])
+        out = quadratic_offsets(theta, taus, channels)
+        assert out.shape == (4, 7, channels)
+        for b, tau in enumerate(taus):
+            assert np.array_equal(out[b], quadratic_offsets(theta[b], float(tau), channels))

@@ -11,9 +11,7 @@ from skfnav.exceptions import (
 )
 from skfnav.gaussfilt import (
     GaussianBelief,
-    PredictedObservation,
     SigmaPointParams,
-    log_likelihood_increment,
     predict,
     sigma_points,
     update,
@@ -165,18 +163,76 @@ class TestUpdate:
             update(belief, lambda pts: pts, np.array([0.0]), np.zeros((1, 1)), PARAMS)
 
 
+def random_beliefs(rng, n, dim):
+    roots = rng.standard_normal((n, dim, dim))
+    return [GaussianBelief.create(rng.standard_normal(dim), r @ r.T + np.eye(dim))
+            for r in roots]
+
+
+class TestStacks:
+    """A stack is processed in one call and gives each belief's own result
+    bit for bit."""
+
+    def test_predict_matches_each_belief(self):
+        beliefs = random_beliefs(np.random.default_rng(5), 6, 5)
+        dynamics = lambda pts: pts + 0.1 * np.sin(pts)  # noqa: E731
+        Q = 0.01 * np.eye(5)
+        out = predict(GaussianBelief.stack(beliefs), dynamics, Q, PARAMS).unstack()
+        for belief, got in zip(beliefs, out):
+            want = predict(belief, dynamics, Q, PARAMS)
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+
+    def test_dynamics_called_once_on_all_rows(self):
+        beliefs = random_beliefs(np.random.default_rng(6), 4, 3)
+        calls = []
+
+        def dynamics(pts):
+            calls.append(pts.shape)
+            return pts
+
+        predict(GaussianBelief.stack(beliefs), dynamics, np.zeros((3, 3)), PARAMS)
+        assert calls == [(4 * 7, 3)]
+
+    def test_update_matches_each_belief(self):
+        rng = np.random.default_rng(7)
+        beliefs = random_beliefs(rng, 6, 5)
+        observation = lambda pts: pts[..., :2] ** 2  # noqa: E731
+        y, R = rng.standard_normal(2), 0.1 * np.eye(2)
+        post, pred = update(GaussianBelief.stack(beliefs), observation, y, R, PARAMS)
+        for i, belief in enumerate(beliefs):
+            want, want_pred = update(belief, observation, y, R, PARAMS)
+            assert np.array_equal(post.mean[i], want.mean)
+            assert np.array_equal(post.cov[i], want.cov)
+            assert pred.log_lik[i] == want_pred.log_lik
+
+    def test_one_bad_member_fails_the_stack(self):
+        beliefs = random_beliefs(np.random.default_rng(8), 3, 2)
+        beliefs[1] = GaussianBelief.create([0.0, 0.0], np.diag([1.0, -1.0]))
+        with pytest.raises(CovarianceError):
+            sigma_points(GaussianBelief.stack(beliefs), PARAMS)
+
+
+def log_likelihood_increment(y, mu, D):
+    """Score of ``y`` from an update whose prediction is exactly ``N(mu, D)``:
+    a point-mass prior at ``mu`` observed directly with noise ``D``."""
+    mu = np.asarray(mu, dtype=float)
+    belief = GaussianBelief.create(mu, np.zeros((mu.size, mu.size)))
+    _, pred = update(belief, lambda pts: pts, np.asarray(y, dtype=float), D, PARAMS)
+    return pred.log_lik
+
+
 class TestLogLikelihood:
     def test_perfect_fit_unit_covariance_is_zero(self):
-        pred = PredictedObservation(np.array([1.0]), np.eye(1))
-        assert log_likelihood_increment([1.0], pred) == pytest.approx(0.0)
+        assert log_likelihood_increment([1.0], [1.0], np.eye(1)) == pytest.approx(0.0)
 
     def test_hand_computed_residual(self):
-        pred = PredictedObservation(np.array([0.0]), np.eye(1))
-        assert log_likelihood_increment([2.0], pred) == pytest.approx(-4.0)
+        assert log_likelihood_increment([2.0], [0.0], np.eye(1)) == pytest.approx(-4.0)
 
     def test_hand_computed_logdet(self):
-        pred = PredictedObservation(np.zeros(2), np.e * np.eye(2))
-        assert log_likelihood_increment([0.0, 0.0], pred) == pytest.approx(-2.0)
+        assert log_likelihood_increment([0.0, 0.0], np.zeros(2), np.e * np.eye(2)) == (
+            pytest.approx(-2.0)
+        )
 
     # keep |y| representable after squaring so ties are exact, not underflow
     _residuals = st.one_of(
@@ -188,9 +244,8 @@ class TestLogLikelihood:
     @given(_residuals, _residuals)
     @settings(max_examples=50, deadline=None)
     def test_ordering_follows_mahalanobis(self, y1, y2):
-        pred = PredictedObservation(np.array([0.0]), np.array([[0.7]]))
-        l1 = log_likelihood_increment([y1], pred)
-        l2 = log_likelihood_increment([y2], pred)
+        l1 = log_likelihood_increment([y1], [0.0], np.array([[0.7]]))
+        l2 = log_likelihood_increment([y2], [0.0], np.array([[0.7]]))
         if abs(y1) < abs(y2):
             assert l1 > l2
         elif abs(y1) == abs(y2):

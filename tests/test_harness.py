@@ -187,6 +187,22 @@ class TestSweep:
         assert records[0].status == "error"
         assert "Polar" in records[0].error
 
+    def test_negative_speed_is_a_config_error_not_a_crash(self):
+        # schema-valid, but NavState15 rejects a negative speed
+        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1,
+                "init_state": [1.5e5, 0.93, 0.32, -1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]}
+        record = harness.run_case({"scenario": "shuttle", **base})
+        assert record.status == "error"
+        assert record.error.startswith("ConfigError: ")
+        assert "speed must be non-negative" in record.error
+        grid = harness.sweep_from_dict({
+            "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
+        })
+        records = harness.run_sweep(grid, threads=1)
+        assert len(records) == 2
+        assert [r.status for r in records] == ["error", "error"]
+        assert all(r.error.startswith("ConfigError: ") for r in records)
+
 
 class TestPersistence:
     def test_records_csv_round_trip(self, tmp_path):

@@ -1,8 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from skfnav.exceptions import ConfigError
-from skfnav.gaussfilt import GaussianBelief, SigmaPointParams
+from skfnav.biasmodels import quadratic_offsets
+from skfnav.configio import load_config, parse_single
+from skfnav.exceptions import ConfigError, SkfnavError
+from skfnav.gaussfilt import GaussianBelief, predict, update
 from skfnav.switching import (
     Branch,
     BranchSet,
@@ -10,10 +15,11 @@ from skfnav.switching import (
     estimate,
     init,
     model_average,
-    predict_all,
     prune,
     reports_no_corruption,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_walk_filter(n_theta=3, delta=1, capacity=10, q_x=1e-4, q_p=1e-4, r=1e-4,
@@ -64,30 +70,6 @@ class TestInit:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             init(np.zeros(3), np.eye(2), 3)
-
-
-class TestPredictAll:
-    def test_identity_dynamics_zero_noise_is_noop(self):
-        branches = init(np.zeros(2), np.eye(2), 1)
-        out = predict_all(branches, lambda pts: pts, np.zeros((3, 3)), SigmaPointParams())
-        assert np.abs(out.nominal.belief.mean - branches.nominal.belief.mean).max() < 1e-12
-        assert np.abs(out.nominal.belief.cov - branches.nominal.belief.cov).max() < 1e-12
-        assert out.nominal.log_lik == branches.nominal.log_lik
-
-    def test_process_noise_grows_diagonal(self):
-        branches = init(np.zeros(2), np.eye(2), 1)
-        Q = np.diag([1e-4, 1e-4, 0.0])
-        out = predict_all(branches, lambda pts: pts, Q, SigmaPointParams())
-        assert np.diag(out.nominal.belief.cov)[:2] == pytest.approx([1 + 1e-4] * 2)
-
-    def test_applies_to_every_branch(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 0.0, nominal=True),
-            corrupted=[make_branch(1, -1.0), make_branch(2, -2.0)],
-        )
-        out = predict_all(branches, lambda pts: pts + 1.0, np.zeros((2, 2)), SigmaPointParams())
-        for b in out.all_branches():
-            assert b.belief.mean == pytest.approx([1.0, 1.0])
 
 
 class TestPrune:
@@ -327,3 +309,136 @@ class TestNoCorruptionConvention:
             corrupted=[make_branch(200, 5.0)],
         )
         assert not reports_no_corruption(estimate(branches), n_steps=500)
+
+
+# -- stacked step against the per-branch step ---------------------------------
+
+
+def reference_step(filt, y=None):
+    """The per-branch step: every branch is predicted, updated and scored on
+    its own single belief, and a branch whose numerics fail freezes."""
+    filt.k += 1
+    k = filt.k
+
+    def predict_branch(branch):
+        if branch.frozen:
+            return branch
+        try:
+            belief = predict(branch.belief, lambda pts: filt.dynamics(pts, k),
+                             filt.Q_aug, filt.params)
+        except SkfnavError:
+            return replace(branch, frozen=True)
+        return replace(branch, belief=belief)
+
+    def observe(points, s_index):
+        z = points[:, filt.observed].copy()
+        if s_index is not None and k > s_index:
+            z += quadratic_offsets(points[:, filt.d_x:], (k - s_index) * filt.dt,
+                                   filt.observed.size)
+        return z
+
+    def update_branch(branch, s_index, is_nominal):
+        history = branch.history
+        if not is_nominal and s_index == k and history is not None:
+            history = list(history)
+        try:
+            belief, pred = update(
+                branch.belief, lambda pts: observe(pts, None if is_nominal else s_index),
+                y, filt.R, filt.params,
+            )
+            log_lik, frozen = branch.log_lik + float(pred.log_lik), False
+        except SkfnavError:
+            belief, log_lik, frozen = branch.belief, branch.log_lik, True
+        return Branch(s_index, s_index * filt.dt, log_lik, belief, is_nominal, frozen, history)
+
+    nominal = predict_branch(filt.branches.nominal)
+    corrupted = [predict_branch(b) for b in filt.branches.corrupted]
+    if y is not None:
+        y = np.asarray(y, dtype=float).reshape(-1)
+        spawned = None
+        if not nominal.frozen:
+            spawned = update_branch(nominal, k, False)
+            nominal = update_branch(nominal, 0, True)
+        corrupted = [b if b.frozen else update_branch(b, b.s_index, False) for b in corrupted]
+        if spawned is not None:
+            corrupted.append(spawned)
+        filt.branches, _ = prune(BranchSet(nominal, corrupted, filt.branches.capacity))
+    else:
+        filt.branches = BranchSet(nominal, corrupted, filt.branches.capacity)
+    for branch in filt.branches.all_branches():
+        branch.record()
+
+
+def assert_same_branches(a, b, history_from=-1):
+    assert len(a) == len(b)
+    for x, y in zip(a.all_branches(), b.all_branches()):
+        assert (x.s_index, x.is_nominal, x.frozen) == (y.s_index, y.is_nominal, y.frozen)
+        assert x.log_lik == y.log_lik
+        assert np.array_equal(x.belief.mean, y.belief.mean)
+        assert np.array_equal(x.belief.cov, y.belief.cov)
+        assert len(x.history) == len(y.history)
+        for hx, hy in zip(x.history[history_from:], y.history[history_from:]):
+            assert np.array_equal(hx[0], hy[0]) and np.array_equal(hx[1], hy[1])
+            assert hx[2] == hy[2]
+
+
+def step_both(stacked, reference, measurements, n_steps, poison=None):
+    """Step both filters, comparing every branch after each step and every
+    branch's whole history at the end."""
+    for k in range(1, n_steps + 1):
+        if poison is not None and k == poison[0]:
+            for filt in (stacked, reference):
+                poison[1](filt.branches)
+        stacked.step(measurements.get(k))
+        reference_step(reference, measurements.get(k))
+        assert_same_branches(stacked.branches, reference.branches)
+    assert_same_branches(stacked.branches, reference.branches, history_from=0)
+
+
+class TestStackedStepEquivalence:
+    def test_balloon_run(self):
+        from skfnav.scenarios.balloon import build_balloon_filter, simulate_balloon
+
+        _, cfg, field = parse_single({**load_config(CONFIGS / "table3_test3.json"),
+                                      "n_steps": 260})
+        truth = simulate_balloon(cfg, field)
+        stacked, reference = (build_balloon_filter(cfg, field) for _ in range(2))
+        step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
+        assert len(stacked.branches) == cfg.capacity
+
+    def test_short_shuttle_run(self):
+        from skfnav.scenarios.shuttle import build_shuttle_filter, simulate_shuttle
+
+        _, cfg, _ = parse_single({**load_config(CONFIGS / "table5_test22.json"),
+                                  "n_steps": 40, "true_switch_step": 25})
+        truth = simulate_shuttle(cfg)
+        stacked, reference = (build_shuttle_filter(cfg, truth) for _ in range(2))
+        step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
+        assert len(stacked.branches) == cfg.capacity
+
+    @pytest.mark.parametrize("stage", ["predict", "update"])
+    def test_one_failing_branch_freezes_alone(self, stage):
+        # two observed channels with tiny noise; at step 6 the third corrupted
+        # branch gets a covariance that breaks its prediction (not PSD) or its
+        # update (innovation too ill-conditioned to invert)
+        def make():
+            return SwitchingFilter(
+                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_x=2, d_theta=3,
+                Q_aug=1e-10 * np.eye(5), R=1e-8 * np.eye(2),
+                x0=np.zeros(2), C0=np.eye(2), dt=0.1,
+            )
+
+        bad = np.diag([1.0, -1.0, 1.0, 1.0, 1.0]) if stage == "predict" else (
+            np.diag([1e8, 0.0, 0.0, 0.0, 0.0]))
+
+        def poison(branches):
+            victim = branches.corrupted[2]
+            branches.corrupted[2] = replace(
+                victim, belief=GaussianBelief.create(victim.belief.mean, bad))
+
+        rng = np.random.default_rng(7)
+        measurements = {k: 1e-3 * rng.standard_normal(2) for k in range(1, 9)}
+        stacked, reference = make(), make()
+        step_both(stacked, reference, measurements, 8, poison=(6, poison))
+        frozen = [b.s_index for b in stacked.branches.all_branches() if b.frozen]
+        assert frozen == [3]
