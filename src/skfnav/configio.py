@@ -154,9 +154,29 @@ PLOT_SCHEMA = {
 }
 
 
+_VALIDATORS: dict[int, jsonschema.protocols.Validator] = {}
+
+
+def validate_document(data, schema: dict) -> None:
+    """``jsonschema.validate`` with each schema's validator built once, on first use.
+
+    ``jsonschema.validate`` checks the schema against its metaschema on every
+    call, which costs far more than validating the document.  Raises the same
+    ``jsonschema.ValidationError`` (the best match) that it would.
+    """
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None or validator.schema is not schema:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    if error is not None:
+        raise error
+
+
 def _validate(data: dict, schema: dict, label: str) -> None:
     try:
-        jsonschema.validate(data, schema)
+        validate_document(data, schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"{label}: {exc.message}") from exc
 

@@ -21,10 +21,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
-from .configio import PLOT_SCHEMA, config_to_dict, parse_single, validate_config
+from .configio import (
+    PLOT_SCHEMA,
+    config_to_dict,
+    parse_single,
+    validate_config,
+    validate_document,
+)
 from .exceptions import ConfigError, SkfnavError
 from .metrics import GREEN, YELLOW, classify, relative_rmse
 from .scenarios.balloon import build_balloon_filter, simulate_balloon
@@ -389,7 +394,7 @@ def write_aggregates_csv(path, rows: list[dict]) -> None:
 
 
 def _validate_plot(doc: dict) -> dict:
-    jsonschema.validate(doc, PLOT_SCHEMA)
+    validate_document(doc, PLOT_SCHEMA)
     return doc
 
 

@@ -12,6 +12,7 @@ reported errors are measured against it.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -91,13 +92,11 @@ class ShuttleConfig:
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Fine reference states plus the coarse-rate IMU stream they imply."""
+    """Reference states at the filter rate plus the IMU stream they imply."""
 
     times: np.ndarray         # coarse epochs, (n+1,)
     states: np.ndarray        # coarse reference states, (n+1, 15)
     imu_true: np.ndarray      # (n, 6): specific force then angular rate
-    fine_times: np.ndarray
-    fine_states: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,31 +135,29 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     The recorded IMU stream is exactly the input consumed by each step, so
     noiseless re-integration reproduces the trajectory.
     """
-    n_fine = cfg.n_steps * cfg.oversample
     dt_f = cfg.dt / cfg.oversample
     try:
         state = NavState15(*cfg.init_state)
     except ValueError as exc:
         raise ConfigError(f"invalid init_state: {exc}") from exc
-    fine_states = np.empty((n_fine + 1, 15))
-    fine_imu = np.empty((n_fine, 6))
-    fine_states[0] = state.as_vector()
-    for j in range(n_fine):
-        t = j * dt_f
-        C = attitude_matrix(state.phi, state.theta, state.psi)
-        f_b = C.T @ (_command_accel(t) - gravity(state.h))
-        omega_b = _command_rates(t)
-        fine_imu[j, :3] = f_b
-        fine_imu[j, 3:] = omega_b
-        state = strapdown_step(state, ImuSample(f_b, omega_b), dt_f)
-        fine_states[j + 1] = state.as_vector()
-    coarse = slice(None, None, cfg.oversample)
+    states = np.empty((cfg.n_steps + 1, 15))
+    imu_true = np.empty((cfg.n_steps, 6))
+    states[0] = state.as_vector()
+    for k in range(cfg.n_steps):
+        for sub in range(cfg.oversample):
+            t = (k * cfg.oversample + sub) * dt_f
+            C = attitude_matrix(state.phi, state.theta, state.psi)
+            f_b = C.T @ (_command_accel(t) - gravity(state.h))
+            omega_b = _command_rates(t)
+            if sub == 0:
+                imu_true[k, :3] = f_b
+                imu_true[k, 3:] = omega_b
+            state = strapdown_step(state, ImuSample(f_b, omega_b), dt_f)
+        states[k + 1] = state.as_vector()
     return ReferenceTrajectory(
         times=np.arange(cfg.n_steps + 1) * cfg.dt,
-        states=fine_states[coarse].copy(),
-        imu_true=fine_imu[coarse].copy(),
-        fine_times=np.arange(n_fine + 1) * dt_f,
-        fine_states=fine_states,
+        states=states,
+        imu_true=imu_true,
     )
 
 
@@ -189,6 +186,27 @@ def scale_noise(q_x: float, r: float, factors: dict | None = None):
     return q_vec, r_vec
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _noiseless_run(n_steps: int, dt: float, oversample: int, init_state: tuple):
+    """Generated reference and its noiseless re-integration, which no seed touches.
+
+    Keyed on exactly the config fields they read and keeping only the most
+    recent key: all cells and seeds of a sweep share one key, and runs whose
+    keys differ miss every time with memory flat at one entry.  The arrays are
+    read-only, so a caller that writes into one cannot corrupt a later run.
+    A file-backed reference is never cached, since the file may change.
+    The key is typed because an integer ``dt`` gives integer ``times``.
+    """
+    cfg = ShuttleConfig(n_steps=n_steps, dt=dt, oversample=oversample,
+                        init_state=init_state, true_switch_step=None)
+    # module-global lookups, so a wrapper installed on this module sees each miss
+    reference = generate_reference(cfg)
+    inertial_states = integrate_imu(reference.states[0], reference.imu_true, dt)
+    for array in (reference.times, reference.states, reference.imu_true, inertial_states):
+        array.setflags(write=False)
+    return reference, inertial_states
+
+
 def simulate_shuttle(cfg: ShuttleConfig) -> ShuttleTruth:
     """Reference + IMU stream + corrupted position fixes for one seeded run."""
     if cfg.reference_path is not None:
@@ -203,10 +221,14 @@ def simulate_shuttle(cfg: ShuttleConfig) -> ShuttleTruth:
             raise ConfigError(
                 f"reference file time step {file_dt} does not match config dt {cfg.dt}"
             )
+        inertial_states = integrate_imu(
+            reference.states[0], reference.imu_true[:cfg.n_steps], cfg.dt
+        )
     else:
-        reference = generate_reference(cfg)
+        reference, inertial_states = _noiseless_run(
+            cfg.n_steps, cfg.dt, cfg.oversample, tuple(cfg.init_state)
+        )
     n = cfg.n_steps
-    inertial_states = integrate_imu(reference.states[0], reference.imu_true[:n], cfg.dt)
 
     rng = np.random.default_rng(cfg.seed)
     accel_bias = np.vstack(
@@ -362,6 +384,4 @@ def load_reference_csv(path) -> ReferenceTrajectory:
         times=times,
         states=states,
         imu_true=data[:-1, 1:7],
-        fine_times=times,
-        fine_states=states,
     )

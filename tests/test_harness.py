@@ -1,11 +1,12 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skfnav import harness
+from skfnav import configio, harness
 from skfnav.exceptions import ConfigError
 from skfnav.metrics import GREEN, RED, YELLOW, classify, relative_rmse
 
@@ -18,6 +19,29 @@ def balloon_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+class TestValidateDocument:
+    @pytest.mark.parametrize("doc, schema", [
+        ({"scenario": "shuttle", "n_steps": 0}, configio.SHUTTLE_SCHEMA),
+        ({"scenario": "shuttle", "init_state": [1.0, 2.0]}, configio.SHUTTLE_SCHEMA),
+        ({"scenario": "balloon", "wind": 3}, configio.BALLOON_SCHEMA),
+        ({"scenario": "balloon", "axes": {"D": [1.0]}}, configio.SWEEP_SCHEMA),
+        ({"kind": "success_rate", "axis": "A", "series": [{"label": "x", "x": [1]}]},
+         configio.PLOT_SCHEMA),
+    ])
+    def test_raises_what_jsonschema_validate_raises(self, doc, schema):
+        for _ in range(2):  # first call builds the validator, the second reuses it
+            with pytest.raises(jsonschema.ValidationError) as ours:
+                configio.validate_document(doc, schema)
+            with pytest.raises(jsonschema.ValidationError) as ref:
+                jsonschema.validate(doc, schema)
+            assert ours.value.message == ref.value.message
+            assert list(ours.value.absolute_path) == list(ref.value.absolute_path)
+
+    def test_valid_document_passes(self):
+        for _ in range(2):
+            configio.validate_document(balloon_config(), configio.BALLOON_SCHEMA)
 
 
 class TestRelativeRmse:

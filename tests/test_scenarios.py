@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from skfnav.biasmodels import BiasSpec
 from skfnav.exceptions import ConfigError, FieldDomainError
+from skfnav.inertial import NavState15
 from skfnav.scenarios.balloon import (
     BalloonConfig,
     build_balloon_filter,
@@ -18,6 +21,8 @@ from skfnav.scenarios.fields import (
 from skfnav.scenarios.shuttle import (
     SCALING_FACTORS,
     ShuttleConfig,
+    ShuttleTruth,
+    _noiseless_run,
     generate_reference,
     integrate_imu,
     load_reference_csv,
@@ -234,8 +239,7 @@ class TestReference:
         ref = generate_reference(cfg)
         assert ref.states.shape == (51, 15)
         assert ref.imu_true.shape == (50, 6)
-        assert np.abs(ref.states[0] - ref.fine_states[0]).max() == 0.0
-        assert np.abs(ref.states[-1] - ref.fine_states[-1]).max() == 0.0
+        assert np.array_equal(ref.states[0], NavState15(*cfg.init_state).as_vector())
 
     def test_inertial_model_drifts_from_fine_reference(self):
         # zero-order-hold reintegration accumulates position error while the
@@ -282,6 +286,80 @@ class TestReference:
         with pytest.raises(ConfigError):
             simulate_shuttle(ShuttleConfig(n_steps=50, reference_path=str(path),
                                            true_switch_step=None))
+
+
+def truth_arrays(truth: ShuttleTruth) -> dict:
+    """Every array of a truth, with the reference's fields flattened in."""
+    out = {f.name: getattr(truth, f.name) for f in fields(truth) if f.name != "reference"}
+    out.update({f"reference.{f.name}": getattr(truth.reference, f.name)
+                for f in fields(truth.reference)})
+    return out
+
+
+SEED_FREE = ("inertial_states", "reference.times", "reference.states", "reference.imu_true")
+
+
+class TestReferenceCache:
+    def cfg(self, seed=3, **overrides):
+        kw = dict(n_steps=30, true_switch_step=15, seed=seed,
+                  bias=BiasSpec("quadratic", A=50.0, cap=1000.0))
+        kw.update(overrides)
+        return ShuttleConfig(**kw)
+
+    def cold(self, cfg):
+        _noiseless_run.cache_clear()
+        return simulate_shuttle(cfg)
+
+    def test_warm_run_equals_cold_run(self):
+        cold_3, cold_4 = self.cold(self.cfg(seed=3)), self.cold(self.cfg(seed=4))
+        first = self.cold(self.cfg(seed=3))
+        warm = simulate_shuttle(self.cfg(seed=4))
+        assert _noiseless_run.cache_info().hits == 1
+        assert warm.reference is first.reference
+        for name, value in truth_arrays(warm).items():
+            assert np.array_equal(value, truth_arrays(cold_4)[name]), name
+        for name in SEED_FREE:
+            assert np.array_equal(truth_arrays(warm)[name], truth_arrays(cold_3)[name]), name
+        assert not np.array_equal(warm.gps, first.gps)
+
+    def test_cached_arrays_are_read_only(self):
+        truth = self.cold(self.cfg())
+        arrays = truth_arrays(truth)
+        for name in SEED_FREE:
+            with pytest.raises(ValueError):
+                arrays[name][0] = 1.0
+        truth.imu_meas[0] = 1.0  # seeded arrays stay private to the run
+
+    def test_changed_init_state_is_not_served_stale(self):
+        first = self.cold(self.cfg())
+        init = list(ShuttleConfig().init_state)
+        init[0] += 100.0
+        moved = self.cfg(init_state=tuple(init))
+        second = simulate_shuttle(moved)
+        assert second.reference.states[0, 0] == first.reference.states[0, 0] + 100.0
+        assert not np.array_equal(second.inertial_states, first.inertial_states)
+        assert np.array_equal(second.inertial_states, self.cold(moved).inertial_states)
+
+    def test_invalid_init_state_raises_every_time(self):
+        init = list(ShuttleConfig().init_state)
+        init[3] = -1.0  # negative speed
+        cfg = self.cfg(init_state=tuple(init))
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                simulate_shuttle(cfg)
+
+    def test_reference_file_is_read_on_every_run(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        cfg = self.cfg(reference_path=str(path))
+        init = list(ShuttleConfig().init_state)
+        runs = []
+        for h_offset in (0.0, 100.0):
+            init[0] = ShuttleConfig().init_state[0] + h_offset
+            source = ShuttleConfig(n_steps=30, true_switch_step=None, init_state=tuple(init))
+            save_reference_csv(path, generate_reference(source))
+            runs.append(simulate_shuttle(cfg))
+        assert runs[1].inertial_states[0, 0] == runs[0].inertial_states[0, 0] + 100.0
+        assert not np.array_equal(runs[1].gps, runs[0].gps)
 
 
 class TestConfigValidation:
