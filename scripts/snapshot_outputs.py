@@ -6,13 +6,19 @@
 For each of the 45 table configs (``configs/table*.json``) this runs the case
 at its configured seed and writes the single-run outputs (records.csv,
 summary.json, branch_trajectory.csv, truth.csv, measurements.csv) to
-``OUT/<config name>/``.  It then runs ``configs/shuttle_sa.json`` on two
-worker processes into ``OUT/sweeps/``.  The package is imported from the
-``src/`` next to this script, so two checkouts can be compared with
+``OUT/<config name>/``.  All of them share one shuttle reference key, so four
+more shuttle runs of ``table5_test22`` cover reference generation:
+``oversample`` 1 and 3, an initial altitude 250 ft higher, and a run whose
+reference is read from ``OUT/reference.csv``, a file written by
+``save_reference_csv`` (``OUT/reference_*/``).  It then runs
+``configs/shuttle_sa.json`` on two worker processes into ``OUT/sweeps/``.
+The package is imported from the ``src/`` next to this script, so two
+checkouts can be compared with
 
     diff -r OUT_A OUT_B
 """
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -21,6 +27,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from skfnav import harness  # noqa: E402
 from skfnav.configio import load_config  # noqa: E402
+from skfnav.scenarios.shuttle import (  # noqa: E402
+    ShuttleConfig,
+    generate_reference,
+    save_reference_csv,
+)
+
+
+def run(data: dict, out: Path) -> None:
+    record, filt, truth = harness.execute_case(data)
+    harness.write_run_outputs(record, filt, out, truth=truth)
+    print(f"{out.name}: {record.outcome}", flush=True)
 
 
 def main(argv: list[str]) -> int:
@@ -29,9 +46,22 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     for path in sorted((ROOT / "configs").glob("table*.json")):
-        record, filt, truth = harness.execute_case(load_config(path))
-        harness.write_run_outputs(record, filt, out / path.stem, truth=truth)
-        print(f"{path.stem}: {record.outcome}", flush=True)
+        run(load_config(path), out / path.stem)
+
+    base = load_config(ROOT / "configs" / "table5_test22.json")
+    h, *rest = ShuttleConfig().init_state
+    variants = {
+        "reference_oversample1": {"oversample": 1},
+        "reference_oversample3": {"oversample": 3},
+        "reference_h_plus_250": {"init_state": [h + 250.0, *rest]},
+    }
+    for name, change in variants.items():
+        run({**base, **change}, out / name)
+    save_reference_csv(out / "reference.csv", generate_reference(ShuttleConfig()))
+    # a relative path keeps the output directory out of the config snapshot
+    with contextlib.chdir(out):
+        run({**base, "reference_path": "reference.csv"}, Path("reference_file"))
+
     grid = harness.sweep_from_dict(load_config(ROOT / "configs" / "shuttle_sa.json"))
     _, target = harness.run_sweep_to_dir(grid, out / "sweeps", threads=2)
     print(f"sweep: {target}")

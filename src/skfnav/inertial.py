@@ -82,55 +82,12 @@ class ImuSample:
 
 def attitude_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
     """Rotation matrix taking body-frame vectors to the inertial frame."""
-    return kernels.attitude_batch(
-        np.array([phi]), np.array([theta]), np.array([psi])
-    )[0]
-
-
-def euler_rates(state: NavState15, omega_meas: np.ndarray) -> np.ndarray:
-    """Euler-angle rates from a (biased) gyro reading.
-
-    Applies the roll/pitch kinematic matrix to ``omega_meas - b_g``; the
-    matrix divides by cos(pitch), hence the singularity guard on the state.
-    """
-    w = np.asarray(omega_meas, dtype=float).reshape(3) - state.b_g
-    sp, cp = np.sin(state.phi), np.cos(state.phi)
-    tt, ct = np.tan(state.theta), np.cos(state.theta)
-    return np.array([
-        w[0] + sp * tt * w[1] + cp * tt * w[2],
-        cp * w[1] - sp * w[2],
-        (sp * w[1] + cp * w[2]) / ct,
-    ])
-
-
-def attitude_update(state: NavState15, omega_meas: np.ndarray, dt: float) -> np.ndarray:
-    """Forward-Euler attitude propagation; returns wrapped (roll, pitch, yaw)."""
-    rates = euler_rates(state, omega_meas)
-    angles = np.array([state.phi, state.theta, state.psi]) + rates * dt
-    return kernels.wrap_angle(angles)
+    return np.array(kernels.attitude_entries(phi, theta, psi)).reshape(3, 3)
 
 
 def gravity(h: float) -> np.ndarray:
     """Inertial gravity vector (N, E, D) at altitude ``h`` ft; down-positive."""
     return np.array([0.0, 0.0, GRAV_PARAM / (EARTH_RADIUS_FT + h) ** 2])
-
-
-def nav_to_inertial_velocity(v: float, gamma: float, alpha: float) -> np.ndarray:
-    """(speed, flight-path angle, azimuth) -> (v_N, v_E, v_D)."""
-    cg = np.cos(gamma)
-    return np.array([v * cg * np.cos(alpha), v * cg * np.sin(alpha), -v * np.sin(gamma)])
-
-
-def inertial_to_nav_velocity(v_i: np.ndarray) -> tuple[float, float, float]:
-    """(v_N, v_E, v_D) -> (speed, flight-path angle, azimuth); zero speed maps
-    to zero angles."""
-    v_i = np.asarray(v_i, dtype=float).reshape(3)
-    speed = float(np.linalg.norm(v_i))
-    if speed == 0.0:
-        return 0.0, 0.0, 0.0
-    gamma = float(np.arcsin(np.clip(-v_i[2] / speed, -1.0, 1.0)))
-    alpha = float(np.arctan2(v_i[1], v_i[0]))
-    return speed, gamma, alpha
 
 
 def strapdown_step(state: NavState15, imu: ImuSample, dt: float) -> NavState15:
@@ -141,46 +98,3 @@ def strapdown_step(state: NavState15, imu: ImuSample, dt: float) -> NavState15:
         state.as_vector()[None, :], imu.f_b, imu.omega_b, dt
     )[0]
     return NavState15.from_vector(out)
-
-
-def propagate_imu_bias(
-    b_a: np.ndarray,
-    b_g: np.ndarray,
-    sigma_a: np.ndarray,
-    sigma_g: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One random-walk step for each bias vector.
-
-    ``sigma_a`` / ``sigma_g`` are per-step covariance matrices (a scalar or
-    length-3 vector is taken as a diagonal).
-    """
-    def step(bias, sigma):
-        bias = np.asarray(bias, dtype=float).reshape(3)
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim < 2:
-            sigma = np.diag(np.broadcast_to(sigma, 3).astype(float))
-        if not np.any(sigma):
-            return bias.copy()
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        return bias + root @ rng.standard_normal(3)
-
-    return step(b_a, sigma_a), step(b_g, sigma_g)
-
-
-def synthesize_imu(
-    true_f_b: np.ndarray,
-    true_omega_b: np.ndarray,
-    b_a: np.ndarray,
-    b_g: np.ndarray,
-    noise_std_a: float | np.ndarray,
-    noise_std_g: float | np.ndarray,
-    rng: np.random.Generator,
-) -> ImuSample:
-    """Biased, noisy IMU reading: truth plus bias plus white Gaussian noise."""
-    f = np.asarray(true_f_b, dtype=float).reshape(3) + np.asarray(b_a, dtype=float)
-    w = np.asarray(true_omega_b, dtype=float).reshape(3) + np.asarray(b_g, dtype=float)
-    f = f + np.broadcast_to(noise_std_a, 3) * rng.standard_normal(3)
-    w = w + np.broadcast_to(noise_std_g, 3) * rng.standard_normal(3)
-    return ImuSample(f_b=f, omega_b=w)

@@ -1,7 +1,9 @@
 """Hot numeric kernels: compiled backend when available, numpy fallback.
 
 Set ``SKFNAV_PURE=1`` to force the numpy backend (useful for benchmarking and
-debugging).  ``BACKEND`` reports which implementation is active.
+debugging).  ``BACKEND`` reports which implementation serves
+``strapdown_batch``; ``strapdown_columns``, the numpy body on columns or
+floats, is the same under either backend.
 """
 
 import os
@@ -21,7 +23,11 @@ else:
         BACKEND = "numpy"
 
 strapdown_batch = _impl.strapdown_batch
+strapdown_columns = numpy_backend.strapdown_columns
 wrap_angle = numpy_backend.wrap_angle
-attitude_batch = numpy_backend.attitude_batch
+attitude_entries = numpy_backend.attitude_entries
 
-__all__ = ["BACKEND", "strapdown_batch", "wrap_angle", "attitude_batch", "numpy_backend"]
+__all__ = [
+    "BACKEND", "strapdown_batch", "strapdown_columns", "wrap_angle", "attitude_entries",
+    "numpy_backend",
+]

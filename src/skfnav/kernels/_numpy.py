@@ -1,7 +1,9 @@
 """Numpy implementation of the hot kernels (fallback backend).
 
-The compiled backend in ``_native.pyx`` mirrors these functions exactly; a
-parity test keeps the two in agreement.
+The compiled backend in ``_native.pyx`` agrees with ``strapdown_batch`` to a
+relative 1e-13; a parity test keeps the two in agreement.  The numpy kernel is
+one column body, ``strapdown_columns``, that runs unchanged on 1-D columns
+(one entry per state) and on Python floats (one state).
 """
 
 import numpy as np
@@ -11,104 +13,109 @@ from ..exceptions import GimbalLockError, PolarSingularityError
 
 
 def wrap_angle(angle):
-    """Wrap to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), 2.0 * np.pi)
+    """Wrap to (-pi, pi]; ``angle`` is an array or a float."""
+    return np.pi - np.mod(np.pi - angle, 2.0 * np.pi)
 
 
-def attitude_batch(phi, theta, psi):
-    """Body-to-inertial rotation matrices, shape (n, 3, 3), rows (N, E, D)."""
+def attitude_entries(phi, theta, psi):
+    """Body-to-inertial rotation entries, row-major with rows (N, E, D).
+
+    The angles are columns or floats; each entry has their shape.
+    """
     sp, cp = np.sin(phi), np.cos(phi)
     st, ct = np.sin(theta), np.cos(theta)
     sy, cy = np.sin(psi), np.cos(psi)
-    C = np.empty((np.shape(phi)[0], 3, 3))
-    C[:, 0, 0] = ct * cy
-    C[:, 0, 1] = ct * sy
-    C[:, 0, 2] = -st
-    C[:, 1, 0] = sp * st * cy - cp * sy
-    C[:, 1, 1] = sp * st * sy + cp * cy
-    C[:, 1, 2] = sp * ct
-    C[:, 2, 0] = cp * st * cy + sp * sy
-    C[:, 2, 1] = cp * st * sy - sp * cy
-    C[:, 2, 2] = cp * ct
-    return C
+    return (
+        ct * cy, ct * sy, -st,
+        sp * st * cy - cp * sy, sp * st * sy + cp * cy, sp * ct,
+        cp * st * cy + sp * sy, cp * st * sy - sp * cy, cp * ct,
+    )
 
 
-def strapdown_batch(states, f_meas, omega_meas, dt):
-    """One inertial-navigation step for a batch of 15-component states.
+def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
+    """One inertial-navigation step on columns or on floats.
 
-    ``states`` is (n, 15): altitude, two position angles, speed, flight-path
-    angle, azimuth, roll, pitch, yaw, accel bias (3), gyro bias (3).  The IMU
-    sample (``f_meas``, ``omega_meas``) is shared across the batch; each row
-    subtracts its own bias estimates.  Bias components pass through unchanged.
+    ``nav`` holds the nine navigation components: altitude, two position
+    angles, speed, flight-path angle, azimuth, roll, pitch, yaw.  ``b_a`` and
+    ``b_g`` are the accel and gyro bias triples, and ``f_meas``/``omega_meas``
+    the IMU triples, whose entries are floats or columns like those of
+    ``nav``.  Returns the nine new components.
     """
-    states = np.asarray(states, dtype=float)
-    f_meas = np.asarray(f_meas, dtype=float)
-    omega_meas = np.asarray(omega_meas, dtype=float)
-    h, v = states[:, 0], states[:, 3]
-    gamma, alpha = states[:, 4], states[:, 5]
-    phi, theta, psi = states[:, 6], states[:, 7], states[:, 8]
-    b_a, b_g = states[:, 9:12], states[:, 12:15]
+    h, L, lam, v, gamma, alpha, phi, theta, psi = nav
 
-    if np.any(np.abs(theta) >= PITCH_GUARD):
+    if (np.abs(theta) >= PITCH_GUARD).any():
         raise GimbalLockError("pitch at Euler-rate singularity")
 
     # Attitude update (forward Euler on the Euler-angle kinematics).
-    w = omega_meas[None, :] - b_g
+    w0 = omega_meas[0] - b_g[0]
+    w1 = omega_meas[1] - b_g[1]
+    w2 = omega_meas[2] - b_g[2]
     sp, cp = np.sin(phi), np.cos(phi)
     tt, ct = np.tan(theta), np.cos(theta)
-    phi_dot = w[:, 0] + sp * tt * w[:, 1] + cp * tt * w[:, 2]
-    theta_dot = cp * w[:, 1] - sp * w[:, 2]
-    psi_dot = (sp * w[:, 1] + cp * w[:, 2]) / ct
+    phi_dot = w0 + sp * tt * w1 + cp * tt * w2
+    theta_dot = cp * w1 - sp * w2
+    psi_dot = (sp * w1 + cp * w2) / ct
     phi_new = wrap_angle(phi + phi_dot * dt)
     theta_new = wrap_angle(theta + theta_dot * dt)
     psi_new = wrap_angle(psi + psi_dot * dt)
-    if np.any(np.abs(theta_new) >= PITCH_GUARD):
+    if (np.abs(theta_new) >= PITCH_GUARD).any():
         raise GimbalLockError("pitch at Euler-rate singularity after update")
 
-    # Specific force to the inertial frame, trapezoidal attitude average.
-    C_old = attitude_batch(phi, theta, psi)
-    C_new = attitude_batch(phi_new, theta_new, psi_new)
-    f_body = f_meas[None, :] - b_a
-    f_i = 0.5 * np.einsum("nij,nj->ni", C_old + C_new, f_body)
+    # Specific force to the inertial frame, trapezoidal attitude average.  Each
+    # row sums as (x0 + x2) + x1, the order of numpy's (n,3,3) einsum, so
+    # floats and columns give the bits that batched outputs were recorded with.
+    c = [a + b for a, b in zip(attitude_entries(phi, theta, psi),
+                               attitude_entries(phi_new, theta_new, psi_new))]
+    f0 = f_meas[0] - b_a[0]
+    f1 = f_meas[1] - b_a[1]
+    f2 = f_meas[2] - b_a[2]
+    f_n = 0.5 * ((c[0] * f0 + c[2] * f2) + c[1] * f1)
+    f_e = 0.5 * ((c[3] * f0 + c[5] * f2) + c[4] * f1)
+    f_d = 0.5 * ((c[6] * f0 + c[8] * f2) + c[7] * f1)
 
     # Velocity update with gravity (down-positive).
     cg = np.cos(gamma)
     v_n = v * cg * np.cos(alpha)
     v_e = v * cg * np.sin(alpha)
     v_d = -v * np.sin(gamma)
-    g_d = GRAV_PARAM / (EARTH_RADIUS_FT + h) ** 2
-    v_n_new = v_n + f_i[:, 0] * dt
-    v_e_new = v_e + f_i[:, 1] * dt
-    v_d_new = v_d + (f_i[:, 2] + g_d) * dt
+    r_old = EARTH_RADIUS_FT + h
+    g_d = GRAV_PARAM / (r_old * r_old)
+    v_n_new = v_n + f_n * dt
+    v_e_new = v_e + f_e * dt
+    v_d_new = v_d + (f_d + g_d) * dt
 
     # Back to speed / flight-path angle / azimuth.
-    speed = np.sqrt(v_n_new**2 + v_e_new**2 + v_d_new**2)
+    speed = np.sqrt(v_n_new * v_n_new + v_e_new * v_e_new + v_d_new * v_d_new)
     ratio = np.divide(-v_d_new, speed, out=np.zeros_like(speed), where=speed > 0.0)
     gamma_new = np.arcsin(np.clip(ratio, -1.0, 1.0))
     alpha_new = np.arctan2(v_e_new, v_n_new)
 
     # Trapezoidal position update.
     h_new = h - 0.5 * dt * (v_d + v_d_new)
-    r_old = EARTH_RADIUS_FT + h
     r_new = EARTH_RADIUS_FT + h_new
-    L = states[:, 1]
     L_new = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
     cos_L, cos_L_new = np.cos(L), np.cos(L_new)
-    if np.any(np.abs(cos_L) < POLAR_COS_GUARD) or np.any(np.abs(cos_L_new) < POLAR_COS_GUARD):
+    if (np.abs(cos_L) < POLAR_COS_GUARD).any() or (np.abs(cos_L_new) < POLAR_COS_GUARD).any():
         raise PolarSingularityError("position angle at polar singularity")
-    lam_new = states[:, 2] + 0.5 * dt * (
-        v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new)
-    )
+    lam_new = lam + 0.5 * dt * (v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new))
 
+    return (h_new, L_new, lam_new, speed, gamma_new, alpha_new, phi_new, theta_new, psi_new)
+
+
+def strapdown_batch(states, f_meas, omega_meas, dt):
+    """One inertial-navigation step for a batch of 15-component states.
+
+    ``states`` is (n, 15): the nine navigation components of
+    ``strapdown_columns``, accel bias (3), gyro bias (3).  The IMU sample
+    (``f_meas``, ``omega_meas``) is shared across the batch; each row
+    subtracts its own bias estimates.  Bias components pass through unchanged.
+    """
+    states = np.asarray(states, dtype=float)
+    cols = states.T
     out = np.empty_like(states)
-    out[:, 0] = h_new
-    out[:, 1] = L_new
-    out[:, 2] = lam_new
-    out[:, 3] = speed
-    out[:, 4] = gamma_new
-    out[:, 5] = alpha_new
-    out[:, 6] = phi_new
-    out[:, 7] = theta_new
-    out[:, 8] = psi_new
-    out[:, 9:15] = states[:, 9:15]
+    out.T[:9] = strapdown_columns(
+        cols[:9], cols[9:12], cols[12:15],
+        np.asarray(f_meas, dtype=float), np.asarray(omega_meas, dtype=float), dt,
+    )
+    out[:, 9:] = states[:, 9:]
     return out

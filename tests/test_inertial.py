@@ -3,19 +3,8 @@ import pytest
 
 from skfnav.constants import EARTH_RADIUS_FT, GRAV_PARAM
 from skfnav.exceptions import GimbalLockError
-from skfnav.inertial import (
-    ImuSample,
-    NavState15,
-    attitude_matrix,
-    attitude_update,
-    euler_rates,
-    gravity,
-    inertial_to_nav_velocity,
-    nav_to_inertial_velocity,
-    propagate_imu_bias,
-    strapdown_step,
-    synthesize_imu,
-)
+from skfnav.inertial import ImuSample, NavState15, attitude_matrix, gravity, strapdown_step
+from skfnav.scenarios.shuttle import ShuttleConfig, simulate_shuttle
 
 
 def level_state(**overrides):
@@ -23,6 +12,34 @@ def level_state(**overrides):
                 phi=0.0, theta=0.0, psi=0.0)
     base.update(overrides)
     return NavState15(**base)
+
+
+def kernel_attitude(state, omega_meas, dt):
+    """(roll, pitch, yaw) after one kernel step; the attitude update reads
+    only the gyro."""
+    out = strapdown_step(state, ImuSample(np.zeros(3), omega_meas), dt)
+    return np.array([out.phi, out.theta, out.psi])
+
+
+def euler_rates(state, omega_meas, dt=1e-3):
+    """Euler-angle rates the kernel applied over one short forward-Euler step."""
+    angles = np.array([state.phi, state.theta, state.psi])
+    return (kernel_attitude(state, omega_meas, dt) - angles) / dt
+
+
+def hover_force(h):
+    """Level-attitude specific force that cancels the kernel's gravity exactly."""
+    r = EARTH_RADIUS_FT + h
+    return np.array([0.0, 0.0, -GRAV_PARAM / (r * r)])
+
+
+def shuttle_imu(n_steps=40, seed=0, **noise):
+    """A clean shuttle run's truth with the given IMU noise and bias walks."""
+    levels = dict(imu_noise_accel=0.0, imu_noise_gyro=0.0,
+                  imu_walk_accel=0.0, imu_walk_gyro=0.0)
+    levels.update(noise)
+    return simulate_shuttle(ShuttleConfig(n_steps=n_steps, oversample=1, seed=seed,
+                                          true_switch_step=None, **levels))
 
 
 class TestAttitude:
@@ -68,16 +85,16 @@ class TestEulerRates:
 class TestAttitudeUpdate:
     def test_zero_rates_unchanged(self):
         state = level_state(phi=0.1, theta=0.2, psi=0.3)
-        assert attitude_update(state, np.zeros(3), 1.4) == pytest.approx([0.1, 0.2, 0.3])
+        assert kernel_attitude(state, np.zeros(3), 1.4) == pytest.approx([0.1, 0.2, 0.3])
 
     def test_constant_yaw_rate(self):
         state = level_state()
-        angles = attitude_update(state, np.array([0.0, 0.0, 0.1]), 1.4)
+        angles = kernel_attitude(state, np.array([0.0, 0.0, 0.1]), 1.4)
         assert angles == pytest.approx([0.0, 0.0, 0.14])
 
     def test_wrap_into_half_open_interval(self):
         state = level_state(psi=3.1)
-        angles = attitude_update(state, np.array([0.0, 0.0, 0.1]), 1.0)
+        angles = kernel_attitude(state, np.array([0.0, 0.0, 0.1]), 1.0)
         assert -np.pi < angles[2] <= np.pi
         assert angles[2] == pytest.approx(3.2 - 2 * np.pi)
 
@@ -99,13 +116,18 @@ class TestGravity:
 
 
 class TestVelocityViews:
+    """The kernel's speed/flight-path/azimuth to (N, E, D) velocity round trip."""
+
     def test_round_trip(self):
         v, gamma, alpha = 1.4e4, -0.0123, 0.8
-        back = inertial_to_nav_velocity(nav_to_inertial_velocity(v, gamma, alpha))
-        assert back == pytest.approx((v, gamma, alpha))
+        state = level_state(v=v, gamma=gamma, alpha=alpha)
+        out = strapdown_step(state, ImuSample(hover_force(state.h), np.zeros(3)), 1.0)
+        assert (out.v, out.gamma, out.alpha) == pytest.approx((v, gamma, alpha))
 
     def test_zero_speed_convention(self):
-        assert inertial_to_nav_velocity(np.zeros(3)) == (0.0, 0.0, 0.0)
+        state = level_state()
+        out = strapdown_step(state, ImuSample(hover_force(state.h), np.zeros(3)), 1.0)
+        assert (out.v, out.gamma, out.alpha) == (0.0, 0.0, 0.0)
 
 
 class TestStrapdownStep:
@@ -154,56 +176,43 @@ class TestStrapdownStep:
 
 
 class TestImuSynthesis:
+    """The bias walks and white noise ``simulate_shuttle`` adds to the
+    reference IMU stream."""
+
     def test_bias_propagation_zero_sigma_is_identity(self):
-        rng = np.random.default_rng(0)
-        b_a, b_g = propagate_imu_bias([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], 0.0, 0.0, rng)
-        assert b_a.tolist() == [1.0, 2.0, 3.0]
-        assert b_g.tolist() == [0.1, 0.2, 0.3]
+        truth = shuttle_imu()
+        assert not truth.accel_bias.any() and not truth.gyro_bias.any()
 
     def test_bias_propagation_reproducible(self):
-        out1 = propagate_imu_bias(np.zeros(3), np.zeros(3), 1e-4, 1e-6,
-                                  np.random.default_rng(7))
-        out2 = propagate_imu_bias(np.zeros(3), np.zeros(3), 1e-4, 1e-6,
-                                  np.random.default_rng(7))
-        assert out1[0].tolist() == out2[0].tolist()
-        assert out1[1].tolist() == out2[1].tolist()
+        runs = [shuttle_imu(seed=7, imu_walk_accel=1e-4, imu_walk_gyro=1e-6) for _ in range(2)]
+        assert np.array_equal(runs[0].accel_bias, runs[1].accel_bias)
+        assert np.array_equal(runs[0].gyro_bias, runs[1].gyro_bias)
+        assert runs[0].accel_bias.any()
 
     def test_random_walk_variance(self):
-        # 2000 independent 50-step walks: endpoint variance approaches
-        # 50 * var with ~1.8% sampling error over the pooled 6000 samples
-        rng = np.random.default_rng(1)
-        walks, steps, var = 2000, 50, 1e-4
-        ends = np.empty((walks, 3))
-        for i in range(walks):
-            b = np.zeros(3)
-            for _ in range(steps):
-                b, _ = propagate_imu_bias(b, np.zeros(3), var, 0.0, rng)
-            ends[i] = b
-        pooled = np.mean(ends**2)
-        assert pooled == pytest.approx(steps * var, rel=0.05)
+        # 2000 steps on 3 axes: the pooled step variance approaches the walk
+        # variance with ~1.8% sampling error over the 6000 samples
+        var = 1e-4
+        truth = shuttle_imu(n_steps=2001, seed=1, imu_walk_accel=np.sqrt(var))
+        steps = np.diff(truth.accel_bias, axis=0)
+        assert np.mean(steps**2) == pytest.approx(var, rel=0.05)
 
     def test_synthesize_truth_when_clean(self):
-        rng = np.random.default_rng(0)
-        sample = synthesize_imu([1.0, 2.0, 3.0], [0.1, 0.2, 0.3],
-                                np.zeros(3), np.zeros(3), 0.0, 0.0, rng)
-        assert sample.f_b.tolist() == [1.0, 2.0, 3.0]
-        assert sample.omega_b.tolist() == [0.1, 0.2, 0.3]
+        truth = shuttle_imu()
+        assert np.array_equal(truth.imu_meas, truth.reference.imu_true)
 
     def test_synthesize_adds_bias(self):
-        rng = np.random.default_rng(0)
-        sample = synthesize_imu([1.0, 0.0, 0.0], np.zeros(3),
-                                [1.0, 0.0, 0.0], np.zeros(3), 0.0, 0.0, rng)
-        assert sample.f_b.tolist() == [2.0, 0.0, 0.0]
+        truth = shuttle_imu(imu_walk_accel=1e-3, imu_walk_gyro=1e-6)
+        added = truth.imu_meas - truth.reference.imu_true
+        assert np.abs(added[:, :3] - truth.accel_bias).max() < 1e-12
+        assert np.abs(added[:, 3:] - truth.gyro_bias).max() < 1e-15
 
     def test_noise_mean_converges(self):
-        rng = np.random.default_rng(5)
-        draws = np.array([
-            synthesize_imu([1.0, -2.0, 0.5], np.zeros(3), np.zeros(3), np.zeros(3),
-                           0.3, 0.0, rng).f_b
-            for _ in range(10_000)
-        ])
-        # CLT: sample mean within ~3 sigma / sqrt(N) of truth
-        assert np.abs(draws.mean(axis=0) - [1.0, -2.0, 0.5]).max() < 3 * 0.3 / 100
+        n = 2001
+        truth = shuttle_imu(n_steps=n, seed=5, imu_noise_accel=0.3)
+        noise = truth.imu_meas[:, :3] - truth.reference.imu_true[:, :3]
+        # CLT: sample mean within ~3 sigma / sqrt(N) of zero
+        assert np.abs(noise.mean(axis=0)).max() < 3 * 0.3 / np.sqrt(n)
 
 
 def test_vector_round_trip():

@@ -39,7 +39,42 @@ def test_batch_matches_scalar_composition():
     batch = kernels.strapdown_batch(states, f, w, 1.4)
     for i in range(states.shape[0]):
         single = strapdown_step(NavState15.from_vector(states[i]), ImuSample(f, w), 1.4)
-        assert np.abs(batch[i] - single.as_vector()).max() < 1e-12
+        assert np.array_equal(batch[i], single.as_vector())
+
+
+def columns_on_floats(row, f, w, dt):
+    """The kernel body on one state's Python floats, as a 15-vector."""
+    row = row.tolist()
+    nav = pure.strapdown_columns(row[:9], row[9:12], row[12:], f.tolist(), w.tolist(), dt)
+    return np.array([*nav, *row[9:]])
+
+
+@pytest.mark.parametrize("n", [1, 49, 490])
+def test_columns_on_floats_match_batch_rows(n):
+    states = random_states(n, 5)
+    states[::7, 8] = np.pi - 1e-4  # some yaws wrap past pi
+    f = np.array([-5.0, 2.0, -31.0])
+    w = np.array([1e-3, -2e-3, 5e-4]) * 50
+    batch = pure.strapdown_batch(states, f, w, 1.4)
+    for i in range(n):
+        assert np.array_equal(columns_on_floats(states[i], f, w, 1.4), batch[i]), i
+
+
+@pytest.mark.parametrize("column, value, pitch_rate, error", [
+    (7, np.pi / 2, 0.0, GimbalLockError),            # pitch at the guard
+    (7, np.pi / 2 - 2e-6, 1.0, GimbalLockError),     # pitch pushed onto it
+    (1, np.pi / 2, 0.0, PolarSingularityError),      # position angle at the pole
+])
+def test_float_path_raises_like_batch(column, value, pitch_rate, error):
+    states = random_states(3, 6)
+    states[:, 6:8] = 0.0  # level roll and pitch, so the pitch rate is the gyro's
+    states[1, column] = value
+    f, w = np.zeros(3), np.array([0.0, pitch_rate, 0.0])
+    with pytest.raises(error):
+        pure.strapdown_batch(states, f, w, 1.0)
+    with pytest.raises(error):
+        columns_on_floats(states[1], f, w, 1.0)
+    columns_on_floats(states[0], f, w, 1.0)  # the other rows step cleanly
 
 
 @pytest.mark.skipif(kernels.BACKEND != "native", reason="compiled backend unavailable")

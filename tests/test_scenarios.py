@@ -3,9 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from skfnav import kernels
 from skfnav.biasmodels import BiasSpec
 from skfnav.exceptions import ConfigError, FieldDomainError
-from skfnav.inertial import NavState15
+from skfnav.inertial import ImuSample, NavState15, attitude_matrix, gravity, strapdown_step
 from skfnav.scenarios.balloon import (
     BalloonConfig,
     build_balloon_filter,
@@ -22,6 +23,8 @@ from skfnav.scenarios.shuttle import (
     SCALING_FACTORS,
     ShuttleConfig,
     ShuttleTruth,
+    _command_accel,
+    _command_rates,
     _noiseless_run,
     generate_reference,
     integrate_imu,
@@ -360,6 +363,64 @@ class TestReferenceCache:
             runs.append(simulate_shuttle(cfg))
         assert runs[1].inertial_states[0, 0] == runs[0].inertial_states[0, 0] + 100.0
         assert not np.array_equal(runs[1].gps, runs[0].gps)
+
+
+def reference_oracle(cfg: ShuttleConfig):
+    """Reference states and IMU stream from one ``NavState15``/``ImuSample``
+    and one single-row ``strapdown_step`` per substep."""
+    dt_f = cfg.dt / cfg.oversample
+    state = NavState15(*cfg.init_state)
+    states = np.empty((cfg.n_steps + 1, 15))
+    imu_true = np.empty((cfg.n_steps, 6))
+    states[0] = state.as_vector()
+    for k in range(cfg.n_steps):
+        for sub in range(cfg.oversample):
+            t = (k * cfg.oversample + sub) * dt_f
+            C = attitude_matrix(state.phi, state.theta, state.psi)
+            f_b = C.T @ (_command_accel(t) - gravity(state.h))
+            omega_b = _command_rates(t)
+            if sub == 0:
+                imu_true[k, :3] = f_b
+                imu_true[k, 3:] = omega_b
+            state = strapdown_step(state, ImuSample(f_b, omega_b), dt_f)
+        states[k + 1] = state.as_vector()
+    return states, imu_true
+
+
+DEFAULT_INIT = ShuttleConfig().init_state
+RAISED_INIT = (DEFAULT_INIT[0] + 250.0, *DEFAULT_INIT[1:])
+TURNED_INIT = (1.2e5, 0.5, -0.4, 9.0e3, 0.02, -2.5, -0.3, -0.6, 3.0)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("oversample", [7, 1])
+    @pytest.mark.parametrize("init_state", [RAISED_INIT, TURNED_INIT])
+    def test_generate_reference_matches_single_row_oracle(self, oversample, init_state):
+        cfg = ShuttleConfig(n_steps=60, oversample=oversample, init_state=init_state,
+                            true_switch_step=None)
+        states, imu_true = reference_oracle(cfg)
+        ref = generate_reference(cfg)
+        assert np.array_equal(ref.states, states)
+        assert np.array_equal(ref.imu_true, imu_true)
+
+    def test_integrate_imu_matches_per_row_kernel(self):
+        cfg = ShuttleConfig(n_steps=80, oversample=3, true_switch_step=None)
+        ref = generate_reference(cfg)
+        x0 = ref.states[0].copy()
+        x0[9:] = [2e-3, -1e-3, 5e-4, 1e-6, -2e-6, 3e-7]  # biases the kernel subtracts
+        expect = np.empty_like(ref.states)
+        expect[0] = x0
+        for k, row in enumerate(ref.imu_true):
+            expect[k + 1] = kernels.numpy_backend.strapdown_batch(
+                expect[k][None, :], row[:3], row[3:], cfg.dt)[0]
+        assert np.array_equal(integrate_imu(x0, ref.imu_true, cfg.dt), expect)
+
+    def test_non_finite_imu_input_raises_value_error(self):
+        init = (float("nan"), *DEFAULT_INIT[1:])  # gravity, so the specific force, is NaN
+        cfg = ShuttleConfig(n_steps=3, init_state=init, true_switch_step=None)
+        for build in (reference_oracle, generate_reference):
+            with pytest.raises(ValueError, match="finite"):
+                build(cfg)
 
 
 class TestConfigValidation:
