@@ -11,7 +11,9 @@ more shuttle runs of ``table5_test22`` cover reference generation:
 ``oversample`` 1 and 3, an initial altitude 250 ft higher, and a run whose
 reference is read from ``OUT/reference.csv``, a file written by
 ``save_reference_csv`` (``OUT/reference_*/``).  It then runs
-``configs/shuttle_sa.json`` on two worker processes into ``OUT/sweeps/``.
+``configs/shuttle_sa.json`` on two worker processes into ``OUT/sweeps/``,
+and ``skfnav report`` on that sweep directory into ``OUT/report/``, which
+rebuilds the records from ``records.csv`` before aggregating them.
 The package is imported from the ``src/`` next to this script, so two
 checkouts can be compared with
 
@@ -26,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from skfnav import harness  # noqa: E402
+from skfnav.cli import main as skfnav_main  # noqa: E402
 from skfnav.configio import load_config  # noqa: E402
 from skfnav.scenarios.shuttle import (  # noqa: E402
     ShuttleConfig,
@@ -65,7 +68,8 @@ def main(argv: list[str]) -> int:
     grid = harness.sweep_from_dict(load_config(ROOT / "configs" / "shuttle_sa.json"))
     _, target = harness.run_sweep_to_dir(grid, out / "sweeps", threads=2)
     print(f"sweep: {target}")
-    return 0
+    return skfnav_main(["--quiet", "report", "--records", str(target),
+                        "--out", str(out / "report")])
 
 
 if __name__ == "__main__":

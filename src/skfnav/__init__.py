@@ -6,7 +6,7 @@ stream turned bad, alongside the simulation scenarios and experiment harness
 used to exercise it.
 """
 
-from .biasmodels import BiasSpec, SwitchSpec, augment, bias_eval, observe
+from .biasmodels import BiasSpec, SwitchSpec, augment, bias_eval
 from .gaussfilt import (
     GaussianBelief,
     PredictedObservation,
@@ -21,7 +21,6 @@ from .switching import (
     BranchSet,
     SwitchingFilter,
     estimate,
-    model_average,
     prune,
     reports_no_corruption,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "BiasSpec",
     "SwitchSpec",
     "bias_eval",
-    "observe",
     "augment",
     "GaussianBelief",
     "SigmaPointParams",
@@ -46,7 +44,6 @@ __all__ = [
     "SwitchingFilter",
     "prune",
     "estimate",
-    "model_average",
     "reports_no_corruption",
     "__version__",
 ]

@@ -119,21 +119,6 @@ def bias_eval(spec: BiasSpec, t_s: float, t_k: float) -> np.ndarray:
     return offset
 
 
-def observe(
-    x: np.ndarray,
-    spec: BiasSpec,
-    switch: SwitchSpec,
-    t_k: float,
-    channels: slice | np.ndarray = slice(None),
-) -> np.ndarray:
-    """Predicted measurement: observed channels of ``x`` plus the offset once
-    ``t_k`` passes the onset (the onset instant itself reads clean)."""
-    base = np.asarray(x, dtype=float)[channels].copy()
-    if t_k > switch.t_s:
-        base += np.broadcast_to(bias_eval(spec, switch.t_s, t_k), base.shape)
-    return base
-
-
 def augment(
     x: np.ndarray,
     theta_prior_mean: np.ndarray,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -174,11 +175,25 @@ def validate_document(data, schema: dict) -> None:
         raise error
 
 
+def _check_finite(value, label: str) -> None:
+    """Reject NaN and infinities, which ``json`` loads and the schema's
+    ``number`` (even under ``minimum``) accepts."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{label}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{label}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {value}")
+
+
 def _validate(data: dict, schema: dict, label: str) -> None:
     try:
         validate_document(data, schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"{label}: {exc.message}") from exc
+    _check_finite(data, label)
 
 
 def validate_config(data: dict) -> str:

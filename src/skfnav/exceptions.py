@@ -12,10 +12,6 @@ class CovarianceError(SkfnavError):
 class DynamicsDivergedError(SkfnavError):
     """A dynamics map returned non-finite values."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class SingularInnovationError(SkfnavError):
     """Innovation covariance is singular or too ill-conditioned to invert."""

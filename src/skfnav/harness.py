@@ -93,7 +93,8 @@ class RunRecord:
 
 def execute_case(data: dict, seed: Optional[int] = None):
     """Execute one configured run end to end; failures are captured in the
-    record rather than raised.  Returns (record, filter or None)."""
+    record rather than raised.  Returns ``(record, filter, truth)``; the
+    filter and truth are None when the run failed."""
     validate_config(data)
     data = dict(data)
     if seed is not None:
@@ -240,14 +241,14 @@ def sweep_from_dict(data: dict) -> SweepGrid:
     )
 
 
-def resolve_threads(default_cap: int = 4) -> int:
+def resolve_threads() -> int:
     env = os.environ.get("SKFNAV_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"SKFNAV_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(default_cap, os.cpu_count() or 1))
+    return max(1, min(4, os.cpu_count() or 1))
 
 
 def _run_task(task) -> RunRecord:
@@ -285,37 +286,48 @@ def _axis_value(record: RunRecord, axis: str):
     return record.config[axis]
 
 
+def _sweep_groups(grid: SweepGrid, records: list[RunRecord]):
+    """The q_p levels of ``records`` and, for each swept axis in canonical
+    order, one ``(value, matching records, [(runs, successes) per level])``
+    per axis value.  The aggregate table and the success-rate plots both read
+    these groups, so their rates agree."""
+    levels = sorted({rec.config["q_p"] for rec in records})
+    groups = []
+    for axis in (a for a in AXIS_ORDER if a in grid.axes):
+        cells = []
+        for value in grid.axes[axis]:
+            matching = [rec for rec in records if _axis_value(rec, axis) == value]
+            counts = []
+            for q_p in levels:
+                subset = [rec for rec in matching if rec.config["q_p"] == q_p]
+                wins = sum(_is_success(r, grid.success_includes_yellow) for r in subset)
+                counts.append((len(subset), wins))
+            cells.append((value, matching, counts))
+        groups.append((axis, cells))
+    return levels, groups
+
+
 def aggregate(grid: SweepGrid, records: list[RunRecord]) -> list[dict]:
     """Success rate per (axis value, parameter-noise level) and pooled median
     RMSE per axis value."""
     state_names = RMSE_STATES[grid.scenario]
+    levels, groups = _sweep_groups(grid, records)
     rows = []
-    for axis in (a for a in AXIS_ORDER if a in grid.axes):
-        q_p_levels = sorted({rec.config["q_p"] for rec in records})
-        for value in grid.axes[axis]:
-            matching = [rec for rec in records if _axis_value(rec, axis) == value]
-            for q_p in q_p_levels:
-                subset = [rec for rec in matching if rec.config["q_p"] == q_p]
-                if not subset:
-                    continue
-                wins = sum(_is_success(r, grid.success_includes_yellow) for r in subset)
-                rows.append({
-                    "axis": axis, "value": value, "q_p": q_p,
-                    "runs": len(subset), "successes": wins,
-                    "success_rate": wins / len(subset),
-                    **{f"median_rmse_{s}": "" for s in state_names},
-                })
+    for axis, cells in groups:
+        for value, matching, counts in cells:
+            for q_p, (runs, wins) in zip(levels, counts):
+                if runs:
+                    rows.append({
+                        "axis": axis, "value": value, "q_p": q_p,
+                        "runs": runs, "successes": wins, "success_rate": wins / runs,
+                        **{f"median_rmse_{s}": "" for s in state_names},
+                    })
+            total = sum(wins for _, wins in counts)
             medians = _median_rmse(matching, state_names)
             rows.append({
                 "axis": axis, "value": value, "q_p": "all",
-                "runs": len(matching),
-                "successes": sum(
-                    _is_success(r, grid.success_includes_yellow) for r in matching
-                ),
-                "success_rate": (
-                    sum(_is_success(r, grid.success_includes_yellow) for r in matching)
-                    / len(matching) if matching else ""
-                ),
+                "runs": len(matching), "successes": total,
+                "success_rate": total / len(matching) if matching else "",
                 **{f"median_rmse_{s}": medians[s] for s in state_names},
             })
     return rows
@@ -402,20 +414,16 @@ def plot_documents(grid: SweepGrid, records: list[RunRecord]) -> dict[str, dict]
     """Success-rate and RMSE-scatter series mirroring the aggregate tables."""
     docs = {}
     state_names = RMSE_STATES[grid.scenario]
-    for axis in (a for a in AXIS_ORDER if a in grid.axes):
-        values = grid.axes[axis]
-        q_p_levels = sorted({rec.config["q_p"] for rec in records})
+    levels, groups = _sweep_groups(grid, records)
+    for axis, cells in groups:
+        xs = [float(value) for value, _, _ in cells]
         series = []
-        for q_p in q_p_levels:
+        for i, q_p in enumerate(levels):
             ys = []
-            for value in values:
-                subset = [
-                    rec for rec in records
-                    if _axis_value(rec, axis) == value and rec.config["q_p"] == q_p
-                ]
-                wins = sum(_is_success(r, grid.success_includes_yellow) for r in subset)
-                ys.append(wins / len(subset) if subset else float("nan"))
-            series.append({"label": f"q_p={q_p:g}", "x": [float(v) for v in values], "y": ys})
+            for _, _, counts in cells:
+                runs, wins = counts[i]
+                ys.append(wins / runs if runs else float("nan"))
+            series.append({"label": f"q_p={q_p:g}", "x": xs, "y": ys})
         docs[f"success_rate_{axis}"] = _validate_plot(
             {"kind": "success_rate", "axis": axis, "series": series}
         )
@@ -581,8 +589,6 @@ def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
 
 def export_branch_history(path, branch, dt: float) -> None:
     """Best-branch trajectory: step, time, hypothesis, score, means, variances."""
-    if branch.history is None:
-        raise ConfigError("branch history retention is disabled")
     dim = branch.history[0][0].size
     fields = ["step", "time", "branch_t_s", "logL"]
     fields += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]

@@ -17,11 +17,6 @@ from . import kernels
 from .constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD
 from .exceptions import GimbalLockError
 
-STATE_NAMES = (
-    "h", "L", "lam", "v", "gamma", "alpha",
-    "phi", "theta", "psi",
-)
-
 
 @dataclass(frozen=True)
 class NavState15:

@@ -1,5 +1,5 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Compiled strapdown kernel; mirrors kernels._numpy.strapdown_batch."""
+"""Compiled strapdown kernel; agrees to a relative 1e-13 with kernels._numpy.strapdown_batch."""
 
 import numpy as np
 

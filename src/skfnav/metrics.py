@@ -33,8 +33,6 @@ def classify(
     *,
     bias_free: bool,
     no_corruption_reported: bool,
-    green_steps: int = 1,
-    yellow_steps: int = 10,
 ) -> str:
     """Outcome color for one run.
 
@@ -47,8 +45,8 @@ def classify(
     if est_step is None:
         return RED
     error = abs(int(est_step) - int(true_step))
-    if error <= green_steps:
+    if error <= 1:
         return GREEN
-    if error <= yellow_steps:
+    if error <= 10:
         return YELLOW
     return RED

@@ -1,7 +1,7 @@
 """Truth and measurement generators for the two simulation scenarios."""
 
-from .balloon import BalloonConfig, BalloonTruth, build_balloon_filter, noise_to_range_ratio, simulate_balloon
-from .fields import AnalyticField, GriddedField, field_eval, load_field_csv
+from .balloon import BalloonConfig, BalloonTruth, build_balloon_filter, simulate_balloon
+from .fields import AnalyticField, GriddedField, load_field_csv
 from .shuttle import (
     SCALING_FACTORS,
     ShuttleConfig,
@@ -15,13 +15,11 @@ from .shuttle import (
 __all__ = [
     "AnalyticField",
     "GriddedField",
-    "field_eval",
     "load_field_csv",
     "BalloonConfig",
     "BalloonTruth",
     "simulate_balloon",
     "build_balloon_filter",
-    "noise_to_range_ratio",
     "ShuttleConfig",
     "ShuttleTruth",
     "simulate_shuttle",

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..biasmodels import BiasSpec, SwitchSpec, augment, bias_eval
 from ..exceptions import ConfigError
-from ..gaussfilt import SigmaPointParams
 from ..switching import SwitchingFilter
 from .fields import AnalyticField
 
@@ -108,8 +107,6 @@ def simulate_balloon(cfg: BalloonConfig, field=None) -> BalloonTruth:
 def build_balloon_filter(
     cfg: BalloonConfig,
     field=None,
-    sigma_params: SigmaPointParams = SigmaPointParams(),
-    keep_history: bool = True,
 ) -> SwitchingFilter:
     """Switching filter over the 5-component augmented balloon state."""
     field = field if field is not None else AnalyticField()
@@ -135,8 +132,6 @@ def build_balloon_filter(
         dt=cfg.dt,
         delta=cfg.delta,
         capacity=cfg.capacity,
-        sigma_params=sigma_params,
-        keep_history=keep_history,
     )
 
 
@@ -157,14 +152,3 @@ def write_measurements_csv(path, truth: BalloonTruth) -> None:
         for k, y in zip(truth.epochs, truth.measurements):
             writer.writerow([k, f"{truth.times[k]:.17g}", f"{y[0]:.17g}", f"{y[1]:.17g}"])
 
-
-def noise_to_range_ratio(r: float, trajectory: np.ndarray) -> float:
-    """Two measurement standard deviations as a percentage of the trajectory
-    range, worst channel."""
-    trajectory = np.asarray(trajectory, dtype=float)
-    if trajectory.size == 0:
-        raise ConfigError("empty trajectory")
-    spans = trajectory.max(axis=0) - trajectory.min(axis=0)
-    if np.any(spans <= 0):
-        raise ConfigError("degenerate zero-range trajectory")
-    return float(np.max(100.0 * 2.0 * np.sqrt(r) / spans))

@@ -84,12 +84,6 @@ class GriddedField:
         return interp(self.u), interp(self.v)
 
 
-def field_eval(field, x, t) -> tuple[float, float]:
-    """Field velocities (u, v) at position ``x = (lon, lat)`` and time ``t``."""
-    u, v = field.eval(np.asarray(x[0]), np.asarray(x[1]), t)
-    return float(u), float(v)
-
-
 def load_field_csv(path) -> GriddedField:
     """Read a gridded field from CSV rows (lon, lat, t, u, v).
 

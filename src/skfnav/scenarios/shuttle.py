@@ -22,7 +22,6 @@ import numpy as np
 from .. import kernels
 from ..biasmodels import BiasSpec, SwitchSpec, bias_eval
 from ..exceptions import ConfigError
-from ..gaussfilt import SigmaPointParams
 from ..inertial import NavState15, attitude_matrix, gravity
 from ..switching import SwitchingFilter
 
@@ -181,18 +180,14 @@ def integrate_imu(x0: np.ndarray, imu: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def scale_noise(q_x: float, r: float, factors: dict | None = None):
+def scale_noise(q_x: float, r: float):
     """Per-state process and per-channel measurement noise variances.
 
-    Nominal scalars are multiplied by each state's mean-magnitude factor; the
-    observed channels are the three positions.
+    Nominal scalars are multiplied by each state's mean-magnitude factor
+    (``SCALING_FACTORS``); the observed channels are the three positions.
     """
-    factors = SCALING_FACTORS if factors is None else factors
-    missing = [name for name in STATE_LABELS if name not in factors]
-    if missing:
-        raise ConfigError(f"missing noise scaling factors: {missing}")
-    q_vec = q_x * np.array([factors[name] for name in STATE_LABELS])
-    r_vec = r * np.array([factors[name] for name in STATE_LABELS[:3]])
+    q_vec = q_x * np.array([SCALING_FACTORS[name] for name in STATE_LABELS])
+    r_vec = r * np.array([SCALING_FACTORS[name] for name in STATE_LABELS[:3]])
     return q_vec, r_vec
 
 
@@ -283,8 +278,6 @@ def simulate_shuttle(cfg: ShuttleConfig) -> ShuttleTruth:
 def build_shuttle_filter(
     cfg: ShuttleConfig,
     truth: ShuttleTruth,
-    sigma_params: SigmaPointParams = SigmaPointParams(),
-    keep_history: bool = True,
 ) -> SwitchingFilter:
     """Switching filter over the 24-component augmented reentry state."""
     q_vec, r_vec = scale_noise(cfg.q_x, cfg.r)
@@ -319,8 +312,6 @@ def build_shuttle_filter(
         dt=dt,
         delta=cfg.delta,
         capacity=cfg.capacity,
-        sigma_params=sigma_params,
-        keep_history=keep_history,
     )
 
 

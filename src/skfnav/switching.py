@@ -44,13 +44,12 @@ class Branch:
     belief: GaussianBelief
     is_nominal: bool = False
     frozen: bool = False
-    history: Optional[list] = None
+    history: list = field(default_factory=list)
 
     def record(self):
-        if self.history is not None:
-            self.history.append(
-                (self.belief.mean.copy(), self.belief.cov.diagonal().copy(), self.log_lik)
-            )
+        self.history.append(
+            (self.belief.mean.copy(), self.belief.cov.diagonal().copy(), self.log_lik)
+        )
 
 
 @dataclass
@@ -77,7 +76,6 @@ class SwitchEstimate:
     """Most likely onset hypothesis and posterior weights over survivors."""
 
     best: Branch
-    t_s: Optional[float]  # None when the nominal branch wins
     s_indices: np.ndarray
     weights: np.ndarray
 
@@ -100,7 +98,6 @@ def init(
     C0: np.ndarray,
     d_theta: int,
     capacity: int = 10,
-    keep_history: bool = True,
 ) -> BranchSet:
     """Fresh branch set: nominal hypothesis with zero-mean unit-variance
     corruption parameters appended to the state."""
@@ -115,14 +112,7 @@ def init(
     cov[: x0.size, : x0.size] = C0
     cov[x0.size :, x0.size :] = np.eye(d_theta)
     belief = GaussianBelief.create(mean, cov)
-    nominal = Branch(
-        s_index=0,
-        t_s=0.0,
-        log_lik=0.0,
-        belief=belief,
-        is_nominal=True,
-        history=[] if keep_history else None,
-    )
+    nominal = Branch(s_index=0, t_s=0.0, log_lik=0.0, belief=belief, is_nominal=True)
     nominal.record()
     return BranchSet(nominal=nominal, corrupted=[], capacity=capacity)
 
@@ -181,32 +171,17 @@ def estimate(branches: BranchSet) -> SwitchEstimate:
     weights = shifted / shifted.sum()
     return SwitchEstimate(
         best=best,
-        t_s=None if best.is_nominal else best.t_s,
         s_indices=np.array([b.s_index for b in all_branches]),
         weights=weights,
     )
 
 
-def model_average(branches: BranchSet) -> GaussianBelief:
-    """Moment-matched Gaussian of the score-weighted branch mixture."""
-    est = estimate(branches)
-    all_branches = branches.all_branches()
-    mean = sum(w * b.belief.mean for w, b in zip(est.weights, all_branches))
-    cov = sum(
-        w * (b.belief.cov + np.outer(b.belief.mean - mean, b.belief.mean - mean))
-        for w, b in zip(est.weights, all_branches)
-    )
-    return GaussianBelief.create(mean, cov)
-
-
-def reports_no_corruption(
-    est: SwitchEstimate, n_steps: int, tail_frac: float = 0.05
-) -> bool:
-    """End-of-timeline convention: a winning hypothesis in the final fraction
-    of the run (or the nominal branch itself) means no corruption detected."""
+def reports_no_corruption(est: SwitchEstimate, n_steps: int) -> bool:
+    """End-of-timeline convention: a winning hypothesis in the final 5% of
+    the run (or the nominal branch itself) means no corruption detected."""
     if est.best.is_nominal:
         return True
-    return est.best.s_index >= (1.0 - tail_frac) * n_steps
+    return est.best.s_index >= 0.95 * n_steps
 
 
 class SwitchingFilter:
@@ -232,8 +207,6 @@ class SwitchingFilter:
         dt: float,
         delta: int = 1,
         capacity: int = 10,
-        sigma_params: SigmaPointParams = SigmaPointParams(),
-        keep_history: bool = True,
     ):
         if delta < 1:
             raise ConfigError("sampling period must be at least 1 step")
@@ -245,8 +218,8 @@ class SwitchingFilter:
         self.R = np.asarray(R, dtype=float)
         self.dt = dt
         self.delta = delta
-        self.params = sigma_params
-        self.branches = init(x0, C0, d_theta, capacity=capacity, keep_history=keep_history)
+        self.params = SigmaPointParams()
+        self.branches = init(x0, C0, d_theta, capacity=capacity)
         self.k = 0
 
     # -- stepping ---------------------------------------------------------
@@ -299,8 +272,8 @@ class SwitchingFilter:
 
             def update_group(group):
                 stacked = GaussianBelief.stack([b.belief for b in group])
-                observe = lambda pts: self._observe(pts, group, k)  # noqa: E731
-                posterior, pred = update(stacked, observe, y, self.R, self.params)
+                observation = lambda pts: self._observe(pts, group, k)  # noqa: E731
+                posterior, pred = update(stacked, observation, y, self.R, self.params)
                 return list(zip(posterior.unstack(), pred.log_lik.tolist()))
 
             nominal_live = not branches[0].frozen
@@ -319,7 +292,7 @@ class SwitchingFilter:
                     s_index=k,
                     t_s=k * self.dt,
                     is_nominal=False,
-                    history=None if nominal.history is None else list(nominal.history),
+                    history=list(nominal.history),
                 ))
                 spawned_s = k
 

@@ -8,10 +8,11 @@ from skfnav.biasmodels import (
     SwitchSpec,
     augment,
     bias_eval,
-    observe,
     quadratic_offsets,
 )
 from skfnav.exceptions import ConfigError
+from skfnav.scenarios.balloon import BalloonConfig, simulate_balloon
+from skfnav.scenarios.shuttle import ShuttleConfig, simulate_shuttle
 
 finite = st.floats(min_value=-10, max_value=10)
 times = st.floats(min_value=0, max_value=50)
@@ -68,31 +69,36 @@ class TestBiasEval:
 
 
 class TestObserve:
+    """Onset gating of the fixes the filter sees, as the truth generators
+    produce them: the onset epoch reads clean, and every observed channel
+    carries the offset after it."""
+
+    @staticmethod
+    def balloon_offsets(bias, onset):
+        cfg = BalloonConfig(n_steps=20, dt=0.1, q_x=0.0, r=0.0, seed=0,
+                            bias=bias, true_switch_step=onset)
+        truth = simulate_balloon(cfg)
+        return truth.measurements - truth.states[truth.epochs]  # epochs 1..20
+
     def test_boundary_epoch_is_clean(self):
-        spec = BiasSpec("static", A=5.0)
-        switch = SwitchSpec.at_step(10, 0.1)
-        x = np.array([-35.0, 25.0])
-        assert observe(x, spec, switch, 1.0).tolist() == [-35.0, 25.0]
+        offsets = self.balloon_offsets(BiasSpec("static", A=5.0), onset=10)
+        assert offsets[9].tolist() == [0.0, 0.0]
 
     def test_first_epoch_after_onset_is_biased(self):
-        spec = BiasSpec("static", A=5.0)
-        switch = SwitchSpec.at_step(10, 0.1)
-        out = observe(np.array([-35.0, 25.0]), spec, switch, 1.1)
-        assert out == pytest.approx([-30.0, 30.0])
+        offsets = self.balloon_offsets(BiasSpec("static", A=5.0), onset=10)
+        assert offsets[10] == pytest.approx([5.0, 5.0])
 
     def test_identity_selection_no_bias(self):
-        spec = BiasSpec("quadratic")
-        switch = SwitchSpec.at_step(0, 0.1)
-        out = observe(np.array([-35.0, 25.0]), spec, switch, 3.0)
-        assert out.tolist() == [-35.0, 25.0]
+        offsets = self.balloon_offsets(BiasSpec("quadratic"), onset=0)
+        assert np.abs(offsets).max() == 0.0
 
     def test_channel_slice_with_offset(self):
-        spec = BiasSpec("static", A=100.0)
-        switch = SwitchSpec.at_step(1, 1.4)
-        x = np.zeros(15)
-        x[0] = 1.5e5
-        out = observe(x, spec, switch, 2.8, channels=slice(0, 3))
-        assert out[0] == pytest.approx(1.5e5 + 100.0)
+        cfg = ShuttleConfig(n_steps=5, r=0.0, bias=BiasSpec("static", A=100.0),
+                            true_switch_step=1, seed=0)
+        truth = simulate_shuttle(cfg)
+        offsets = truth.gps - truth.inertial_states[truth.epochs, :3]
+        assert offsets[0].tolist() == [0.0, 0.0, 0.0]
+        assert offsets[1] == pytest.approx([100.0] * 3)
 
 
 class TestAugment:

@@ -58,6 +58,13 @@ def test_schema_violation_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_non_finite_number_is_config_error(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"scenario": "balloon", "n_steps": 10, "q_x": NaN}')
+    rc = main(["--quiet", "validate-config", "--config", str(bad)])
+    assert rc == 2
+
+
 def test_unknown_flag_exits_two(balloon_cfg):
     rc = main(["simulate", "balloon", "--config", str(balloon_cfg), "--bogus"])
     assert rc == 2

@@ -134,6 +134,19 @@ class TestRunCase:
         with pytest.raises(ConfigError):
             harness.run_case({"scenario": "balloon", "n_steps": 0})
 
+    # json loads NaN and Infinity, and the schema takes them as numbers
+    @pytest.mark.parametrize("data", [
+        {"scenario": "shuttle", "n_steps": 5, "true_switch_step": None,
+         "init_state": [float("nan"), 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]},
+        {"scenario": "shuttle", "n_steps": 5, "true_switch_step": None,
+         "dt": float("nan")},
+        balloon_config(q_x=float("nan")),
+        balloon_config(x0=[float("inf"), 25.0]),
+    ], ids=["shuttle-init-state-nan", "shuttle-dt-nan", "balloon-q-x-nan", "balloon-x0-inf"])
+    def test_non_finite_number_is_a_config_error(self, data):
+        with pytest.raises(ConfigError, match="must be finite"):
+            harness.run_case(data)
+
 
 class TestSweep:
     def sweep_dict(self, **overrides):
@@ -180,6 +193,37 @@ class TestSweep:
                 mid = (values[(len(values) - 1) // 2] + values[len(values) // 2]) / 2
                 assert row["median_rmse_lon"] == pytest.approx(mid)
                 assert row["successes"] == sum(r.outcome == GREEN for r in subset)
+
+    def test_plot_success_rates_equal_aggregate_rows(self):
+        # on the q_p axis, a value crossed with any other q_p level is empty
+        grid = harness.sweep_from_dict(self.sweep_dict(
+            axes={"q_p": [1e-6, 1e-4], "A": [0.0, 0.2]}))
+        records = harness.run_sweep(grid, threads=1)
+        rates = {
+            (row["axis"], row["value"], row["q_p"]): row["success_rate"]
+            for row in harness.aggregate(grid, records) if row["q_p"] != "all"
+        }
+        docs = harness.plot_documents(grid, records)
+        levels = sorted({rec.config["q_p"] for rec in records})
+        empty = 0
+        for axis, values in grid.axes.items():
+            series = docs[f"success_rate_{axis}"]["series"]
+            assert [s["label"] for s in series] == [f"q_p={q_p:g}" for q_p in levels]
+            for q_p, points in zip(levels, series):
+                assert points["x"] == [float(v) for v in values]
+                for value, y in zip(values, points["y"]):
+                    if (axis, value, q_p) in rates:
+                        assert y == rates[(axis, value, q_p)]
+                    else:
+                        assert np.isnan(y)
+                        assert not [r for r in records if r.config["q_p"] == q_p
+                                    and harness._axis_value(r, axis) == value]
+                        empty += 1
+        assert len(rates) == 6 and empty == 2
+
+    def test_non_finite_axis_value_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="must be finite"):
+            harness.sweep_from_dict(self.sweep_dict(axes={"A": [0.0, float("nan")]}))
 
     def test_parallel_matches_serial(self):
         grid = harness.sweep_from_dict(self.sweep_dict(seeds=1))
@@ -323,3 +367,12 @@ class TestPersistence:
         assert len(meas_rows) == 11  # 10 epochs + header
         y_back = float(meas_rows[1].split(",")[2])
         assert y_back == truth.gps[0, 0]
+
+
+def test_public_exports_resolve():
+    import skfnav
+    import skfnav.scenarios
+
+    for module in (skfnav, skfnav.scenarios):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"

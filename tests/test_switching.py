@@ -14,7 +14,6 @@ from skfnav.switching import (
     SwitchingFilter,
     estimate,
     init,
-    model_average,
     prune,
     reports_no_corruption,
 )
@@ -23,7 +22,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_walk_filter(n_theta=3, delta=1, capacity=10, q_x=1e-4, q_p=1e-4, r=1e-4,
-                       dt=0.1, keep_history=True):
+                       dt=0.1):
     """Minimal 1-D random-walk plant with both channels observed."""
     Q = np.diag([q_x] + [q_p] * n_theta)
     return SwitchingFilter(
@@ -38,7 +37,6 @@ def random_walk_filter(n_theta=3, delta=1, capacity=10, q_x=1e-4, q_p=1e-4, r=1e
         dt=dt,
         delta=delta,
         capacity=capacity,
-        keep_history=keep_history,
     )
 
 
@@ -109,7 +107,6 @@ class TestEstimate:
         branches = init(np.zeros(1), np.eye(1), 1)
         est = estimate(branches)
         assert est.best.is_nominal
-        assert est.t_s is None
         assert est.weights == pytest.approx([1.0])
 
     def test_argmax_includes_nominal(self):
@@ -119,7 +116,6 @@ class TestEstimate:
         )
         est = estimate(branches)
         assert est.best.is_nominal
-        assert est.t_s is None
 
     def test_weights_normalized_and_ordered(self):
         branches = BranchSet(
@@ -136,29 +132,6 @@ class TestEstimate:
             corrupted=[make_branch(9, 5.0)],
         )
         assert estimate(branches).best.is_nominal
-
-
-class TestModelAverage:
-    def test_single_branch_identity(self):
-        branches = init(np.array([1.0, 2.0]), np.eye(2), 1)
-        avg = model_average(branches)
-        assert avg.mean == pytest.approx([1.0, 2.0, 0.0])
-
-    def test_two_equal_branches_mixture_moments(self):
-        b1 = Branch(1, 1.0, 0.0, GaussianBelief.create([1.0], [[0.0]]))
-        b2 = Branch(2, 2.0, 0.0, GaussianBelief.create([-1.0], [[0.0]]),
-                    is_nominal=True)
-        branches = BranchSet(nominal=b2, corrupted=[b1])
-        avg = model_average(branches)
-        assert avg.mean == pytest.approx([0.0])
-        assert avg.cov.ravel() == pytest.approx([1.0])
-
-    def test_degenerate_weights_select_winner(self):
-        b1 = Branch(1, 1.0, -1e9, GaussianBelief.create([1.0], [[2.0]]))
-        nom = Branch(0, 0.0, 0.0, GaussianBelief.create([5.0], [[3.0]]), is_nominal=True)
-        avg = model_average(BranchSet(nominal=nom, corrupted=[b1]))
-        assert avg.mean == pytest.approx([5.0])
-        assert avg.cov.ravel() == pytest.approx([3.0])
 
 
 class TestStepping:
@@ -339,7 +312,7 @@ def reference_step(filt, y=None):
 
     def update_branch(branch, s_index, is_nominal):
         history = branch.history
-        if not is_nominal and s_index == k and history is not None:
+        if not is_nominal and s_index == k:
             history = list(history)
         try:
             belief, pred = update(
