@@ -1,9 +1,9 @@
 """Onset detection for corrupted navigation measurements.
 
-A branched switching filter (unscented, with the corruption parameters
-appended to the state) scores competing hypotheses about when an observation
-stream turned bad, alongside the simulation scenarios and experiment harness
-used to exercise it.
+A branched switching filter (unscented prediction and an exact linear
+measurement update, with the corruption parameters appended to the state)
+scores competing hypotheses about when an observation stream turned bad,
+alongside the simulation scenarios and experiment harness used to exercise it.
 """
 
 from .biasmodels import BiasSpec, SwitchSpec, augment, bias_eval

@@ -140,24 +140,19 @@ def augment(
     return np.concatenate([x, theta]), Q_aug
 
 
-def quadratic_offsets(theta_points: np.ndarray, tau, n_channels: int) -> np.ndarray:
-    """Offsets implied by learned quadratic coefficients carried in the state.
-
-    ``theta_points`` is ``(..., n, 3)`` for one coefficient triple shared
-    across channels, or ``(..., n, 3 * n_channels)`` with one contiguous
-    (A, B, C) triple per channel.  ``tau`` is a scalar or holds one value per
-    leading index (shape ``theta_points.shape[:-2]``).  Returns
-    ``(..., n, n_channels)``.
-    """
+def offset_matrix(tau, n_channels: int, d_theta: int) -> np.ndarray:
+    """Phi(tau), which maps the coefficient block theta carried in the state to
+    the per-channel offsets ``Phi(tau) @ theta``: one (A, B, C) triple shared
+    by all channels (``d_theta == 3``) or one per channel (``3 * n_channels``).
+    An array ``tau`` gives shape ``tau.shape + (n_channels, d_theta)``."""
     tau = np.asarray(tau, dtype=float)
-    basis = np.stack([np.ones_like(tau), tau, tau * tau], axis=-1)[..., None, :, None]
-    *lead, n, width = theta_points.shape
-    if width == 3:
-        shared = (theta_points @ basis[..., 0, :, :])[..., 0]
-        return np.repeat(shared[..., None], n_channels, axis=-1)
-    if width == 3 * n_channels:
-        return (theta_points.reshape(*lead, n, n_channels, 3) @ basis)[..., 0]
+    basis = np.stack([np.ones_like(tau), tau, tau * tau], axis=-1)[..., None, :]
+    shared = np.repeat(basis, n_channels, axis=-2)
+    if d_theta == 3:
+        return shared
+    if d_theta == 3 * n_channels:
+        return np.tile(shared, n_channels) * np.repeat(np.eye(n_channels), 3, axis=1)
     raise ConfigError(
-        f"parameter block width {width} fits neither shared nor per-channel "
+        f"parameter block width {d_theta} fits neither shared nor per-channel "
         f"layout for {n_channels} channels"
     )

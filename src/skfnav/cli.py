@@ -19,14 +19,16 @@ log = logging.getLogger("skfnav")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-    common.add_argument("--quiet", action="store_true", help="warnings only")
     parser = argparse.ArgumentParser(
         prog="skfnav",
         description="Corruption-onset detection experiments: simulate, sweep, report.",
-        parents=[common],
     )
+    # subcommands set the log flags only when given, so as not to reset them
+    common = argparse.ArgumentParser(add_help=False)
+    for target, default in ((parser, False), (common, argparse.SUPPRESS)):
+        target.add_argument("-v", "--verbose", action="store_true", default=default,
+                            help="debug logging")
+        target.add_argument("--quiet", action="store_true", default=default, help="warnings only")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one configured scenario", parents=[common])

@@ -1,8 +1,7 @@
-"""Gaussian filtering with the scaled unscented transform.
-
-Prediction and update over arbitrary nonlinear state/observation maps; the
-update also returns the constant-free marginal log-likelihood increment used
-to score competing observation models.
+"""Gaussian filtering: unscented prediction; measurement updates through sigma
+points (``update``) or exact for a linear map (``linear_update``), each also
+returning the constant-free marginal log-likelihood increment used to score
+competing observation models.
 
 Beliefs may be stacked (means ``(B, d)``, covariances ``(B, d, d)``): a stack
 takes one batched factorisation and one call of each map, and each slice goes
@@ -192,21 +191,32 @@ def update(
     """Unscented measurement update; returns the posterior and the predicted
     observation, whose ``log_lik`` scores ``y`` from the same innovation
     factor that forms the gain."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(y)):
-        raise InvalidMeasurementError("invalid measurement: non-finite entries")
     points, wm, wc = sigma_points(belief, params)
     obs_points = np.asarray(observation(points), dtype=float)
-    if obs_points.shape[-1] != y.size:
-        raise InvalidMeasurementError(
-            f"measurement dimension {y.size} does not match observation map "
-            f"output {obs_points.shape[-1]}"
-        )
     mu = wm @ obs_points
     dev_y = obs_points - mu[..., None, :]
     D = symmetrize((_T(dev_y) * wc) @ dev_y + R)
     dev_x = points - belief.mean[..., None, :]
     cross = (_T(dev_x) * wc) @ dev_y
+    return _correct(belief, y, mu, D, cross)
+
+
+def linear_update(belief: GaussianBelief, H: np.ndarray, y: np.ndarray,
+                  R: np.ndarray) -> tuple[GaussianBelief, PredictedObservation]:
+    """Exact Kalman update for the linear map ``y = H x + v``, ``v ~ N(0, R)``
+    (a stack's ``H`` is ``(B, m, d)``); returns what ``update`` returns."""
+    mu = (H @ belief.mean[..., None])[..., 0]
+    cross = belief.cov @ _T(H)
+    return _correct(belief, y, mu, symmetrize(H @ cross + R), cross)
+
+
+def _correct(belief: GaussianBelief, y: np.ndarray, mu: np.ndarray, D: np.ndarray,
+             cross: np.ndarray) -> tuple[GaussianBelief, PredictedObservation]:
+    """Posterior and score of ``y`` from its prediction ``mu``, covariance ``D``
+    (noise included) and cross covariance ``cross`` with the state."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != mu.shape[-1] or not np.all(np.isfinite(y)):
+        raise InvalidMeasurementError(f"measurement {y}: need {mu.shape[-1]} finite entries")
     chol = _cholesky_innovation(D)
     # K = cross D^{-1} via two triangular solves
     gain = _T(_cho_solve(chol, _T(cross)))

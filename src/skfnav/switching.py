@@ -11,21 +11,21 @@ accumulated score (the nominal branch is exempt).
 
 Each step works on all live branches at once: their beliefs are stacked so
 that prediction makes one factorisation and one dynamics call, and the
-measurement update one factorisation and one scored update.  A branch whose
-numerics fail freezes alone: when the stack raises, that stage is re-run one
-branch at a time.
+measurement update, exact because the observation map is linear in the
+augmented state, is one scored update.  A branch whose numerics fail freezes
+alone: when the stack raises, that stage is re-run one branch at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .biasmodels import quadratic_offsets
+from .biasmodels import offset_matrix
 from .exceptions import ConfigError, InvalidMeasurementError, SkfnavError
-from .gaussfilt import GaussianBelief, SigmaPointParams, predict, update
+from .gaussfilt import GaussianBelief, SigmaPointParams, linear_update, predict
 
 
 @dataclass
@@ -189,8 +189,8 @@ class SwitchingFilter:
 
     ``dynamics(points, k)`` propagates an ``(n, d_aug)`` array of augmented
     states from step ``k - 1`` to ``k``.  The observation model selects
-    ``observed`` state columns; corrupted branches add the quadratic offset
-    implied by the parameter block of each sigma point.
+    ``observed`` state columns; a corrupted branch with onset ``s`` adds the
+    offset ``offset_matrix((k - s) dt) @ theta`` of its parameter block.
     """
 
     def __init__(
@@ -214,6 +214,8 @@ class SwitchingFilter:
         self.observed = np.asarray(observed, dtype=int)
         self.d_x = d_x
         self.d_theta = d_theta
+        offset_matrix(0.0, self.observed.size, d_theta)  # ConfigError on a bad width
+        self._select = np.eye(d_x + d_theta)[self.observed]
         self.Q_aug = np.asarray(Q_aug, dtype=float)
         self.R = np.asarray(R, dtype=float)
         self.dt = dt
@@ -223,20 +225,6 @@ class SwitchingFilter:
         self.k = 0
 
     # -- stepping ---------------------------------------------------------
-    def _observe(self, points: np.ndarray, group: Sequence[Branch], k: int) -> np.ndarray:
-        """Observation map for the stacked sigma points of ``group``: the
-        observed columns, plus for each corrupted branch the quadratic offset
-        at its own ``tau = (k - s) dt`` (the nominal branch, first when
-        present, adds none)."""
-        z = np.ascontiguousarray(points[..., self.observed])
-        first = int(group[0].is_nominal)
-        if first < len(group):
-            taus = np.array([(k - b.s_index) * self.dt for b in group[first:]])
-            z[first:] += quadratic_offsets(
-                points[first:, :, self.d_x :], taus, self.observed.size
-            )
-        return z
-
     def step(self, y: Optional[np.ndarray] = None) -> StepDiagnostics:
         """Advance one step; ``y`` must be supplied exactly at observation
         epochs (every ``delta``-th step) and omitted elsewhere."""
@@ -271,9 +259,13 @@ class SwitchingFilter:
         if y is not None:
 
             def update_group(group):
+                # the nominal branch, first when present, has a zero theta block
+                H = np.repeat(self._select[None], len(group), axis=0)
+                first = int(group[0].is_nominal)
+                taus = np.array([(k - b.s_index) * self.dt for b in group[first:]])
+                H[first:, :, self.d_x :] = offset_matrix(taus, self.observed.size, self.d_theta)
                 stacked = GaussianBelief.stack([b.belief for b in group])
-                observation = lambda pts: self._observe(pts, group, k)  # noqa: E731
-                posterior, pred = update(stacked, observation, y, self.R, self.params)
+                posterior, pred = linear_update(stacked, H, y, self.R)
                 return list(zip(posterior.unstack(), pred.log_lik.tolist()))
 
             nominal_live = not branches[0].frozen

@@ -8,7 +8,7 @@ from skfnav.biasmodels import (
     SwitchSpec,
     augment,
     bias_eval,
-    quadratic_offsets,
+    offset_matrix,
 )
 from skfnav.exceptions import ConfigError
 from skfnav.scenarios.balloon import BalloonConfig, simulate_balloon
@@ -156,27 +156,29 @@ class TestSpecValidation:
 
 class TestQuadraticOffsets:
     def test_shared_layout_repeats_channels(self):
-        theta = np.array([[1.0, 2.0, 3.0]])
-        out = quadratic_offsets(theta, 2.0, 2)
-        assert out.ravel() == pytest.approx([17.0, 17.0])
+        theta = np.array([1.0, 2.0, 3.0])
+        out = offset_matrix(2.0, 2, 3) @ theta
+        assert out == pytest.approx([17.0, 17.0])
 
     def test_per_channel_layout(self):
-        theta = np.zeros((1, 9))
-        theta[0, 0] = 1.0   # channel 0 static
-        theta[0, 4] = 2.0   # channel 1 linear
-        theta[0, 8] = 3.0   # channel 2 quadratic
-        out = quadratic_offsets(theta, 2.0, 3)
-        assert out.ravel() == pytest.approx([1.0, 4.0, 12.0])
+        theta = np.zeros(9)
+        theta[0] = 1.0   # channel 0 static
+        theta[4] = 2.0   # channel 1 linear
+        theta[8] = 3.0   # channel 2 quadratic
+        out = offset_matrix(2.0, 3, 9) @ theta
+        assert out == pytest.approx([1.0, 4.0, 12.0])
 
     def test_bad_width_rejected(self):
         with pytest.raises(ConfigError):
-            quadratic_offsets(np.zeros((1, 5)), 1.0, 2)
+            offset_matrix(1.0, 2, 5)
 
     @pytest.mark.parametrize("width,channels", [(3, 2), (9, 3)])
     def test_stack_with_one_tau_per_slice(self, width, channels):
         theta = np.random.default_rng(width).standard_normal((4, 7, width))
         taus = np.array([0.5, 1.0, 2.5, 7.0])
-        out = quadratic_offsets(theta, taus, channels)
+        phi = offset_matrix(taus, channels, width)
+        assert phi.shape == (4, channels, width)
+        out = theta @ np.swapaxes(phi, -1, -2)
         assert out.shape == (4, 7, channels)
         for b, tau in enumerate(taus):
-            assert np.array_equal(out[b], quadratic_offsets(theta[b], float(tau), channels))
+            assert np.array_equal(out[b], theta[b] @ offset_matrix(float(tau), channels, width).T)

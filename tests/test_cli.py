@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from skfnav.cli import main
+from skfnav.cli import build_parser, main
 
 
 @pytest.fixture
@@ -63,6 +63,18 @@ def test_non_finite_number_is_config_error(tmp_path):
     bad.write_text('{"scenario": "balloon", "n_steps": 10, "q_x": NaN}')
     rc = main(["--quiet", "validate-config", "--config", str(bad)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quiet", "sweep", "--config", "x"],
+    ["sweep", "--config", "x", "--quiet"],
+    ["-v", "validate-config", "--config", "x"],
+    ["validate-config", "--config", "x", "-v"],
+    ["validate-config", "--config", "x"],
+])
+def test_log_flags_work_before_and_after_subcommand(argv):
+    args = build_parser().parse_args(argv)
+    assert (args.quiet, args.verbose) == ("--quiet" in argv, "-v" in argv)
 
 
 def test_unknown_flag_exits_two(balloon_cfg):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skfnav.biasmodels import offset_matrix
 from skfnav.exceptions import (
     CovarianceError,
     DynamicsDivergedError,
@@ -12,6 +13,7 @@ from skfnav.exceptions import (
 from skfnav.gaussfilt import (
     GaussianBelief,
     SigmaPointParams,
+    linear_update,
     predict,
     sigma_points,
     update,
@@ -211,6 +213,73 @@ class TestStacks:
         beliefs[1] = GaussianBelief.create([0.0, 0.0], np.diag([1.0, -1.0]))
         with pytest.raises(CovarianceError):
             sigma_points(GaussianBelief.stack(beliefs), PARAMS)
+
+
+def observation_matrix(tau, d_theta, d_x=3, observed=(0, 2)):
+    """Observed-column selector plus the offset matrix at ``tau`` (one tau
+    per slice for an array), as the switching filter builds it."""
+    m = len(observed)
+    select = np.eye(d_x + d_theta)[list(observed)]
+    H = np.broadcast_to(select, np.shape(tau) + select.shape).copy()
+    H[..., d_x:] = offset_matrix(tau, m, d_theta)
+    return H
+
+
+def assert_rel_close(got, want, rtol=1e-9):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestLinearUpdate:
+    """For a linear map the unscented update is exact, so the closed-form
+    update must agree with it to rounding."""
+
+    @pytest.mark.parametrize("d_theta", [3, 6])
+    def test_single_belief_matches_unscented_update(self, d_theta):
+        rng = np.random.default_rng(d_theta)
+        (belief,) = random_beliefs(rng, 1, 3 + d_theta)
+        H = observation_matrix(2.5, d_theta)
+        y, R = rng.standard_normal(2), 0.1 * np.eye(2)
+        post, pred = linear_update(belief, H, y, R)
+        want, want_pred = update(belief, lambda pts: pts @ H.T, y, R, PARAMS)
+        assert_rel_close(post.mean, want.mean)
+        assert_rel_close(post.cov, want.cov)
+        assert_rel_close(pred.mu, want_pred.mu)
+        assert_rel_close(pred.D, want_pred.D)
+        assert_rel_close(pred.log_lik, want_pred.log_lik)
+
+    @pytest.mark.parametrize("d_theta", [3, 6])
+    def test_stack_matches_unscented_update(self, d_theta):
+        rng = np.random.default_rng(10 + d_theta)
+        stack = GaussianBelief.stack(random_beliefs(rng, 5, 3 + d_theta))
+        H = observation_matrix(np.array([0.0, 0.3, 1.0, 2.0, 4.5]), d_theta)
+        H[0, :, 3:] = 0.0  # a nominal branch: no parameter block
+        y, R = rng.standard_normal(2), 0.1 * np.eye(2)
+        post, pred = linear_update(stack, H, y, R)
+        want, want_pred = update(stack, lambda pts: pts @ np.swapaxes(H, -1, -2), y, R, PARAMS)
+        for i in range(5):
+            assert_rel_close(post.mean[i], want.mean[i])
+            assert_rel_close(post.cov[i], want.cov[i])
+            assert_rel_close(pred.log_lik[i], want_pred.log_lik[i])
+
+    def test_stack_matches_each_belief(self):
+        rng = np.random.default_rng(9)
+        beliefs = random_beliefs(rng, 4, 9)
+        H = observation_matrix(np.array([0.1, 0.2, 0.7, 3.0]), 6)
+        y, R = rng.standard_normal(2), 0.1 * np.eye(2)
+        post, pred = linear_update(GaussianBelief.stack(beliefs), H, y, R)
+        for i, belief in enumerate(beliefs):
+            want, want_pred = linear_update(belief, H[i], y, R)
+            assert np.array_equal(post.mean[i], want.mean)
+            assert np.array_equal(post.cov[i], want.cov)
+            assert pred.log_lik[i] == want_pred.log_lik
+
+    def test_bad_measurements_rejected(self):
+        belief = GaussianBelief.create([0.0, 0.0], np.eye(2))
+        H = np.eye(2)
+        with pytest.raises(InvalidMeasurementError):
+            linear_update(belief, H, np.array([np.nan, 0.0]), np.eye(2))
+        with pytest.raises(InvalidMeasurementError):
+            linear_update(belief, H, np.zeros(3), np.eye(2))
 
 
 def log_likelihood_increment(y, mu, D):

@@ -384,7 +384,11 @@ TURNED_INIT = (1.2e5, 0.5, -0.4, 9.0e3, 0.02, -2.5, -0.3, -0.6, 3.0)
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("oversample", [7, 1])
     @pytest.mark.parametrize("init_state", [RAISED_INIT, TURNED_INIT])
-    def test_generate_reference_matches_single_row_oracle(self, oversample, init_state):
+    def test_generate_reference_matches_single_row_oracle(self, oversample, init_state,
+                                                          monkeypatch):
+        # generate_reference runs the numpy body under either backend, so the
+        # oracle's strapdown_step must too
+        monkeypatch.setattr(kernels, "strapdown_batch", kernels.numpy_backend.strapdown_batch)
         cfg = ShuttleConfig(n_steps=60, oversample=oversample, init_state=init_state,
                             true_switch_step=None)
         states, imu_true = reference_oracle(cfg)

@@ -4,10 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skfnav.biasmodels import quadratic_offsets
 from skfnav.configio import load_config, parse_single
 from skfnav.exceptions import ConfigError, SkfnavError
-from skfnav.gaussfilt import GaussianBelief, predict, update
+from skfnav.gaussfilt import GaussianBelief, linear_update, predict
 from skfnav.switching import (
     Branch,
     BranchSet,
@@ -147,6 +146,28 @@ class TestStepping:
         filt = random_walk_filter(delta=5)
         with pytest.raises(ConfigError):
             filt.step(np.array([0.0]))
+
+    def test_one_sigma_point_set_per_step(self, monkeypatch):
+        # prediction only: the measurement update is the exact linear one
+        import skfnav.gaussfilt as gaussfilt
+
+        calls = []
+        real = gaussfilt.sigma_points
+        monkeypatch.setattr(gaussfilt, "sigma_points",
+                            lambda *args: calls.append(1) or real(*args))
+        filt = random_walk_filter()
+        for k in range(1, 6):
+            filt.step(np.array([0.01 * k]))
+        assert len(calls) == 5
+
+    def test_bad_theta_width_rejected_at_construction(self):
+        # 4 fits neither one shared (A, B, C) triple nor one per channel
+        with pytest.raises(ConfigError, match="width 4"):
+            SwitchingFilter(
+                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_x=2, d_theta=4,
+                Q_aug=1e-4 * np.eye(6), R=1e-4 * np.eye(2),
+                x0=np.zeros(2), C0=np.eye(2), dt=0.1,
+            )
 
     def test_measurement_dimension_checked(self):
         from skfnav.exceptions import InvalidMeasurementError
@@ -303,21 +324,24 @@ def reference_step(filt, y=None):
             return replace(branch, frozen=True)
         return replace(branch, belief=belief)
 
-    def observe(points, s_index):
-        z = points[:, filt.observed].copy()
+    def observation_matrix(s_index):
+        m = filt.observed.size
+        H = np.zeros((m, filt.d_x + filt.d_theta))
+        H[np.arange(m), filt.observed] = 1.0
         if s_index is not None and k > s_index:
-            z += quadratic_offsets(points[:, filt.d_x:], (k - s_index) * filt.dt,
-                                   filt.observed.size)
-        return z
+            tau = (k - s_index) * filt.dt
+            basis = np.array([[1.0, tau, tau * tau]])
+            H[:, filt.d_x:] = (np.repeat(basis, m, axis=0) if filt.d_theta == 3
+                               else np.kron(np.eye(m), basis))
+        return H
 
     def update_branch(branch, s_index, is_nominal):
         history = branch.history
         if not is_nominal and s_index == k:
             history = list(history)
         try:
-            belief, pred = update(
-                branch.belief, lambda pts: observe(pts, None if is_nominal else s_index),
-                y, filt.R, filt.params,
+            belief, pred = linear_update(
+                branch.belief, observation_matrix(None if is_nominal else s_index), y, filt.R,
             )
             log_lik, frozen = branch.log_lik + float(pred.log_lik), False
         except SkfnavError:
