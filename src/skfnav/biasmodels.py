@@ -1,8 +1,10 @@
-"""Parametric measurement-corruption models and state augmentation helpers.
+"""Parametric measurement-corruption models and their onset gate.
 
 A corruption is a per-channel polynomial offset in elapsed time since an
-onset instant, optionally capped in magnitude.  The learned model used by the
-filter is always the full quadratic; the truth generator may use any kind.
+onset instant, optionally capped in magnitude, and reaches the fixes only
+strictly after the onset (``gated_offsets``).  The learned model used by the
+filter is always the full quadratic (``offset_matrix``); the truth generator
+may use any kind.
 """
 
 from __future__ import annotations
@@ -81,25 +83,11 @@ class BiasSpec:
         )
 
 
-@dataclass(frozen=True)
-class SwitchSpec:
-    """Corruption onset: time and the matching integer step index."""
-
-    t_s: float
-    s_index: int
-
-    @classmethod
-    def at_step(cls, s_index: int, dt: float) -> "SwitchSpec":
-        return cls(t_s=s_index * dt, s_index=s_index)
-
-    def validate(self, n_steps: int, dt: float) -> None:
-        # Index 0 means corruption active from the first step on.
-        if not 0 <= self.s_index <= n_steps:
-            raise ConfigError(
-                f"switch index {self.s_index} outside [0, {n_steps}]"
-            )
-        if abs(self.t_s - self.s_index * dt) > 1e-12:
-            raise ConfigError("switch time inconsistent with step index")
+def check_onset(switch_step: Optional[int], n_steps: int) -> None:
+    """Reject an onset step outside ``[0, n_steps]``; 0 means corrupted from
+    the first step on, and None means never corrupted."""
+    if switch_step is not None and not 0 <= switch_step <= n_steps:
+        raise ConfigError(f"switch index {switch_step} outside [0, {n_steps}]")
 
 
 def bias_eval(spec: BiasSpec, t_s: float, t_k: float) -> np.ndarray:
@@ -119,25 +107,20 @@ def bias_eval(spec: BiasSpec, t_s: float, t_k: float) -> np.ndarray:
     return offset
 
 
-def augment(
-    x: np.ndarray,
-    theta_prior_mean: np.ndarray,
-    Q_x: np.ndarray,
-    q_p: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append corruption parameters to the state; parameters evolve as a
-    random walk with variance ``q_p`` so the augmented process noise is
-    block-diagonal ``diag(Q_x, q_p I)``."""
-    if q_p < 0.0:
-        raise ConfigError("parameter process noise must be non-negative")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    theta = np.asarray(theta_prior_mean, dtype=float).reshape(-1)
-    Q_x = np.asarray(Q_x, dtype=float)
-    d_x, d_t = x.size, theta.size
-    Q_aug = np.zeros((d_x + d_t, d_x + d_t))
-    Q_aug[:d_x, :d_x] = Q_x
-    Q_aug[d_x:, d_x:] = q_p * np.eye(d_t)
-    return np.concatenate([x, theta]), Q_aug
+def gated_offsets(spec: BiasSpec, switch_step: Optional[int], dt: float,
+                  epochs: np.ndarray, n_channels: int) -> np.ndarray:
+    """Offsets added to the fixes at steps ``epochs``, shape
+    ``(len(epochs), n_channels)``: zero through the onset time
+    ``switch_step * dt`` and ``bias_eval`` strictly after it, with times
+    ``step * dt``.  An onset of None never corrupts."""
+    offsets = np.zeros((len(epochs), n_channels))
+    if switch_step is None:
+        return offsets
+    t_s = switch_step * dt
+    for i, t_k in enumerate(np.asarray(epochs) * dt):
+        if t_k > t_s:
+            offsets[i] = bias_eval(spec, t_s, t_k)
+    return offsets
 
 
 def offset_matrix(tau, n_channels: int, d_theta: int) -> np.ndarray:

@@ -12,7 +12,6 @@ import jsonschema
 from .biasmodels import BiasSpec
 from .exceptions import ConfigError
 from .scenarios.balloon import BalloonConfig
-from .scenarios.fields import field_from_dict
 from .scenarios.shuttle import ShuttleConfig
 
 _NUMBER_OR_LIST = {
@@ -46,6 +45,9 @@ FIELD_SCHEMA = {
         "wavelength": {"type": "number"},
         "omega": {"type": "number"},
     },
+    "if": {"properties": {"kind": {"const": "gridded"}}, "required": ["kind"]},
+    "then": {"required": ["path"]},
+    "else": {"not": {"required": ["path"]}},
     "additionalProperties": False,
 }
 
@@ -229,7 +231,9 @@ def load_config(path) -> dict:
 
 
 def parse_single(data: dict):
-    """Build (scenario name, config dataclass, extras) from a validated dict."""
+    """Build (scenario name, config dataclass, extras) from a validated dict;
+    a balloon's extras are its ``field`` entry (None for the default field),
+    which ``field_from_dict`` loads."""
     scenario = data["scenario"]
     kwargs = {k: v for k, v in data.items() if k not in ("scenario", "field", "bias", "x0", "init_state", "expect_outcome")}
     if "bias" in data:
@@ -238,7 +242,7 @@ def parse_single(data: dict):
         if "x0" in data:
             kwargs["x0"] = tuple(data["x0"])
         cfg = BalloonConfig(**kwargs)
-        return scenario, cfg, field_from_dict(data.get("field"))
+        return scenario, cfg, data.get("field")
     if "init_state" in data:
         kwargs["init_state"] = tuple(data["init_state"])
     cfg = ShuttleConfig(**kwargs)

@@ -33,6 +33,7 @@ from .configio import (
 from .exceptions import ConfigError, SkfnavError
 from .metrics import GREEN, YELLOW, classify, relative_rmse
 from .scenarios.balloon import build_balloon_filter, simulate_balloon
+from .scenarios.fields import field_from_dict
 from .scenarios.shuttle import STATE_LABELS, build_shuttle_filter, simulate_shuttle
 from .switching import reports_no_corruption
 
@@ -152,7 +153,8 @@ def _finish_record(record: RunRecord, cfg, filt, est, truth_states, state_names)
     ]
 
 
-def _run_balloon(cfg, field_obj, record: RunRecord):
+def _run_balloon(cfg, field_data, record: RunRecord):
+    field_obj = field_from_dict(field_data)
     truth = simulate_balloon(cfg, field_obj)
     filt = build_balloon_filter(cfg, field_obj)
     filt.run(truth.measurement_map(), cfg.n_steps)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..biasmodels import BiasSpec, SwitchSpec, augment, bias_eval
+from ..biasmodels import BiasSpec, check_onset, gated_offsets
 from ..exceptions import ConfigError
 from ..switching import SwitchingFilter
 from .fields import AnalyticField
@@ -44,13 +44,7 @@ class BalloonConfig:
             raise ConfigError("sampling period must be at least 1")
         if min(self.q_x, self.q_p, self.r) < 0:
             raise ConfigError("noise variances must be non-negative")
-        if self.true_switch_step is not None:
-            self.switch().validate(self.n_steps, self.dt)
-
-    def switch(self) -> Optional[SwitchSpec]:
-        if self.true_switch_step is None:
-            return None
-        return SwitchSpec.at_step(self.true_switch_step, self.dt)
+        check_onset(self.true_switch_step, self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -84,15 +78,8 @@ def simulate_balloon(cfg: BalloonConfig, field=None) -> BalloonTruth:
 
     epochs = np.arange(cfg.delta, n + 1, cfg.delta)
     meas_noise = np.sqrt(cfg.r) * rng.standard_normal((epochs.size, 2))
-    switch = cfg.switch()
-    measurements = np.empty((epochs.size, 2))
-    bias_offsets = np.zeros((epochs.size, 2))
-    for i, k in enumerate(epochs):
-        if switch is not None and times[k] > switch.t_s:
-            bias_offsets[i] = np.broadcast_to(
-                bias_eval(cfg.bias, switch.t_s, times[k]), (2,)
-            )
-        measurements[i] = states[k] + bias_offsets[i] + meas_noise[i]
+    bias_offsets = gated_offsets(cfg.bias, cfg.true_switch_step, cfg.dt, epochs, 2)
+    measurements = states[epochs] + bias_offsets + meas_noise
     return BalloonTruth(
         times=times,
         states=states,
@@ -110,22 +97,17 @@ def build_balloon_filter(
 ) -> SwitchingFilter:
     """Switching filter over the 5-component augmented balloon state."""
     field = field if field is not None else AnalyticField()
-    _, Q_aug = augment(np.zeros(2), np.zeros(3), cfg.q_x * np.eye(2), cfg.q_p)
 
     def dynamics(points: np.ndarray, k: int) -> np.ndarray:
-        t = (k - 1) * cfg.dt
-        u, v = field.eval(points[:, 0], points[:, 1], t)
-        out = points.copy()
-        out[:, 0] += cfg.dt * u
-        out[:, 1] += cfg.dt * v
-        return out
+        u, v = field.eval(points[:, 0], points[:, 1], (k - 1) * cfg.dt)
+        return points + cfg.dt * np.column_stack([u, v])
 
     return SwitchingFilter(
         dynamics=dynamics,
         observed=np.array([0, 1]),
-        d_x=2,
         d_theta=3,
-        Q_aug=Q_aug,
+        Q_x=cfg.q_x * np.eye(2),
+        q_p=cfg.q_p,
         R=cfg.r * np.eye(2),
         x0=np.asarray(cfg.x0, dtype=float),
         C0=np.eye(2),

@@ -89,15 +89,20 @@ def load_field_csv(path) -> GriddedField:
 
     The rows must cover the full Cartesian product of the three axes.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#") or row[0] == "lon":
-                continue
-            rows.append([float(value) for value in row])
-    if not rows:
+    try:
+        with open(path, newline="") as fh:
+            data = np.array([
+                [float(value) for value in row] for row in csv.reader(fh)
+                if row and not row[0].lstrip().startswith("#") and row[0] != "lon"
+            ])
+    except OSError as exc:
+        raise ConfigError(f"unreadable field file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed field file {path}: {exc}") from exc
+    if data.size == 0:
         raise ConfigError(f"no field rows in {path}")
-    data = np.asarray(rows)
+    if data.ndim != 2 or data.shape[1] != 5:
+        raise ConfigError(f"malformed field file {path}: rows must be lon, lat, t, u, v")
     lons = np.unique(data[:, 0])
     lats = np.unique(data[:, 1])
     times = np.unique(data[:, 2])

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .. import kernels
-from ..biasmodels import BiasSpec, SwitchSpec, bias_eval
+from ..biasmodels import BiasSpec, check_onset, gated_offsets
 from ..exceptions import ConfigError
 from ..inertial import NavState15, attitude_matrix, gravity
 from ..switching import SwitchingFilter
@@ -81,13 +81,7 @@ class ShuttleConfig:
             raise ConfigError("sampling period must be at least 1")
         if min(self.q_x, self.q_p, self.r) < 0:
             raise ConfigError("noise variances must be non-negative")
-        if self.true_switch_step is not None:
-            self.switch().validate(self.n_steps, self.dt)
-
-    def switch(self) -> Optional[SwitchSpec]:
-        if self.true_switch_step is None:
-            return None
-        return SwitchSpec.at_step(self.true_switch_step, self.dt)
+        check_onset(self.true_switch_step, self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -249,19 +243,10 @@ def simulate_shuttle(cfg: ShuttleConfig) -> ShuttleTruth:
     _, r_vec = scale_noise(cfg.q_x, cfg.r)
     epochs = np.arange(cfg.delta, n + 1, cfg.delta)
     gps_noise = np.sqrt(r_vec) * rng.standard_normal((epochs.size, 3))
-    switch = cfg.switch()
-    gps = np.empty((epochs.size, 3))
-    bias_offsets = np.zeros((epochs.size, 3))
-    # gate on the config clock so file-backed references with a shifted time
+    # gated on the config clock, so file-backed references with a shifted time
     # origin agree with the filter's epoch indexing
-    times = np.arange(n + 1) * cfg.dt
-    for i, k in enumerate(epochs):
-        clean = inertial_states[k, :3].copy()
-        if switch is not None and times[k] > switch.t_s:
-            offset = np.broadcast_to(bias_eval(cfg.bias, switch.t_s, times[k]), (3,))
-            bias_offsets[i] = offset
-            clean = clean + offset
-        gps[i] = clean + gps_noise[i]
+    bias_offsets = gated_offsets(cfg.bias, cfg.true_switch_step, cfg.dt, epochs, 3)
+    gps = inertial_states[epochs, :3] + bias_offsets + gps_noise
     return ShuttleTruth(
         reference=reference,
         inertial_states=inertial_states,
@@ -281,19 +266,16 @@ def build_shuttle_filter(
 ) -> SwitchingFilter:
     """Switching filter over the 24-component augmented reentry state."""
     q_vec, r_vec = scale_noise(cfg.q_x, cfg.r)
-    diag = np.concatenate([
+    Q_x = np.diag(np.concatenate([
         q_vec,
         np.full(3, cfg.imu_walk_accel**2),
         np.full(3, cfg.imu_walk_gyro**2),
-        np.full(9, cfg.q_p),
-    ])
-    Q_aug = np.diag(diag)
+    ]))
     imu = truth.imu_meas
     dt = cfg.dt
 
     def dynamics(points: np.ndarray, k: int) -> np.ndarray:
-        nav = kernels.strapdown_batch(points[:, :15], imu[k - 1, :3], imu[k - 1, 3:], dt)
-        return np.hstack([nav, points[:, 15:]])
+        return kernels.strapdown_batch(points, imu[k - 1, :3], imu[k - 1, 3:], dt)
 
     C0 = np.diag(np.concatenate([
         np.full(9, cfg.init_pos_var),
@@ -303,9 +285,9 @@ def build_shuttle_filter(
     return SwitchingFilter(
         dynamics=dynamics,
         observed=np.array([0, 1, 2]),
-        d_x=15,
         d_theta=9,
-        Q_aug=Q_aug,
+        Q_x=Q_x,
+        q_p=cfg.q_p,
         R=np.diag(r_vec),
         x0=truth.reference.states[0],
         C0=C0,
@@ -364,15 +346,16 @@ def load_reference_csv(path) -> ReferenceTrajectory:
 
     The trailing row carries final states; its IMU fields are ignored.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _REFERENCE_HEADER:
-            raise ConfigError(f"malformed reference file {path}: bad header")
-        try:
-            data = np.asarray([[float(v) for v in row] for row in reader if row])
-        except ValueError as exc:
-            raise ConfigError(f"malformed reference file {path}: {exc}") from exc
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != _REFERENCE_HEADER:
+                raise ConfigError(f"malformed reference file {path}: bad header")
+            data = np.array([[float(v) for v in row] for row in reader if row])
+    except OSError as exc:
+        raise ConfigError(f"unreadable reference file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed reference file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(_REFERENCE_HEADER):
         raise ConfigError(f"malformed reference file {path}: bad shape")
     times = data[:, 0]

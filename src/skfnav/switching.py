@@ -187,10 +187,16 @@ def reports_no_corruption(est: SwitchEstimate, n_steps: int) -> bool:
 class SwitchingFilter:
     """Runs the branched filter over a measurement stream.
 
-    ``dynamics(points, k)`` propagates an ``(n, d_aug)`` array of augmented
-    states from step ``k - 1`` to ``k``.  The observation model selects
+    The state is the physical state ``x`` (of ``x0``'s size ``d_x``) with the
+    ``d_theta`` offset coefficients ``theta`` appended.  ``dynamics(points,
+    k)`` propagates an ``(n, d_x)`` array of physical states from step
+    ``k - 1`` to ``k`` and returns the ``(n, d_x)`` result; the filter
+    carries ``theta`` through unchanged.  The process noise is
+    block-diagonal: ``Q_x`` (``d_x`` x ``d_x``) on the physical state and
+    ``q_p`` per coefficient, a random walk.  The observation model selects
     ``observed`` state columns; a corrupted branch with onset ``s`` adds the
-    offset ``offset_matrix((k - s) dt) @ theta`` of its parameter block.
+    offset ``offset_matrix((k - s) dt) @ theta``.  A fix with a non-finite
+    entry is skipped: every branch predicts, and none is updated.
     """
 
     def __init__(
@@ -198,9 +204,9 @@ class SwitchingFilter:
         *,
         dynamics: Callable[[np.ndarray, int], np.ndarray],
         observed: np.ndarray,
-        d_x: int,
         d_theta: int,
-        Q_aug: np.ndarray,
+        Q_x: np.ndarray,
+        q_p: float,
         R: np.ndarray,
         x0: np.ndarray,
         C0: np.ndarray,
@@ -210,13 +216,17 @@ class SwitchingFilter:
     ):
         if delta < 1:
             raise ConfigError("sampling period must be at least 1 step")
+        if q_p < 0.0:
+            raise ConfigError("parameter process noise must be non-negative")
         self.dynamics = dynamics
         self.observed = np.asarray(observed, dtype=int)
-        self.d_x = d_x
+        self.d_x = d_x = np.size(x0)
         self.d_theta = d_theta
         offset_matrix(0.0, self.observed.size, d_theta)  # ConfigError on a bad width
         self._select = np.eye(d_x + d_theta)[self.observed]
-        self.Q_aug = np.asarray(Q_aug, dtype=float)
+        self.Q_aug = np.zeros((d_x + d_theta, d_x + d_theta))
+        self.Q_aug[:d_x, :d_x] = Q_x
+        self.Q_aug[d_x:, d_x:] = q_p * np.eye(d_theta)
         self.R = np.asarray(R, dtype=float)
         self.dt = dt
         self.delta = delta
@@ -239,12 +249,18 @@ class SwitchingFilter:
                 raise InvalidMeasurementError(
                     f"measurement dimension {y.size} != {self.observed.size}"
                 )
+            if not np.all(np.isfinite(y)):
+                y = None
 
         branches = self.branches.all_branches()
 
+        def dynamics(points):
+            out = points.copy()
+            out[:, : self.d_x] = self.dynamics(points[:, : self.d_x], k)
+            return out
+
         def predict_group(group):
             stacked = GaussianBelief.stack([b.belief for b in group])
-            dynamics = lambda pts: self.dynamics(pts, k)  # noqa: E731
             return predict(stacked, dynamics, self.Q_aug, self.params).unstack()
 
         for i, belief in _live_results(branches, predict_group):

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from skfnav.biasmodels import (
     BiasSpec,
-    SwitchSpec,
-    augment,
     bias_eval,
     offset_matrix,
 )
 from skfnav.exceptions import ConfigError
 from skfnav.scenarios.balloon import BalloonConfig, simulate_balloon
 from skfnav.scenarios.shuttle import ShuttleConfig, simulate_shuttle
+from skfnav.switching import SwitchingFilter
 
 finite = st.floats(min_value=-10, max_value=10)
 times = st.floats(min_value=0, max_value=50)
@@ -102,25 +101,35 @@ class TestObserve:
 
 
 class TestAugment:
+    """The filter appends the coefficients to the state as a random walk:
+    its process noise is block-diagonal ``diag(Q_x, q_p I)``."""
+
+    @staticmethod
+    def augmented_noise(x0, Q_x, q_p, d_theta=3):
+        return SwitchingFilter(
+            dynamics=lambda pts, k: pts, observed=np.arange(d_theta // 3),
+            d_theta=d_theta, Q_x=Q_x, q_p=q_p, R=np.eye(d_theta // 3),
+            x0=x0, C0=np.eye(x0.size), dt=0.1,
+        ).Q_aug
+
     def test_balloon_block_structure(self):
-        aug, Q = augment(np.array([-35.0, 25.0]), np.zeros(3), 1e-4 * np.eye(2), 1e-6)
-        assert aug.tolist() == [-35.0, 25.0, 0.0, 0.0, 0.0]
+        Q = self.augmented_noise(np.array([-35.0, 25.0]), 1e-4 * np.eye(2), 1e-6)
         assert Q.shape == (5, 5)
         assert np.diag(Q) == pytest.approx([1e-4, 1e-4, 1e-6, 1e-6, 1e-6])
         assert np.abs(Q - np.diag(np.diag(Q))).max() == 0.0
 
     def test_zero_parameter_noise(self):
-        _, Q = augment(np.zeros(2), np.zeros(3), np.eye(2), 0.0)
+        Q = self.augmented_noise(np.zeros(2), np.eye(2), 0.0)
         assert np.abs(Q[2:, 2:]).max() == 0.0
 
     def test_shuttle_dimension_count(self):
-        aug, Q = augment(np.zeros(15), np.zeros(9), np.eye(15), 1e-12)
-        assert aug.size == 24
+        Q = self.augmented_noise(np.zeros(15), np.eye(15), 1e-12, d_theta=9)
         assert Q.shape == (24, 24)
+        assert np.diag(Q)[15:] == pytest.approx([1e-12] * 9)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
-            augment(np.zeros(2), np.zeros(3), np.eye(2), -1.0)
+            self.augmented_noise(np.zeros(2), np.eye(2), -1.0)
 
 
 class TestSpecValidation:
@@ -146,12 +155,12 @@ class TestSpecValidation:
         assert BiasSpec("quadratic", A=[1, 2, 3], B=0.0, C=0.0).theta.shape == (3, 3)
 
     def test_switch_spec_validation(self):
-        SwitchSpec.at_step(0, 0.01).validate(500, 0.01)
-        SwitchSpec.at_step(500, 0.01).validate(500, 0.01)
-        with pytest.raises(ConfigError):
-            SwitchSpec.at_step(501, 0.01).validate(500, 0.01)
-        with pytest.raises(ConfigError):
-            SwitchSpec(t_s=1.0, s_index=2).validate(500, 0.01)
+        for config in (BalloonConfig, ShuttleConfig):
+            n_steps = config().n_steps
+            config(true_switch_step=0)
+            config(true_switch_step=n_steps)
+            with pytest.raises(ConfigError, match="outside"):
+                config(true_switch_step=n_steps + 1)
 
 
 class TestQuadraticOffsets:

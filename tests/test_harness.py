@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skfnav import configio, harness
+from skfnav.cli import main
 from skfnav.exceptions import ConfigError
 from skfnav.metrics import GREEN, RED, YELLOW, classify, relative_rmse
 
@@ -270,6 +271,67 @@ class TestSweep:
         assert len(records) == 2
         assert [r.status for r in records] == ["error", "error"]
         assert all(r.error.startswith("ConfigError: ") for r in records)
+
+
+class TestDataFiles:
+    """A schema-valid config whose data file is missing or malformed gives a
+    ``ConfigError`` record; a sweep over it completes."""
+
+    @pytest.mark.parametrize("field", [
+        {"kind": "gridded"},
+        {"path": "field.csv"},
+        {"kind": "analytic", "path": "field.csv"},
+    ], ids=["gridded-without-path", "default-kind-with-path", "analytic-with-path"])
+    def test_field_path_is_checked_by_the_schema(self, field, tmp_path):
+        with pytest.raises(ConfigError, match="balloon config"):
+            harness.run_case(balloon_config(field=field))
+        path = tmp_path / "gridded.json"
+        path.write_text(json.dumps(balloon_config(field=field)))
+        assert main(["--quiet", "simulate", "balloon", "--config", str(path),
+                     "--out", str(tmp_path / "runs")]) == 2
+
+    @staticmethod
+    def sweep_records(scenario, base):
+        grid = harness.sweep_from_dict({
+            "scenario": scenario, "base": base, "axes": {"A": [0.0, 0.1]}, "seeds": 1,
+        })
+        return harness.run_sweep(grid, threads=1)
+
+    def assert_config_error_records(self, scenario, base, message):
+        record = harness.run_case({"scenario": scenario, **base})
+        assert record.status == "error" and record.outcome == "red"
+        assert record.error.startswith("ConfigError: ") and message in record.error
+        records = self.sweep_records(scenario, base)
+        assert [r.status for r in records] == ["error", "error"]
+        assert all(r.error == record.error for r in records)
+
+    def test_missing_field_file(self, tmp_path):
+        base = balloon_config(n_steps=20, true_switch_step=10,
+                              field={"kind": "gridded", "path": str(tmp_path / "none.csv")})
+        del base["scenario"]
+        self.assert_config_error_records("balloon", base, "unreadable field file")
+
+    @pytest.mark.parametrize("text", [
+        "lon,lat,t,u,v\n0,0,0,north,1\n",
+        "lon,lat,t,u,v\n0,0,0,1,1\n0,1,0\n",
+        "0,0,0\n1,0,0\n",
+    ], ids=["non-numeric", "ragged", "three-columns"])
+    def test_malformed_field_file(self, tmp_path, text):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        base = balloon_config(n_steps=20, true_switch_step=10,
+                              field={"kind": "gridded", "path": str(path)})
+        del base["scenario"]
+        self.assert_config_error_records("balloon", base, "malformed field file")
+
+    @pytest.mark.parametrize("text", [None, ""], ids=["missing", "empty"])
+    def test_missing_or_malformed_reference_file(self, tmp_path, text):
+        path = tmp_path / "reference.csv"
+        if text is not None:
+            path.write_text(text)
+        base = {"n_steps": 10, "true_switch_step": None, "reference_path": str(path)}
+        message = "unreadable" if text is None else "malformed"
+        self.assert_config_error_records("shuttle", base, f"{message} reference file")
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ import pytest
 
 from skfnav.configio import load_config, parse_single
 from skfnav.exceptions import ConfigError, SkfnavError
-from skfnav.gaussfilt import GaussianBelief, linear_update, predict
+from skfnav.gaussfilt import GaussianBelief, linear_update, predict, sigma_points
 from skfnav.switching import (
     Branch,
     BranchSet,
@@ -23,13 +23,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def random_walk_filter(n_theta=3, delta=1, capacity=10, q_x=1e-4, q_p=1e-4, r=1e-4,
                        dt=0.1):
     """Minimal 1-D random-walk plant with both channels observed."""
-    Q = np.diag([q_x] + [q_p] * n_theta)
     return SwitchingFilter(
         dynamics=lambda pts, k: pts,
         observed=np.array([0]),
-        d_x=1,
         d_theta=n_theta,
-        Q_aug=Q,
+        Q_x=np.array([[q_x]]),
+        q_p=q_p,
         R=np.array([[r]]),
         x0=np.array([0.0]),
         C0=np.eye(1),
@@ -164,8 +163,8 @@ class TestStepping:
         # 4 fits neither one shared (A, B, C) triple nor one per channel
         with pytest.raises(ConfigError, match="width 4"):
             SwitchingFilter(
-                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_x=2, d_theta=4,
-                Q_aug=1e-4 * np.eye(6), R=1e-4 * np.eye(2),
+                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_theta=4,
+                Q_x=1e-4 * np.eye(2), q_p=1e-4, R=1e-4 * np.eye(2),
                 x0=np.zeros(2), C0=np.eye(2), dt=0.1,
             )
 
@@ -243,6 +242,52 @@ class TestStepping:
 
         assert trace() == trace()
 
+    def test_dynamics_sees_physical_columns_and_theta_passes_through(self, monkeypatch):
+        import skfnav.switching as switching
+
+        calls, propagated = [], []
+
+        def dynamics(pts, k):
+            calls.append(pts.shape)
+            return pts + 0.1 * np.sin(pts)
+
+        def spy(belief, dynamics, Q, params):
+            rows = sigma_points(belief, params)[0].reshape(-1, belief.dim)
+            propagated.append((rows, dynamics(rows)))
+            return predict(belief, dynamics, Q, params)
+
+        monkeypatch.setattr(switching, "predict", spy)
+        filt = SwitchingFilter(
+            dynamics=dynamics, observed=np.array([0, 1]), d_theta=3,
+            Q_x=1e-4 * np.eye(2), q_p=1e-4, R=1e-4 * np.eye(2),
+            x0=np.array([0.3, -0.2]), C0=0.1 * np.eye(2), dt=0.1,
+        )
+        for y in ([0.31, -0.19], [0.33, -0.18], [0.36, -0.17]):
+            filt.step(np.array(y))
+        assert calls[::2] == [(11, 2), (22, 2), (33, 2)]
+        for rows, out in propagated:
+            assert np.array_equal(out[:, :2], rows[:, :2] + 0.1 * np.sin(rows[:, :2]))
+            assert np.array_equal(out[:, 2:], rows[:, 2:])
+        # including a centre row whose theta has moved off the zero prior mean
+        assert np.abs(propagated[-1][0].reshape(3, 11, 5)[1, 0, 2:]).min() > 0.0
+
+    def test_non_finite_fix_is_a_skipped_epoch(self):
+        filt = random_walk_filter()
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            filt.step(rng.standard_normal(1) * 0.01)
+        before = [(b.s_index, b.log_lik) for b in filt.branches.all_branches()]
+        diag = filt.step(np.array([np.nan]))
+        assert diag.epoch and diag.spawned_s is None and diag.pruned == ()
+        assert diag.frozen == ()
+        assert [(b.s_index, b.log_lik) for b in filt.branches.all_branches()] == before
+        assert all(len(b.history) == 5 for b in filt.branches.all_branches())
+        # detection goes on: the next finite fix updates and spawns as usual
+        diag = filt.step(np.array([0.02]))
+        assert diag.spawned_s == 5 and diag.frozen == ()
+        assert all(b.log_lik != old for b, (_, old) in
+                   zip(filt.branches.all_branches(), before))
+
 
 class TestDivergenceFreeze:
     def test_branches_freeze_on_bad_dynamics(self):
@@ -253,8 +298,8 @@ class TestDivergenceFreeze:
             return pts
 
         filt = SwitchingFilter(
-            dynamics=dynamics, observed=np.array([0]), d_x=1, d_theta=3,
-            Q_aug=1e-4 * np.eye(4), R=np.array([[1e-4]]),
+            dynamics=dynamics, observed=np.array([0]), d_theta=3,
+            Q_x=1e-4 * np.eye(1), q_p=1e-4, R=np.array([[1e-4]]),
             x0=np.array([0.0]), C0=np.eye(1), dt=0.1,
         )
         filt.step(np.array([0.0]))
@@ -314,12 +359,15 @@ def reference_step(filt, y=None):
     filt.k += 1
     k = filt.k
 
+    def dynamics(pts):
+        # the physical columns through the scenario's map, theta passed through
+        return np.hstack([filt.dynamics(pts[:, :filt.d_x], k), pts[:, filt.d_x:]])
+
     def predict_branch(branch):
         if branch.frozen:
             return branch
         try:
-            belief = predict(branch.belief, lambda pts: filt.dynamics(pts, k),
-                             filt.Q_aug, filt.params)
+            belief = predict(branch.belief, dynamics, filt.Q_aug, filt.params)
         except SkfnavError:
             return replace(branch, frozen=True)
         return replace(branch, belief=belief)
@@ -420,8 +468,8 @@ class TestStackedStepEquivalence:
         # update (innovation too ill-conditioned to invert)
         def make():
             return SwitchingFilter(
-                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_x=2, d_theta=3,
-                Q_aug=1e-10 * np.eye(5), R=1e-8 * np.eye(2),
+                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_theta=3,
+                Q_x=1e-10 * np.eye(2), q_p=1e-10, R=1e-8 * np.eye(2),
                 x0=np.zeros(2), C0=np.eye(2), dt=0.1,
             )
 
