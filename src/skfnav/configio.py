@@ -249,9 +249,12 @@ def parse_single(data: dict):
     return scenario, cfg, None
 
 
-def config_to_dict(scenario: str, cfg) -> dict:
-    """Canonical JSON form of a config dataclass."""
+def config_to_dict(scenario: str, cfg, field=None) -> dict:
+    """Canonical JSON form of a config dataclass, with a balloon's ``field``
+    entry when the config gives one."""
     out = {"scenario": scenario}
+    if field is not None:
+        out["field"] = field
     for f in dc_fields(cfg):
         if f.name == "bias":
             continue

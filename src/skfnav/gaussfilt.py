@@ -57,16 +57,6 @@ class GaussianBelief:
             )
         return cls(mean=mean, cov=cov)
 
-    @classmethod
-    def stack(cls, beliefs) -> "GaussianBelief":
-        return cls(
-            mean=np.stack([b.mean for b in beliefs]),
-            cov=np.stack([b.cov for b in beliefs]),
-        )
-
-    def unstack(self) -> list["GaussianBelief"]:
-        return [GaussianBelief(mean=m, cov=c) for m, c in zip(self.mean, self.cov)]
-
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]

@@ -101,7 +101,7 @@ def execute_case(data: dict, seed: Optional[int] = None):
     if seed is not None:
         data["seed"] = int(seed)
     scenario, cfg, extra = parse_single(data)
-    snapshot = config_to_dict(scenario, cfg)
+    snapshot = config_to_dict(scenario, cfg, extra)
     record = RunRecord(
         scenario=scenario,
         config=snapshot,
@@ -594,9 +594,12 @@ def export_branch_history(path, branch, dt: float) -> None:
     dim = branch.history[0][0].size
     fields = ["step", "time", "branch_t_s", "logL"]
     fields += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]
+    t_s = fmt(branch.t_s)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for step, (mean, var, loglik) in enumerate(branch.history):
-            row = [step, step * dt, branch.t_s, loglik, *mean, *var]
-            writer.writerow([fmt(float(v)) if isinstance(v, (float, np.floating)) else fmt(v) for v in row])
+        writer.writerows(
+            [step, fmt(step * dt), t_s, fmt(loglik),
+             *[f"{v:.17g}" for v in mean.tolist() + var.tolist()]]
+            for step, (mean, var, loglik) in enumerate(branch.history)
+        )

@@ -32,6 +32,13 @@ def attitude_entries(phi, theta, psi):
     )
 
 
+def _anywhere(flag):
+    """Whether a guard's comparison holds anywhere: the scalar itself on
+    floats, where a numpy reduction would cost more than the comparison, and
+    ``.any()`` on columns."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
+
+
 def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     """One inertial-navigation step on columns or on floats.
 
@@ -43,7 +50,7 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     """
     h, L, lam, v, gamma, alpha, phi, theta, psi = nav
 
-    if (np.abs(theta) >= PITCH_GUARD).any():
+    if _anywhere(np.abs(theta) >= PITCH_GUARD):
         raise GimbalLockError("pitch at Euler-rate singularity")
 
     # Attitude update (forward Euler on the Euler-angle kinematics).
@@ -58,7 +65,7 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     phi_new = wrap_angle(phi + phi_dot * dt)
     theta_new = wrap_angle(theta + theta_dot * dt)
     psi_new = wrap_angle(psi + psi_dot * dt)
-    if (np.abs(theta_new) >= PITCH_GUARD).any():
+    if _anywhere(np.abs(theta_new) >= PITCH_GUARD):
         raise GimbalLockError("pitch at Euler-rate singularity after update")
 
     # Specific force to the inertial frame, trapezoidal attitude average.  Each
@@ -95,7 +102,7 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     r_new = EARTH_RADIUS_FT + h_new
     L_new = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
     cos_L, cos_L_new = np.cos(L), np.cos(L_new)
-    if (np.abs(cos_L) < POLAR_COS_GUARD).any() or (np.abs(cos_L_new) < POLAR_COS_GUARD).any():
+    if _anywhere(np.abs(cos_L) < POLAR_COS_GUARD) or _anywhere(np.abs(cos_L_new) < POLAR_COS_GUARD):
         raise PolarSingularityError("position angle at polar singularity")
     lam_new = lam + 0.5 * dt * (v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new))
 

@@ -9,16 +9,18 @@ constant-free log-likelihood of its observation stream, and the population of
 corrupted branches is pruned to a fixed capacity by discarding the lowest
 accumulated score (the nominal branch is exempt).
 
-Each step works on all live branches at once: their beliefs are stacked so
-that prediction makes one factorisation and one dynamics call, and the
+The filter keeps its branches as one ``Bank`` of stacked rows between steps,
+so that prediction makes one factorisation and one dynamics call, and the
 measurement update, exact because the observation map is linear in the
 augmented state, is one scored update.  A branch whose numerics fail freezes
-alone: when the stack raises, that stage is re-run one branch at a time.
+alone: when the stack raises, that stage is re-run one row at a time.
+``Branch`` and ``BranchSet`` are per-branch snapshots of a bank, built on
+demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,12 +32,12 @@ from .gaussfilt import GaussianBelief, SigmaPointParams, linear_update, predict
 
 @dataclass
 class Branch:
-    """One onset hypothesis: assumed switch step, accumulated score, belief.
+    """One onset hypothesis: assumed switch step, accumulated score, belief,
+    and the ``(mean, variances, score)`` it held after each step.
 
     A branch whose numerics diverge (hostile measurements can drive the
     nominal model into singular territory) is frozen: it keeps its last
     belief and score but no longer updates, spawns, or accumulates evidence.
-    ``SwitchingFilter.step`` updates its branches in place.
     """
 
     s_index: int
@@ -46,29 +48,76 @@ class Branch:
     frozen: bool = False
     history: list = field(default_factory=list)
 
-    def record(self):
-        self.history.append(
-            (self.belief.mean.copy(), self.belief.cov.diagonal().copy(), self.log_lik)
-        )
-
 
 @dataclass
 class BranchSet:
-    """Nominal branch plus up to ``capacity - 1`` corrupted branches."""
+    """Nominal branch plus the corrupted branches in spawn order."""
 
     nominal: Branch
     corrupted: list[Branch] = field(default_factory=list)
-    capacity: int = 10
-
-    def __post_init__(self):
-        if self.capacity < 2:
-            raise ConfigError("branch capacity must be at least 2")
 
     def all_branches(self) -> list[Branch]:
         return [self.nominal] + list(self.corrupted)
 
     def __len__(self) -> int:
         return 1 + len(self.corrupted)
+
+
+class Bank:
+    """All branches as rows of stacks that persist between steps: the nominal
+    in row 0, then the corrupted branches in spawn order.  ``mean`` (B, d),
+    ``cov`` (B, d, d), ``log_lik`` and ``frozen`` are views of the first B
+    rows of buffers sized for ``size`` rows.  The lists hold per row the
+    onset step ``s_index`` (0 for the nominal), the type of the exception
+    that froze the row, or None, in ``cause``, and in ``history`` one
+    per-row copy of ``(mean, variances, score)`` per step."""
+
+    def __init__(self, prior: GaussianBelief, size: int):
+        self._mean = np.zeros((size, prior.dim))
+        self._cov = np.zeros((size, prior.dim, prior.dim))
+        self._log_lik = np.zeros(size)
+        self._frozen = np.zeros(size, dtype=bool)
+        self._mean[0], self._cov[0] = prior.mean, prior.cov
+        self.s_index: list = [0]
+        self.cause: list = [None]
+        self.history: list = [[]]
+
+    def __len__(self) -> int:
+        return len(self.history)
+
+    mean = property(lambda self: self._mean[: len(self.history)])
+    cov = property(lambda self: self._cov[: len(self.history)])
+    log_lik = property(lambda self: self._log_lik[: len(self.history)])
+    frozen = property(lambda self: self._frozen[: len(self.history)])
+
+    def _buffers(self):
+        return self._mean, self._cov, self._log_lik, self._frozen
+
+    def spawn(self, s_index: int) -> None:
+        """Append a copy of row 0 with onset ``s_index``."""
+        n = len(self)
+        for buf in self._buffers():
+            buf[n] = buf[0]
+        self.s_index.append(s_index)
+        self.cause.append(self.cause[0])
+        self.history.append(list(self.history[0]))
+
+    def drop(self, rows) -> None:
+        """Remove ``rows``, keeping the order of the others."""
+        for row in sorted(rows, reverse=True):
+            n = len(self)
+            for buf in self._buffers():
+                buf[row : n - 1] = buf[row + 1 : n]
+            del self.s_index[row], self.cause[row], self.history[row]
+
+    def record(self) -> list[float]:
+        """Append each row's entry to its history; returns the scores, whose
+        objects the entries hold."""
+        scores = self.log_lik.tolist()
+        var = np.diagonal(self.cov, axis1=1, axis2=2)
+        for history, mean, v, score in zip(self.history, self.mean, var, scores):
+            history.append((mean.copy(), v.copy(), score))
+        return scores
 
 
 @dataclass(frozen=True)
@@ -82,7 +131,10 @@ class SwitchEstimate:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Bookkeeping emitted by one filter step (for tests and reporting)."""
+    """Bookkeeping emitted by one filter step (for tests and reporting).
+
+    ``frozen`` lists the onset of every frozen branch, and ``frozen_causes``
+    the type of the exception that froze each of them, in the same order."""
 
     k: int
     epoch: bool
@@ -91,71 +143,40 @@ class StepDiagnostics:
     scores_before_prune: tuple = ()
     n_branches: int = 1
     frozen: tuple = ()
+    frozen_causes: tuple = ()
 
 
-def init(
-    x0: np.ndarray,
-    C0: np.ndarray,
-    d_theta: int,
-    capacity: int = 10,
-) -> BranchSet:
-    """Fresh branch set: nominal hypothesis with zero-mean unit-variance
-    corruption parameters appended to the state."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    C0 = np.asarray(C0, dtype=float)
-    if C0.shape != (x0.size, x0.size):
-        raise ConfigError(
-            f"initial covariance shape {C0.shape} does not match state size {x0.size}"
-        )
-    mean = np.concatenate([x0, np.zeros(d_theta)])
-    cov = np.zeros((x0.size + d_theta, x0.size + d_theta))
-    cov[: x0.size, : x0.size] = C0
-    cov[x0.size :, x0.size :] = np.eye(d_theta)
-    belief = GaussianBelief.create(mean, cov)
-    nominal = Branch(s_index=0, t_s=0.0, log_lik=0.0, belief=belief, is_nominal=True)
-    nominal.record()
-    return BranchSet(nominal=nominal, corrupted=[], capacity=capacity)
-
-
-def _live_results(branches: list[Branch], stage) -> list[tuple[int, object]]:
-    """``(index, result)`` for every live branch in ``branches``.
-
-    ``stage(group)`` returns one result per branch of ``group``, computed on
-    one stack.  When it raises for the whole stack, it is re-run one branch
-    at a time, and a branch that fails alone gets ``None``.
-    """
-    live = [i for i, b in enumerate(branches) if not b.frozen]
-    if not live:
-        return []
+def _run_live(bank: Bank, stage: Callable) -> None:
+    """Run ``stage(rows)``, which writes its results into ``bank``'s rows, on
+    all live rows as one stack (``rows`` is ``slice(None)`` when none is
+    frozen, so that no row is copied).  When it raises for the stack, it is
+    re-run one row at a time, and a row that fails alone freezes, keeping the
+    type of its exception."""
+    live = np.flatnonzero(~bank.frozen)
+    if not live.size:
+        return
     try:
-        return list(zip(live, stage([branches[i] for i in live])))
+        stage(slice(None) if live.size == len(bank) else live)
+        return
     except SkfnavError:
         pass
-    results = []
-    for i in live:
+    for i in range(live.size):
         try:
-            results.append((i, stage([branches[i]])[0]))
-        except SkfnavError:
-            results.append((i, None))
-    return results
+            stage(live[i : i + 1])
+        except SkfnavError as exc:
+            bank.frozen[live[i]] = True
+            bank.cause[live[i]] = type(exc)
 
 
-def prune(branches: BranchSet) -> tuple[BranchSet, list[Branch]]:
-    """Drop lowest-score corrupted branches until the set fits its capacity.
+def prune(log_lik, s_index, capacity: int) -> list[int]:
+    """Rows to drop, lowest score first, so that a bank with scores
+    ``log_lik`` and onsets ``s_index`` fits its capacity.
 
-    Ties discard the latest hypothesis (least evidence so far).  The nominal
-    branch is never discarded.
+    Ties discard the latest hypothesis (least evidence so far).  Row 0, the
+    nominal branch, is never discarded.
     """
-    survivors = list(branches.corrupted)
-    removed = []
-    while len(survivors) > branches.capacity - 1:
-        victim = min(survivors, key=lambda b: (b.log_lik, -b.s_index))
-        survivors.remove(victim)
-        removed.append(victim)
-    return (
-        BranchSet(nominal=branches.nominal, corrupted=survivors, capacity=branches.capacity),
-        removed,
-    )
+    ranked = sorted(range(1, len(log_lik)), key=lambda i: (log_lik[i], -s_index[i]))
+    return ranked[: max(len(log_lik) - capacity, 0)]
 
 
 def estimate(branches: BranchSet) -> SwitchEstimate:
@@ -188,10 +209,11 @@ class SwitchingFilter:
     """Runs the branched filter over a measurement stream.
 
     The state is the physical state ``x`` (of ``x0``'s size ``d_x``) with the
-    ``d_theta`` offset coefficients ``theta`` appended.  ``dynamics(points,
-    k)`` propagates an ``(n, d_x)`` array of physical states from step
-    ``k - 1`` to ``k`` and returns the ``(n, d_x)`` result; the filter
-    carries ``theta`` through unchanged.  The process noise is
+    ``d_theta`` offset coefficients ``theta`` appended; every branch starts
+    from ``x0``, ``C0`` and a zero-mean, unit-variance ``theta``.
+    ``dynamics(points, k)`` propagates an ``(n, d_x)`` array of physical
+    states from step ``k - 1`` to ``k`` and returns the ``(n, d_x)`` result;
+    the filter carries ``theta`` through unchanged.  The process noise is
     block-diagonal: ``Q_x`` (``d_x`` x ``d_x``) on the physical state and
     ``q_p`` per coefficient, a random walk.  The observation model selects
     ``observed`` state columns; a corrupted branch with onset ``s`` adds the
@@ -218,9 +240,17 @@ class SwitchingFilter:
             raise ConfigError("sampling period must be at least 1 step")
         if q_p < 0.0:
             raise ConfigError("parameter process noise must be non-negative")
+        if capacity < 2:
+            raise ConfigError("branch capacity must be at least 2")
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        C0 = np.asarray(C0, dtype=float)
+        self.d_x = d_x = x0.size
+        if C0.shape != (d_x, d_x):
+            raise ConfigError(
+                f"initial covariance shape {C0.shape} does not match state size {d_x}"
+            )
         self.dynamics = dynamics
         self.observed = np.asarray(observed, dtype=int)
-        self.d_x = d_x = np.size(x0)
         self.d_theta = d_theta
         offset_matrix(0.0, self.observed.size, d_theta)  # ConfigError on a bad width
         self._select = np.eye(d_x + d_theta)[self.observed]
@@ -230,8 +260,14 @@ class SwitchingFilter:
         self.R = np.asarray(R, dtype=float)
         self.dt = dt
         self.delta = delta
+        self.capacity = capacity
         self.params = SigmaPointParams()
-        self.branches = init(x0, C0, d_theta, capacity=capacity)
+        cov = np.zeros((d_x + d_theta, d_x + d_theta))
+        cov[:d_x, :d_x] = C0
+        cov[d_x:, d_x:] = np.eye(d_theta)
+        prior = GaussianBelief.create(np.concatenate([x0, np.zeros(d_theta)]), cov)
+        self.bank = Bank(prior, size=capacity + 1)
+        self.bank.record()
         self.k = 0
 
     # -- stepping ---------------------------------------------------------
@@ -252,83 +288,91 @@ class SwitchingFilter:
             if not np.all(np.isfinite(y)):
                 y = None
 
-        branches = self.branches.all_branches()
+        bank = self.bank
 
         def dynamics(points):
             out = points.copy()
             out[:, : self.d_x] = self.dynamics(points[:, : self.d_x], k)
             return out
 
-        def predict_group(group):
-            stacked = GaussianBelief.stack([b.belief for b in group])
-            return predict(stacked, dynamics, self.Q_aug, self.params).unstack()
+        def predict_rows(rows):
+            prior = GaussianBelief(mean=bank.mean[rows], cov=bank.cov[rows])
+            posterior = predict(prior, dynamics, self.Q_aug, self.params)
+            bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov
 
-        for i, belief in _live_results(branches, predict_group):
-            if belief is None:
-                branches[i].frozen = True
-            else:
-                branches[i].belief = belief
+        _run_live(bank, predict_rows)
 
         spawned_s = None
         pruned_info: tuple = ()
         scores_before: tuple = ()
         if y is not None:
 
-            def update_group(group):
-                # the nominal branch, first when present, has a zero theta block
-                H = np.repeat(self._select[None], len(group), axis=0)
-                first = int(group[0].is_nominal)
-                taus = np.array([(k - b.s_index) * self.dt for b in group[first:]])
+            def update_rows(rows):
+                # the nominal branch (onset 0, first when present) has a zero
+                # theta block
+                s_index = np.array(bank.s_index)[rows]
+                H = np.repeat(self._select[None], s_index.size, axis=0)
+                first = int(s_index[0] == 0)
+                taus = (k - s_index[first:]) * self.dt
                 H[first:, :, self.d_x :] = offset_matrix(taus, self.observed.size, self.d_theta)
-                stacked = GaussianBelief.stack([b.belief for b in group])
-                posterior, pred = linear_update(stacked, H, y, self.R)
-                return list(zip(posterior.unstack(), pred.log_lik.tolist()))
+                prior = GaussianBelief(mean=bank.mean[rows], cov=bank.cov[rows])
+                posterior, pred = linear_update(prior, H, y, self.R)
+                bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov
+                bank.log_lik[rows] += pred.log_lik
 
-            nominal_live = not branches[0].frozen
-            for i, result in _live_results(branches, update_group):
-                if result is None:
-                    branches[i].frozen = True
-                else:
-                    branches[i].belief, increment = result
-                    branches[i].log_lik += increment
+            nominal_live = not bank.frozen[0]
+            _run_live(bank, update_rows)
             if nominal_live:
                 # the spawn's observation map at s == k adds no offset, so its
                 # update (or freeze) is the nominal branch's
-                nominal = branches[0]
-                branches.append(replace(
-                    nominal,
-                    s_index=k,
-                    t_s=k * self.dt,
-                    is_nominal=False,
-                    history=list(nominal.history),
-                ))
+                bank.spawn(k)
                 spawned_s = k
 
-        self.branches = BranchSet(
-            nominal=branches[0], corrupted=branches[1:], capacity=self.branches.capacity
-        )
+        # the rows that a prune drops lose this entry with their history
+        scores = bank.record()
         if y is not None:
-            scores_before = tuple((b.s_index, b.log_lik) for b in self.branches.corrupted)
-            self.branches, removed = prune(self.branches)
-            pruned_info = tuple((b.s_index, b.log_lik) for b in removed)
+            scores_before = tuple(zip(bank.s_index[1:], scores[1:]))
+            removed = prune(scores, bank.s_index, self.capacity)
+            pruned_info = tuple(scores_before[i - 1] for i in removed)
+            bank.drop(removed)
 
-        for branch in self.branches.all_branches():
-            branch.record()
+        frozen = np.flatnonzero(bank.frozen).tolist()
         return StepDiagnostics(
             k=k,
             epoch=is_epoch,
             spawned_s=spawned_s,
             pruned=pruned_info,
             scores_before_prune=scores_before,
-            n_branches=len(self.branches),
-            frozen=tuple(
-                b.s_index for b in self.branches.all_branches() if b.frozen
-            ),
+            n_branches=len(bank),
+            frozen=tuple(bank.s_index[i] for i in frozen),
+            frozen_causes=tuple(bank.cause[i] for i in frozen),
         )
 
     def run(self, measurements: dict[int, np.ndarray], n_steps: int) -> list[StepDiagnostics]:
         """Step through ``k = 1..n_steps`` pulling measurements by step index."""
         return [self.step(measurements.get(k)) for k in range(1, n_steps + 1)]
+
+    @property
+    def branches(self) -> BranchSet:
+        """The bank as per-branch objects: a snapshot that later steps leave
+        unchanged."""
+        bank = self.bank
+        views = [
+            Branch(
+                s_index=s,
+                t_s=s * self.dt,
+                log_lik=score,
+                belief=GaussianBelief(mean=mean.copy(), cov=cov.copy()),
+                is_nominal=i == 0,
+                frozen=frozen,
+                history=list(history),
+            )
+            for i, (s, score, mean, cov, frozen, history) in enumerate(zip(
+                bank.s_index, bank.log_lik.tolist(), bank.mean, bank.cov,
+                bank.frozen.tolist(), bank.history,
+            ))
+        ]
+        return BranchSet(nominal=views[0], corrupted=views[1:])
 
     def estimate(self) -> SwitchEstimate:
         return estimate(self.branches)

@@ -171,6 +171,11 @@ def random_beliefs(rng, n, dim):
             for r in roots]
 
 
+def stack(beliefs):
+    return GaussianBelief(mean=np.stack([b.mean for b in beliefs]),
+                          cov=np.stack([b.cov for b in beliefs]))
+
+
 class TestStacks:
     """A stack is processed in one call and gives each belief's own result
     bit for bit."""
@@ -179,11 +184,11 @@ class TestStacks:
         beliefs = random_beliefs(np.random.default_rng(5), 6, 5)
         dynamics = lambda pts: pts + 0.1 * np.sin(pts)  # noqa: E731
         Q = 0.01 * np.eye(5)
-        out = predict(GaussianBelief.stack(beliefs), dynamics, Q, PARAMS).unstack()
-        for belief, got in zip(beliefs, out):
+        out = predict(stack(beliefs), dynamics, Q, PARAMS)
+        for i, belief in enumerate(beliefs):
             want = predict(belief, dynamics, Q, PARAMS)
-            assert np.array_equal(got.mean, want.mean)
-            assert np.array_equal(got.cov, want.cov)
+            assert np.array_equal(out.mean[i], want.mean)
+            assert np.array_equal(out.cov[i], want.cov)
 
     def test_dynamics_called_once_on_all_rows(self):
         beliefs = random_beliefs(np.random.default_rng(6), 4, 3)
@@ -193,7 +198,7 @@ class TestStacks:
             calls.append(pts.shape)
             return pts
 
-        predict(GaussianBelief.stack(beliefs), dynamics, np.zeros((3, 3)), PARAMS)
+        predict(stack(beliefs), dynamics, np.zeros((3, 3)), PARAMS)
         assert calls == [(4 * 7, 3)]
 
     def test_update_matches_each_belief(self):
@@ -201,7 +206,7 @@ class TestStacks:
         beliefs = random_beliefs(rng, 6, 5)
         observation = lambda pts: pts[..., :2] ** 2  # noqa: E731
         y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = update(GaussianBelief.stack(beliefs), observation, y, R, PARAMS)
+        post, pred = update(stack(beliefs), observation, y, R, PARAMS)
         for i, belief in enumerate(beliefs):
             want, want_pred = update(belief, observation, y, R, PARAMS)
             assert np.array_equal(post.mean[i], want.mean)
@@ -212,7 +217,7 @@ class TestStacks:
         beliefs = random_beliefs(np.random.default_rng(8), 3, 2)
         beliefs[1] = GaussianBelief.create([0.0, 0.0], np.diag([1.0, -1.0]))
         with pytest.raises(CovarianceError):
-            sigma_points(GaussianBelief.stack(beliefs), PARAMS)
+            sigma_points(stack(beliefs), PARAMS)
 
 
 def observation_matrix(tau, d_theta, d_x=3, observed=(0, 2)):
@@ -250,12 +255,12 @@ class TestLinearUpdate:
     @pytest.mark.parametrize("d_theta", [3, 6])
     def test_stack_matches_unscented_update(self, d_theta):
         rng = np.random.default_rng(10 + d_theta)
-        stack = GaussianBelief.stack(random_beliefs(rng, 5, 3 + d_theta))
+        beliefs = stack(random_beliefs(rng, 5, 3 + d_theta))
         H = observation_matrix(np.array([0.0, 0.3, 1.0, 2.0, 4.5]), d_theta)
         H[0, :, 3:] = 0.0  # a nominal branch: no parameter block
         y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = linear_update(stack, H, y, R)
-        want, want_pred = update(stack, lambda pts: pts @ np.swapaxes(H, -1, -2), y, R, PARAMS)
+        post, pred = linear_update(beliefs, H, y, R)
+        want, want_pred = update(beliefs, lambda pts: pts @ np.swapaxes(H, -1, -2), y, R, PARAMS)
         for i in range(5):
             assert_rel_close(post.mean[i], want.mean[i])
             assert_rel_close(post.cov[i], want.cov[i])
@@ -266,7 +271,7 @@ class TestLinearUpdate:
         beliefs = random_beliefs(rng, 4, 9)
         H = observation_matrix(np.array([0.1, 0.2, 0.7, 3.0]), 6)
         y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = linear_update(GaussianBelief.stack(beliefs), H, y, R)
+        post, pred = linear_update(stack(beliefs), H, y, R)
         for i, belief in enumerate(beliefs):
             want, want_pred = linear_update(belief, H[i], y, R)
             assert np.array_equal(post.mean[i], want.mean)

@@ -125,6 +125,17 @@ class TestRunCase:
         assert a.config_hash == b.config_hash
         assert a.rmse != b.rmse  # different noise draws, distinct records
 
+    def test_field_is_part_of_the_config(self):
+        # two runs that differ only in their velocity field
+        data = {"scenario": "balloon", "n_steps": 30, "true_switch_step": None}
+        plain = harness.run_case(data)
+        fielded = harness.run_case({**data, "field": {"kind": "analytic", "u0": 0.5}})
+        assert plain.rmse != fielded.rmse
+        assert plain.config_hash == "cd621069d0eb"  # a config without a field keeps its hash
+        assert "field" not in plain.config
+        assert fielded.config["field"] == {"kind": "analytic", "u0": 0.5}
+        assert fielded.config_hash != plain.config_hash
+
     def test_same_config_same_record(self):
         a = harness.run_case(balloon_config())
         b = harness.run_case(balloon_config())

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from skfnav.configio import load_config, parse_single
-from skfnav.exceptions import ConfigError, SkfnavError
+from skfnav.exceptions import (
+    ConfigError,
+    CovarianceError,
+    SingularInnovationError,
+    SkfnavError,
+)
 from skfnav.gaussfilt import GaussianBelief, linear_update, predict, sigma_points
 from skfnav.switching import (
     Branch,
     BranchSet,
     SwitchingFilter,
     estimate,
-    init,
     prune,
     reports_no_corruption,
 )
@@ -46,9 +50,18 @@ def make_branch(s, loglik, dim=2, nominal=False):
     )
 
 
+def fresh_filter(x0, C0, d_theta):
+    """A filter before its first step; one (A, B, C) triple per channel."""
+    m = d_theta // 3
+    return SwitchingFilter(
+        dynamics=lambda pts, k: pts, observed=np.arange(m), d_theta=d_theta,
+        Q_x=np.zeros((x0.size, x0.size)), q_p=0.0, R=np.eye(m), x0=x0, C0=C0, dt=1.0,
+    )
+
+
 class TestInit:
     def test_balloon_style_augmentation(self):
-        branches = init(np.array([-35.0, 25.0]), np.eye(2), 3)
+        branches = fresh_filter(np.array([-35.0, 25.0]), np.eye(2), 3).branches
         nom = branches.nominal
         assert nom.belief.dim == 5
         assert nom.belief.mean.tolist() == [-35.0, 25.0, 0.0, 0.0, 0.0]
@@ -58,51 +71,41 @@ class TestInit:
 
     def test_shuttle_style_variances(self):
         C0 = 0.001 * np.eye(15)
-        branches = init(np.zeros(15), C0, 9)
+        branches = fresh_filter(np.zeros(15), C0, 9).branches
         diag = np.diag(branches.nominal.belief.cov)
         assert diag[:15] == pytest.approx([0.001] * 15)
         assert diag[15:] == pytest.approx([1.0] * 9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            init(np.zeros(3), np.eye(2), 3)
+            fresh_filter(np.zeros(3), np.eye(2), 3)
 
 
 class TestPrune:
+    """``prune`` takes a bank's scores and onsets, the nominal in row 0, and
+    returns the rows to drop."""
+
     def test_removes_lowest_score(self):
-        branches = BranchSet(
-            nominal=make_branch(0, -100.0, nominal=True),
-            corrupted=[make_branch(1, -5.0), make_branch(2, -3.0), make_branch(3, -10.0)],
-            capacity=3,
-        )
-        out, removed = prune(branches)
-        assert [b.s_index for b in removed] == [3]
-        assert sorted(b.s_index for b in out.corrupted) == [1, 2]
-        assert out.nominal.s_index == 0  # nominal survives its terrible score
+        s_index = np.array([0, 1, 2, 3])
+        removed = prune(np.array([-100.0, -5.0, -3.0, -10.0]), s_index, capacity=3)
+        assert s_index[removed].tolist() == [3]
+        assert sorted(np.delete(s_index, removed)[1:].tolist()) == [1, 2]
+        assert 0 not in removed  # nominal survives its terrible score
 
     def test_tie_discards_latest_hypothesis(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 0.0, nominal=True),
-            corrupted=[make_branch(1, -5.0), make_branch(4, -5.0), make_branch(2, -5.0)],
-            capacity=3,
-        )
-        out, removed = prune(branches)
-        assert [b.s_index for b in removed] == [4]
+        s_index = np.array([0, 1, 4, 2])
+        removed = prune(np.array([0.0, -5.0, -5.0, -5.0]), s_index, capacity=3)
+        assert s_index[removed].tolist() == [4]
 
     def test_noop_within_capacity(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 0.0, nominal=True),
-            corrupted=[make_branch(1, -5.0)],
-            capacity=3,
-        )
-        out, removed = prune(branches)
+        removed = prune(np.array([0.0, -5.0]), np.array([0, 1]), capacity=3)
         assert not removed
-        assert len(out.corrupted) == 1
+        assert len(np.delete(np.array([0, 1]), removed)[1:]) == 1
 
 
 class TestEstimate:
     def test_single_nominal(self):
-        branches = init(np.zeros(1), np.eye(1), 1)
+        branches = BranchSet(nominal=make_branch(0, 0.0, nominal=True))
         est = estimate(branches)
         assert est.best.is_nominal
         assert est.weights == pytest.approx([1.0])
@@ -353,65 +356,81 @@ class TestNoCorruptionConvention:
 # -- stacked step against the per-branch step ---------------------------------
 
 
-def reference_step(filt, y=None):
-    """The per-branch step: every branch is predicted, updated and scored on
-    its own single belief, and a branch whose numerics fail freezes."""
-    filt.k += 1
-    k = filt.k
+class PerBranchReference:
+    """The per-branch step, independent of the filter's bank: every branch is
+    predicted, updated and scored on its own single belief, a branch whose
+    numerics fail freezes, and the lowest-score corrupted branches are
+    discarded one at a time.  It starts from ``model``'s initial branches and
+    reads only its model: dynamics, noise, observed columns, step and
+    capacity."""
 
-    def dynamics(pts):
-        # the physical columns through the scenario's map, theta passed through
-        return np.hstack([filt.dynamics(pts[:, :filt.d_x], k), pts[:, filt.d_x:]])
+    def __init__(self, model):
+        self.model = model
+        self.branches = model.branches
+        self.k = 0
 
-    def predict_branch(branch):
-        if branch.frozen:
-            return branch
-        try:
-            belief = predict(branch.belief, dynamics, filt.Q_aug, filt.params)
-        except SkfnavError:
-            return replace(branch, frozen=True)
-        return replace(branch, belief=belief)
+    def step(self, y=None):
+        filt = self.model
+        self.k += 1
+        k = self.k
 
-    def observation_matrix(s_index):
-        m = filt.observed.size
-        H = np.zeros((m, filt.d_x + filt.d_theta))
-        H[np.arange(m), filt.observed] = 1.0
-        if s_index is not None and k > s_index:
-            tau = (k - s_index) * filt.dt
-            basis = np.array([[1.0, tau, tau * tau]])
-            H[:, filt.d_x:] = (np.repeat(basis, m, axis=0) if filt.d_theta == 3
-                               else np.kron(np.eye(m), basis))
-        return H
+        def dynamics(pts):
+            # the physical columns through the scenario's map, theta passed through
+            return np.hstack([filt.dynamics(pts[:, :filt.d_x], k), pts[:, filt.d_x:]])
 
-    def update_branch(branch, s_index, is_nominal):
-        history = branch.history
-        if not is_nominal and s_index == k:
-            history = list(history)
-        try:
-            belief, pred = linear_update(
-                branch.belief, observation_matrix(None if is_nominal else s_index), y, filt.R,
-            )
-            log_lik, frozen = branch.log_lik + float(pred.log_lik), False
-        except SkfnavError:
-            belief, log_lik, frozen = branch.belief, branch.log_lik, True
-        return Branch(s_index, s_index * filt.dt, log_lik, belief, is_nominal, frozen, history)
+        def predict_branch(branch):
+            if branch.frozen:
+                return branch
+            try:
+                belief = predict(branch.belief, dynamics, filt.Q_aug, filt.params)
+            except SkfnavError:
+                return replace(branch, frozen=True)
+            return replace(branch, belief=belief)
 
-    nominal = predict_branch(filt.branches.nominal)
-    corrupted = [predict_branch(b) for b in filt.branches.corrupted]
-    if y is not None:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        spawned = None
-        if not nominal.frozen:
-            spawned = update_branch(nominal, k, False)
-            nominal = update_branch(nominal, 0, True)
-        corrupted = [b if b.frozen else update_branch(b, b.s_index, False) for b in corrupted]
-        if spawned is not None:
-            corrupted.append(spawned)
-        filt.branches, _ = prune(BranchSet(nominal, corrupted, filt.branches.capacity))
-    else:
-        filt.branches = BranchSet(nominal, corrupted, filt.branches.capacity)
-    for branch in filt.branches.all_branches():
-        branch.record()
+        def observation_matrix(s_index):
+            m = filt.observed.size
+            H = np.zeros((m, filt.d_x + filt.d_theta))
+            H[np.arange(m), filt.observed] = 1.0
+            if s_index is not None and k > s_index:
+                tau = (k - s_index) * filt.dt
+                basis = np.array([[1.0, tau, tau * tau]])
+                H[:, filt.d_x:] = (np.repeat(basis, m, axis=0) if filt.d_theta == 3
+                                   else np.kron(np.eye(m), basis))
+            return H
+
+        def update_branch(branch, s_index, is_nominal):
+            history = branch.history
+            if not is_nominal and s_index == k:
+                history = list(history)
+            try:
+                belief, pred = linear_update(
+                    branch.belief, observation_matrix(None if is_nominal else s_index), y,
+                    filt.R,
+                )
+                log_lik, frozen = branch.log_lik + float(pred.log_lik), False
+            except SkfnavError:
+                belief, log_lik, frozen = branch.belief, branch.log_lik, True
+            return Branch(s_index, s_index * filt.dt, log_lik, belief, is_nominal, frozen,
+                          history)
+
+        nominal = predict_branch(self.branches.nominal)
+        corrupted = [predict_branch(b) for b in self.branches.corrupted]
+        if y is not None:
+            y = np.asarray(y, dtype=float).reshape(-1)
+            spawned = None
+            if not nominal.frozen:
+                spawned = update_branch(nominal, k, False)
+                nominal = update_branch(nominal, 0, True)
+            corrupted = [b if b.frozen else update_branch(b, b.s_index, False)
+                         for b in corrupted]
+            if spawned is not None:
+                corrupted.append(spawned)
+            while len(corrupted) > filt.capacity - 1:
+                corrupted.remove(min(corrupted, key=lambda b: (b.log_lik, -b.s_index)))
+        self.branches = BranchSet(nominal, corrupted)
+        for b in self.branches.all_branches():
+            b.history.append((b.belief.mean.copy(), b.belief.cov.diagonal().copy(),
+                              b.log_lik))
 
 
 def assert_same_branches(a, b, history_from=-1):
@@ -428,16 +447,44 @@ def assert_same_branches(a, b, history_from=-1):
 
 
 def step_both(stacked, reference, measurements, n_steps, poison=None):
-    """Step both filters, comparing every branch after each step and every
-    branch's whole history at the end."""
+    """Step the filter and its per-branch reference, comparing every branch
+    after each step and every branch's whole history at the end; returns the
+    filter's diagnostics.  ``poison = (k, fn)`` calls ``fn(stacked,
+    reference)`` before step ``k``."""
+    diags = []
     for k in range(1, n_steps + 1):
         if poison is not None and k == poison[0]:
-            for filt in (stacked, reference):
-                poison[1](filt.branches)
-        stacked.step(measurements.get(k))
-        reference_step(reference, measurements.get(k))
+            poison[1](stacked, reference)
+        diags.append(stacked.step(measurements.get(k)))
+        reference.step(measurements.get(k))
         assert_same_branches(stacked.branches, reference.branches)
     assert_same_branches(stacked.branches, reference.branches, history_from=0)
+    return diags
+
+
+def poisoned_pair(stage, row, capacity=10):
+    """A filter and its reference with two observed channels and tiny noise,
+    and a poison that gives bank row ``row`` a covariance that breaks its
+    prediction (not PSD) or its update (innovation too ill-conditioned to
+    invert)."""
+    def make():
+        return SwitchingFilter(
+            dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_theta=3,
+            Q_x=1e-10 * np.eye(2), q_p=1e-10, R=1e-8 * np.eye(2),
+            x0=np.zeros(2), C0=np.eye(2), dt=0.1, capacity=capacity,
+        )
+
+    bad = np.diag([1.0, -1.0, 1.0, 1.0, 1.0]) if stage == "predict" else (
+        np.diag([1e8, 0.0, 0.0, 0.0, 0.0]))
+
+    def poison(stacked, reference):
+        stacked.bank.cov[row] = bad
+        branches = reference.branches.all_branches()
+        branches[row] = replace(branches[row], belief=GaussianBelief.create(
+            branches[row].belief.mean, bad))
+        reference.branches = BranchSet(branches[0], branches[1:])
+
+    return make(), PerBranchReference(make()), poison
 
 
 class TestStackedStepEquivalence:
@@ -447,7 +494,8 @@ class TestStackedStepEquivalence:
         _, cfg, field = parse_single({**load_config(CONFIGS / "table3_test3.json"),
                                       "n_steps": 260})
         truth = simulate_balloon(cfg, field)
-        stacked, reference = (build_balloon_filter(cfg, field) for _ in range(2))
+        stacked = build_balloon_filter(cfg, field)
+        reference = PerBranchReference(build_balloon_filter(cfg, field))
         step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
         assert len(stacked.branches) == cfg.capacity
 
@@ -457,33 +505,34 @@ class TestStackedStepEquivalence:
         _, cfg, _ = parse_single({**load_config(CONFIGS / "table5_test22.json"),
                                   "n_steps": 40, "true_switch_step": 25})
         truth = simulate_shuttle(cfg)
-        stacked, reference = (build_shuttle_filter(cfg, truth) for _ in range(2))
+        stacked = build_shuttle_filter(cfg, truth)
+        reference = PerBranchReference(build_shuttle_filter(cfg, truth))
         step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
         assert len(stacked.branches) == cfg.capacity
 
     @pytest.mark.parametrize("stage", ["predict", "update"])
     def test_one_failing_branch_freezes_alone(self, stage):
-        # two observed channels with tiny noise; at step 6 the third corrupted
-        # branch gets a covariance that breaks its prediction (not PSD) or its
-        # update (innovation too ill-conditioned to invert)
-        def make():
-            return SwitchingFilter(
-                dynamics=lambda pts, k: pts, observed=np.array([0, 1]), d_theta=3,
-                Q_x=1e-10 * np.eye(2), q_p=1e-10, R=1e-8 * np.eye(2),
-                x0=np.zeros(2), C0=np.eye(2), dt=0.1,
-            )
-
-        bad = np.diag([1.0, -1.0, 1.0, 1.0, 1.0]) if stage == "predict" else (
-            np.diag([1e8, 0.0, 0.0, 0.0, 0.0]))
-
-        def poison(branches):
-            victim = branches.corrupted[2]
-            branches.corrupted[2] = replace(
-                victim, belief=GaussianBelief.create(victim.belief.mean, bad))
-
+        # at step 6 the third corrupted branch (onset 3, bank row 3) is poisoned
+        stacked, reference, poison = poisoned_pair(stage, row=3)
         rng = np.random.default_rng(7)
         measurements = {k: 1e-3 * rng.standard_normal(2) for k in range(1, 9)}
-        stacked, reference = make(), make()
-        step_both(stacked, reference, measurements, 8, poison=(6, poison))
+        diags = step_both(stacked, reference, measurements, 8, poison=(6, poison))
         frozen = [b.s_index for b in stacked.branches.all_branches() if b.frozen]
         assert frozen == [3]
+        cause = CovarianceError if stage == "predict" else SingularInnovationError
+        assert [(d.frozen, d.frozen_causes) for d in diags[5:]] == [((3,), (cause,))] * 3
+
+    @pytest.mark.parametrize("stage, row, pruned, frozen", [
+        ("predict", 3, 6, (3,)),  # a corrupted branch freezes; the spawn is pruned at birth
+        ("update", 0, 2, (0, 6)),  # the nominal freezes and spawns its frozen clone
+    ])
+    def test_freeze_spawn_and_prune_in_one_step(self, stage, row, pruned, frozen):
+        stacked, reference, poison = poisoned_pair(stage, row=row, capacity=4)
+        rng = np.random.default_rng(7)
+        measurements = {k: 1e-3 * rng.standard_normal(2) for k in range(1, 9)}
+        diags = step_both(stacked, reference, measurements, 8, poison=(6, poison))
+        assert not any(d.frozen for d in diags[:5])
+        assert diags[5].spawned_s == 6
+        assert [s for s, _ in diags[5].pruned] == [pruned]
+        assert diags[5].frozen == frozen
+        assert len(stacked.branches) == 4
