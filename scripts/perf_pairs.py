@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a parent revision against the working tree.
+
+    python3 scripts/perf_pairs.py PARENT_REV --workload W --seeds 41-50 --seconds 20
+
+Exports ``PARENT_REV`` with ``git archive`` into a temporary directory and,
+for each seed, runs ``perfbench/run.py --workload W --seed N --trace 0`` in
+that export and in the working tree, the parent first in the first pair and
+the side that runs first alternating after that.  Each side runs its own
+``perfbench/run.py`` on its own sources.  For every end-to-end metric it
+then prints both sides' q1/median/q3, the pairs in which the working tree
+did better (in the metric's ``better`` direction from ``BENCHMARK.json``),
+the parent's IQR and whether the median gain exceeds it.  ``W`` may be
+``all``; the metric names then carry the workload as a prefix.  Seeds are a
+range ``A-B`` or a comma list.  The exit code is 1 when any run failed an
+output check or reported failed operations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    if "-" in text:
+        first, last = (int(part) for part in text.split("-"))
+        return list(range(first, last + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def export(rev: str, target: Path) -> None:
+    """Write the files of ``rev`` into ``target``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON summary line of one ``perfbench/run.py --trace 0`` run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"perfbench in {tree} printed nothing:\n{proc.stderr}")
+    line = json.loads(lines[-1])
+    line["returncode"] = proc.returncode
+    return line
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+    names = list(pairs[0][0]["metrics"])
+    print(f"\n{len(pairs)} pairs; parent -> working tree as q1/median/q3")
+    for name in names:
+        higher = better.get(name.rsplit("/", 1)[-1]) == "higher"
+        old = [p["metrics"][name]["value"] for p, _ in pairs]
+        new = [c["metrics"][name]["value"] for _, c in pairs]
+        won = sum((c > p) if higher else (c < p) for p, c in zip(old, new))
+        po, pn = quartiles(old), quartiles(new)
+        iqr = po[2] - po[0]
+        gain = (pn[1] - po[1]) if higher else (po[1] - pn[1])
+        ratio = pn[1] / po[1] if po[1] else float("nan")
+        print(f"  {name:34s} {po[0]:.4g}/{po[1]:.4g}/{po[2]:.4g} -> "
+              f"{pn[0]:.4g}/{pn[1]:.4g}/{pn[2]:.4g}  x{ratio:.3f}  "
+              f"better in {won}/{len(pairs)}  parent IQR {iqr:.4g}  "
+              f"median gain {gain:+.4g}{' (beyond IQR)' if gain > iqr else ''}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_rev")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    pairs = []
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
+        parent = Path(tmp)
+        export(args.parent_rev, parent)
+        for i, seed in enumerate(args.seeds):
+            sides = [("parent", parent), ("tree", ROOT)]
+            if i % 2:
+                sides.reverse()
+            result = {label: run_bench(tree, args.workload, seed, args.seconds)
+                      for label, tree in sides}
+            for label, line in result.items():
+                if line["returncode"] or not line["correct"] or line["failed"]:
+                    ok = False
+                    print(f"seed {seed} {label}: returncode {line['returncode']}, "
+                          f"correct {line['correct']}, failed {line['failed']}")
+            old, new = result["parent"], result["tree"]
+            pairs.append((old, new))
+            shown = ", ".join(
+                f"{name} {old['metrics'][name]['value']:.4g}/{new['metrics'][name]['value']:.4g}"
+                for name in old["metrics"] if name.endswith("runs_per_s")
+            )
+            print(f"pair {i + 1} seed {seed} ({sides[0][0]} first): {shown}", flush=True)
+    report(pairs, better)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,7 @@
 A corruption is a per-channel polynomial offset in elapsed time since an
 onset instant, optionally capped in magnitude, and reaches the fixes only
 strictly after the onset (``gated_offsets``).  The learned model used by the
-filter is always the full quadratic (``offset_matrix``); the truth generator
+filter is always the full quadratic (``offset_columns``); the truth generator
 may use any kind.
 """
 
@@ -123,19 +123,28 @@ def gated_offsets(spec: BiasSpec, switch_step: Optional[int], dt: float,
     return offsets
 
 
-def offset_matrix(tau, n_channels: int, d_theta: int) -> np.ndarray:
-    """Phi(tau), which maps the coefficient block theta carried in the state to
-    the per-channel offsets ``Phi(tau) @ theta``: one (A, B, C) triple shared
-    by all channels (``d_theta == 3``) or one per channel (``3 * n_channels``).
-    An array ``tau`` gives shape ``tau.shape + (n_channels, d_theta)``."""
-    tau = np.asarray(tau, dtype=float)
-    basis = np.stack([np.ones_like(tau), tau, tau * tau], axis=-1)[..., None, :]
-    shared = np.repeat(basis, n_channels, axis=-2)
+def offset_columns(n_channels: int, d_theta: int) -> list[int]:
+    """Layout of Phi(tau), which maps the coefficient block theta carried in
+    the state to the per-channel offsets ``Phi(tau) @ theta``.  Channel c
+    reads the triple ``theta[j : j + 3]`` as (A, B, C), with ``j`` the c-th
+    entry of the returned list: one triple shared by all channels
+    (``d_theta == 3``) or one per channel (``3 * n_channels``)."""
     if d_theta == 3:
-        return shared
+        return [0] * n_channels
     if d_theta == 3 * n_channels:
-        return np.tile(shared, n_channels) * np.repeat(np.eye(n_channels), 3, axis=1)
+        return list(range(0, d_theta, 3))
     raise ConfigError(
         f"parameter block width {d_theta} fits neither shared nor per-channel "
         f"layout for {n_channels} channels"
     )
+
+
+def write_offset_basis(phi: np.ndarray, columns: list[int], tau) -> None:
+    """Write the basis (1, tau, tau^2) of Phi(tau) into ``phi``, shape
+    ``np.shape(tau) + (n_channels, d_theta)``, at the layout ``columns`` of
+    ``offset_columns``; every other entry of Phi is zero and is left as it
+    is in ``phi``."""
+    for c, j in enumerate(columns):
+        phi[..., c, j] = 1.0
+        phi[..., c, j + 1] = tau
+        phi[..., c, j + 2] = tau * tau

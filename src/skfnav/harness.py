@@ -590,16 +590,18 @@ def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
 
 
 def export_branch_history(path, branch, dt: float) -> None:
-    """Best-branch trajectory: step, time, hypothesis, score, means, variances."""
+    """Best-branch trajectory: step, time, hypothesis, score, means, variances.
+
+    Rows are formatted whole, with the cells and CRLF line ends that
+    ``csv.writer`` writes for them."""
     dim = branch.history[0][0].size
     fields = ["step", "time", "branch_t_s", "logL"]
     fields += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]
     t_s = fmt(branch.t_s)
+    row = "%d,%s,%s,%s" + ",%.17g" * (2 * dim) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows(
-            [step, fmt(step * dt), t_s, fmt(loglik),
-             *[f"{v:.17g}" for v in mean.tolist() + var.tolist()]]
+        csv.writer(fh).writerow(fields)
+        fh.writelines(
+            row % (step, fmt(step * dt), t_s, fmt(loglik), *mean.tolist(), *var.tolist())
             for step, (mean, var, loglik) in enumerate(branch.history)
         )

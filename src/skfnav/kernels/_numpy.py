@@ -13,8 +13,9 @@ from ..exceptions import GimbalLockError, PolarSingularityError
 
 
 def wrap_angle(angle):
-    """Wrap to (-pi, pi]; ``angle`` is an array or a float."""
-    return np.pi - np.mod(np.pi - angle, 2.0 * np.pi)
+    """Wrap to (-pi, pi]; ``angle`` is an array or a float.  ``%`` is
+    ``np.mod`` on arrays and the same floored remainder on floats."""
+    return np.pi - (np.pi - angle) % (2.0 * np.pi)
 
 
 def attitude_entries(phi, theta, psi):
@@ -22,9 +23,12 @@ def attitude_entries(phi, theta, psi):
 
     The angles are columns or floats; each entry has their shape.
     """
-    sp, cp = np.sin(phi), np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    sy, cy = np.sin(psi), np.cos(psi)
+    return _rotation(np.sin(phi), np.cos(phi), np.sin(theta), np.cos(theta),
+                     np.sin(psi), np.cos(psi))
+
+
+def _rotation(sp, cp, st, ct, sy, cy):
+    """``attitude_entries`` from the sines and cosines of roll, pitch, yaw."""
     return (
         ct * cy, ct * sy, -st,
         sp * st * cy - cp * sy, sp * st * sy + cp * cy, sp * ct,
@@ -50,7 +54,9 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     """
     h, L, lam, v, gamma, alpha, phi, theta, psi = nav
 
-    if _anywhere(np.abs(theta) >= PITCH_GUARD):
+    # abs and % (in wrap_angle) dispatch to numpy on columns and stay Python
+    # float operations on floats, with the same IEEE results either way
+    if _anywhere(abs(theta) >= PITCH_GUARD):
         raise GimbalLockError("pitch at Euler-rate singularity")
 
     # Attitude update (forward Euler on the Euler-angle kinematics).
@@ -58,20 +64,22 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     w1 = omega_meas[1] - b_g[1]
     w2 = omega_meas[2] - b_g[2]
     sp, cp = np.sin(phi), np.cos(phi)
-    tt, ct = np.tan(theta), np.cos(theta)
+    st, ct = np.sin(theta), np.cos(theta)
+    sy, cy = np.sin(psi), np.cos(psi)
+    tt = np.tan(theta)
     phi_dot = w0 + sp * tt * w1 + cp * tt * w2
     theta_dot = cp * w1 - sp * w2
     psi_dot = (sp * w1 + cp * w2) / ct
     phi_new = wrap_angle(phi + phi_dot * dt)
     theta_new = wrap_angle(theta + theta_dot * dt)
     psi_new = wrap_angle(psi + psi_dot * dt)
-    if _anywhere(np.abs(theta_new) >= PITCH_GUARD):
+    if _anywhere(abs(theta_new) >= PITCH_GUARD):
         raise GimbalLockError("pitch at Euler-rate singularity after update")
 
     # Specific force to the inertial frame, trapezoidal attitude average.  Each
     # row sums as (x0 + x2) + x1, the order of numpy's (n,3,3) einsum, so
     # floats and columns give the bits that batched outputs were recorded with.
-    c = [a + b for a, b in zip(attitude_entries(phi, theta, psi),
+    c = [a + b for a, b in zip(_rotation(sp, cp, st, ct, sy, cy),
                                attitude_entries(phi_new, theta_new, psi_new))]
     f0 = f_meas[0] - b_a[0]
     f1 = f_meas[1] - b_a[1]
@@ -94,7 +102,7 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     # Back to speed / flight-path angle / azimuth.
     speed = np.sqrt(v_n_new * v_n_new + v_e_new * v_e_new + v_d_new * v_d_new)
     ratio = np.divide(-v_d_new, speed, out=np.zeros_like(speed), where=speed > 0.0)
-    gamma_new = np.arcsin(np.clip(ratio, -1.0, 1.0))
+    gamma_new = np.arcsin(np.minimum(np.maximum(ratio, -1.0), 1.0))
     alpha_new = np.arctan2(v_e_new, v_n_new)
 
     # Trapezoidal position update.
@@ -102,7 +110,7 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     r_new = EARTH_RADIUS_FT + h_new
     L_new = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
     cos_L, cos_L_new = np.cos(L), np.cos(L_new)
-    if _anywhere(np.abs(cos_L) < POLAR_COS_GUARD) or _anywhere(np.abs(cos_L_new) < POLAR_COS_GUARD):
+    if _anywhere(abs(cos_L) < POLAR_COS_GUARD) or _anywhere(abs(cos_L_new) < POLAR_COS_GUARD):
         raise PolarSingularityError("position angle at polar singularity")
     lam_new = lam + 0.5 * dt * (v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new))
 

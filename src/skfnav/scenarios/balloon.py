@@ -119,18 +119,18 @@ def build_balloon_filter(
 
 def write_truth_csv(path, truth: BalloonTruth) -> None:
     """Truth trajectory as CSV rows (step, time, lon, lat), 17 digits."""
+    row = "%d,%.17g,%.17g,%.17g\r\n"  # csv.writer's cells and line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "lon", "lat"])
-        for k, (t, state) in enumerate(zip(truth.times, truth.states)):
-            writer.writerow([k, f"{t:.17g}", f"{state[0]:.17g}", f"{state[1]:.17g}"])
+        csv.writer(fh).writerow(["step", "time", "lon", "lat"])
+        fh.writelines(row % (k, t, *state) for k, (t, state) in
+                      enumerate(zip(truth.times.tolist(), truth.states.tolist())))
 
 
 def write_measurements_csv(path, truth: BalloonTruth) -> None:
     """Position fixes as CSV rows (step, time, y_lon, y_lat)."""
+    row = "%d,%.17g,%.17g,%.17g\r\n"  # csv.writer's cells and line end
+    times = truth.times.tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "y_lon", "y_lat"])
-        for k, y in zip(truth.epochs, truth.measurements):
-            writer.writerow([k, f"{truth.times[k]:.17g}", f"{y[0]:.17g}", f"{y[1]:.17g}"])
-
+        csv.writer(fh).writerow(["step", "time", "y_lon", "y_lat"])
+        fh.writelines(row % (k, times[k], *y)
+                      for k, y in zip(truth.epochs.tolist(), truth.measurements.tolist()))

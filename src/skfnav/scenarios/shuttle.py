@@ -109,18 +109,21 @@ class ShuttleTruth:
         return {int(k): self.gps[i] for i, k in enumerate(self.epochs)}
 
 
-def _command_accel(t: float) -> np.ndarray:
-    """Commanded net inertial acceleration (N, E, D) at time ``t``."""
+def _command_accel(t) -> np.ndarray:
+    """Commanded net inertial acceleration (N, E, D) at time ``t``, a float or
+    an array of times; shape ``np.shape(t) + (3,)``."""
     decel = -_DECEL_FT_S2 * np.exp(-t / _DECEL_TIMESCALE_S)
-    return np.array([
+    return np.stack([
         decel * np.cos(_DECEL_AZIMUTH),
         decel * np.sin(_DECEL_AZIMUTH),
         _VERTICAL_AMP * np.sin(2.0 * np.pi * t / _VERTICAL_PERIOD_S),
-    ])
+    ], axis=-1)
 
 
-def _command_rates(t: float) -> np.ndarray:
-    return _RATE_AMPS * np.sin(2.0 * np.pi * t / _RATE_PERIODS)
+def _command_rates(t) -> np.ndarray:
+    """Commanded body rates at time ``t``, a float or an array of times;
+    shape ``np.shape(t) + (3,)``."""
+    return _RATE_AMPS * np.sin(2.0 * np.pi * np.asarray(t)[..., None] / _RATE_PERIODS)
 
 
 def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
@@ -132,7 +135,9 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     hold of the first-substep input: re-integrating it at the filter rate
     reproduces the trajectory only when ``oversample`` is 1.  Reported errors
     are measured against that coarse re-integration (``integrate_imu``), not
-    against these states.
+    against these states.  The command profile is evaluated once over all
+    substep times; elementwise, so each entry has the bits of a call at
+    that one time.
     """
     dt_f = cfg.dt / cfg.oversample
     try:
@@ -143,11 +148,13 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     states = np.empty((cfg.n_steps + 1, 15))
     states[:] = x0  # the bias components pass through every step
     imu_true = np.empty((cfg.n_steps, 6))
+    times = np.arange(cfg.n_steps * cfg.oversample) * dt_f
+    commands = zip(_command_accel(times), _command_rates(times).tolist())
     for k in range(cfg.n_steps):
         for sub in range(cfg.oversample):
-            t = (k * cfg.oversample + sub) * dt_f
-            f_b = attitude_matrix(*nav[6:9]).T @ (_command_accel(t) - gravity(nav[0]))
-            imu = [*f_b.tolist(), *_command_rates(t).tolist()]
+            accel, rates = next(commands)
+            f_b = attitude_matrix(*nav[6:9]).T @ (accel - gravity(nav[0]))
+            imu = [*f_b.tolist(), *rates]
             if not all(map(math.isfinite, imu)):
                 raise ValueError("IMU sample must be finite")
             if sub == 0:
@@ -301,22 +308,22 @@ def write_truth_csv(path, truth: ShuttleTruth) -> None:
     """Inertial-model trajectory (the error reference) as CSV, 17 digits."""
     header = ["step", "time", *STATE_LABELS,
               "ba_x", "ba_y", "ba_z", "bg_x", "bg_y", "bg_z"]
+    dt = _row_dt(truth)
+    row = "%d" + ",%.17g" * 16 + "\r\n"  # csv.writer's cells and line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, state in enumerate(truth.inertial_states):
-            writer.writerow([k, f"{k * _row_dt(truth):.17g}",
-                             *(f"{v:.17g}" for v in state)])
+        csv.writer(fh).writerow(header)
+        fh.writelines(row % (k, k * dt, *state)
+                      for k, state in enumerate(truth.inertial_states.tolist()))
 
 
 def write_measurements_csv(path, truth: ShuttleTruth) -> None:
     """Position fixes as CSV rows (step, time, y_h, y_L, y_lam)."""
     dt = _row_dt(truth)
+    row = "%d" + ",%.17g" * 4 + "\r\n"  # csv.writer's cells and line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "y_h", "y_L", "y_lam"])
-        for k, y in zip(truth.epochs, truth.gps):
-            writer.writerow([int(k), f"{k * dt:.17g}", *(f"{v:.17g}" for v in y)])
+        csv.writer(fh).writerow(["step", "time", "y_h", "y_L", "y_lam"])
+        fh.writelines(row % (k, k * dt, *y)
+                      for k, y in zip(truth.epochs.tolist(), truth.gps.tolist()))
 
 
 def _row_dt(truth: ShuttleTruth) -> float:

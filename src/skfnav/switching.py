@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .biasmodels import offset_matrix
+from .biasmodels import offset_columns, write_offset_basis
 from .exceptions import ConfigError, InvalidMeasurementError, SkfnavError
 from .gaussfilt import GaussianBelief, SigmaPointParams, linear_update, predict
 
@@ -217,8 +217,9 @@ class SwitchingFilter:
     block-diagonal: ``Q_x`` (``d_x`` x ``d_x``) on the physical state and
     ``q_p`` per coefficient, a random walk.  The observation model selects
     ``observed`` state columns; a corrupted branch with onset ``s`` adds the
-    offset ``offset_matrix((k - s) dt) @ theta``.  A fix with a non-finite
-    entry is skipped: every branch predicts, and none is updated.
+    offset ``Phi((k - s) dt) @ theta``, laid out by ``offset_columns``.  A fix
+    with a non-finite entry is skipped: every branch predicts, and none is
+    updated.
     """
 
     def __init__(
@@ -252,7 +253,7 @@ class SwitchingFilter:
         self.dynamics = dynamics
         self.observed = np.asarray(observed, dtype=int)
         self.d_theta = d_theta
-        offset_matrix(0.0, self.observed.size, d_theta)  # ConfigError on a bad width
+        self._offset_columns = offset_columns(self.observed.size, d_theta)
         self._select = np.eye(d_x + d_theta)[self.observed]
         self.Q_aug = np.zeros((d_x + d_theta, d_x + d_theta))
         self.Q_aug[:d_x, :d_x] = Q_x
@@ -314,7 +315,7 @@ class SwitchingFilter:
                 H = np.repeat(self._select[None], s_index.size, axis=0)
                 first = int(s_index[0] == 0)
                 taus = (k - s_index[first:]) * self.dt
-                H[first:, :, self.d_x :] = offset_matrix(taus, self.observed.size, self.d_theta)
+                write_offset_basis(H[first:, :, self.d_x :], self._offset_columns, taus)
                 prior = GaussianBelief(mean=bank.mean[rows], cov=bank.cov[rows])
                 posterior, pred = linear_update(prior, H, y, self.R)
                 bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from skfnav.biasmodels import (
     BiasSpec,
     bias_eval,
-    offset_matrix,
+    offset_columns,
+    write_offset_basis,
 )
 from skfnav.exceptions import ConfigError
 from skfnav.scenarios.balloon import BalloonConfig, simulate_balloon
@@ -161,6 +162,13 @@ class TestSpecValidation:
             config(true_switch_step=n_steps)
             with pytest.raises(ConfigError, match="outside"):
                 config(true_switch_step=n_steps + 1)
+
+
+def offset_matrix(tau, n_channels, d_theta):
+    """Phi(tau): zero apart from the basis written at the layout's entries."""
+    phi = np.zeros(np.shape(tau) + (n_channels, d_theta))
+    write_offset_basis(phi, offset_columns(n_channels, d_theta), tau)
+    return phi
 
 
 class TestQuadraticOffsets:

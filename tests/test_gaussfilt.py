@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skfnav.biasmodels import offset_matrix
+from skfnav.biasmodels import offset_columns, write_offset_basis
 from skfnav.exceptions import (
     CovarianceError,
     DynamicsDivergedError,
@@ -226,7 +226,7 @@ def observation_matrix(tau, d_theta, d_x=3, observed=(0, 2)):
     m = len(observed)
     select = np.eye(d_x + d_theta)[list(observed)]
     H = np.broadcast_to(select, np.shape(tau) + select.shape).copy()
-    H[..., d_x:] = offset_matrix(tau, m, d_theta)
+    write_offset_basis(H[..., d_x:], offset_columns(m, d_theta), tau)
     return H
 
 

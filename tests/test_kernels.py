@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skfnav import kernels
+from skfnav.constants import EARTH_RADIUS_FT, GRAV_PARAM
 from skfnav.exceptions import GimbalLockError, PolarSingularityError
 from skfnav.inertial import ImuSample, NavState15, strapdown_step
 from skfnav.kernels import _numpy as pure
@@ -49,15 +50,32 @@ def columns_on_floats(row, f, w, dt):
     return np.array([*nav, *row[9:]])
 
 
+def edge_rows(f, w):
+    """Rows whose gyro biases cancel the rates ``w`` exactly, so that each
+    angle reaches ``wrap_angle`` unchanged: a level, motionless row whose
+    accel biases leave only the specific force that cancels the kernel's
+    gravity (``speed == 0``), then rows with yaws at +-pi, +-2pi and -0.0."""
+    rows = random_states(6, 9)
+    rows[:, 6:8] = 0.0
+    rows[:, 8] = [0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, -0.0]
+    rows[:, 12:15] = w
+    rows[0, 3:6] = 0.0
+    r = EARTH_RADIUS_FT + rows[0, 0]
+    rows[0, 9:12] = f - [0.0, 0.0, -(GRAV_PARAM / (r * r))]
+    return rows
+
+
 @pytest.mark.parametrize("n", [1, 49, 490])
 def test_columns_on_floats_match_batch_rows(n):
     states = random_states(n, 5)
     states[::7, 8] = np.pi - 1e-4  # some yaws wrap past pi
     f = np.array([-5.0, 2.0, -31.0])
     w = np.array([1e-3, -2e-3, 5e-4]) * 50
+    states = np.vstack([states, edge_rows(f, w)])
     batch = pure.strapdown_batch(states, f, w, 1.4)
-    for i in range(n):
-        assert np.array_equal(columns_on_floats(states[i], f, w, 1.4), batch[i]), i
+    assert batch[n, 3] == 0.0  # the motionless row stays motionless
+    for i in range(len(states)):
+        assert columns_on_floats(states[i], f, w, 1.4).tobytes() == batch[i].tobytes(), i
 
 
 @pytest.mark.parametrize("column, value, pitch_rate, error", [

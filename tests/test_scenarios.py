@@ -396,6 +396,12 @@ class TestReferenceEquivalence:
         assert np.array_equal(ref.states, states)
         assert np.array_equal(ref.imu_true, imu_true)
 
+    def test_command_profile_on_times_matches_calls_at_each_time(self):
+        cfg = ShuttleConfig()
+        times = np.arange(cfg.n_steps * cfg.oversample) * (cfg.dt / cfg.oversample)
+        assert np.array_equal(_command_accel(times), [_command_accel(t) for t in times.tolist()])
+        assert np.array_equal(_command_rates(times), [_command_rates(t) for t in times.tolist()])
+
     def test_integrate_imu_matches_per_row_kernel(self):
         cfg = ShuttleConfig(n_steps=80, oversample=3, true_switch_step=None)
         ref = generate_reference(cfg)
