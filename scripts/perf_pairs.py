@@ -10,8 +10,9 @@ the side that runs first alternating after that.  Each side runs its own
 ``perfbench/run.py`` on its own sources.  For every end-to-end metric it
 then prints both sides' q1/median/q3, the pairs in which the working tree
 did better (in the metric's ``better`` direction from ``BENCHMARK.json``),
-the parent's IQR and whether the median gain exceeds it.  ``W`` may be
-``all``; the metric names then carry the workload as a prefix.  Seeds are a
+the parent's IQR and whether the median gain exceeds it, and one verdict
+(see ``verdict``).  ``W`` may be ``all``; the metric names then carry the
+workload as a prefix.  Seeds are a
 range ``A-B`` or a comma list.  The exit code is 1 when any run failed an
 output check or reported failed operations.
 """
@@ -65,22 +66,49 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> None:
+def compare(old: list[float], new: list[float], higher: bool):
+    """Pairs ``(old[i], new[i])`` of parent and working-tree runs as the pairs
+    in which the working tree did better (ties count for neither side), both
+    sides' quartiles, the parent's IQR and the median gain."""
+    won = sum((c > p) if higher else (c < p) for p, c in zip(old, new))
+    po, pn = quartiles(old), quartiles(new)
+    gain = (pn[1] - po[1]) if higher else (po[1] - pn[1])
+    return won, po, pn, po[2] - po[0], gain
+
+
+def verdict(old: list[float], new: list[float], higher: bool, bound: float) -> str:
+    """The verdict on one metric over the pairs of ``compare``.
+
+    "gain": the working tree is better in at least nine tenths of the pairs
+    and its median is better by more than the parent's IQR.  "regression":
+    its median is worse than the parent's by more than ``bound`` times the
+    parent's median (the metric's relative ``bound`` in ``BENCHMARK.json``).
+    Otherwise "unresolved" when the parent's own IQR is wider than that
+    bound, and "within bound" when not.
+    """
+    won, po, _, iqr, gain = compare(old, new, higher)
+    allowed = bound * abs(po[1])
+    if 10 * won >= 9 * len(old) and gain > iqr:
+        return "gain"
+    if -gain > allowed:
+        return "regression"
+    return "unresolved" if iqr > allowed else "within bound"
+
+
+def report(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
     names = list(pairs[0][0]["metrics"])
     print(f"\n{len(pairs)} pairs; parent -> working tree as q1/median/q3")
     for name in names:
-        higher = better.get(name.rsplit("/", 1)[-1]) == "higher"
+        metric = spec[name.rsplit("/", 1)[-1]]
+        higher = metric["better"] == "higher"
         old = [p["metrics"][name]["value"] for p, _ in pairs]
         new = [c["metrics"][name]["value"] for _, c in pairs]
-        won = sum((c > p) if higher else (c < p) for p, c in zip(old, new))
-        po, pn = quartiles(old), quartiles(new)
-        iqr = po[2] - po[0]
-        gain = (pn[1] - po[1]) if higher else (po[1] - pn[1])
+        won, po, pn, iqr, gain = compare(old, new, higher)
         ratio = pn[1] / po[1] if po[1] else float("nan")
         print(f"  {name:34s} {po[0]:.4g}/{po[1]:.4g}/{po[2]:.4g} -> "
               f"{pn[0]:.4g}/{pn[1]:.4g}/{pn[2]:.4g}  x{ratio:.3f}  "
               f"better in {won}/{len(pairs)}  parent IQR {iqr:.4g}  "
-              f"median gain {gain:+.4g}{' (beyond IQR)' if gain > iqr else ''}")
+              f"median gain {gain:+.4g}  {verdict(old, new, higher, metric['bound'])}")
 
 
 def main(argv=None) -> int:
@@ -91,7 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     pairs = []
     ok = True
@@ -116,7 +144,7 @@ def main(argv=None) -> int:
                 for name in old["metrics"] if name.endswith("runs_per_s")
             )
             print(f"pair {i + 1} seed {seed} ({sides[0][0]} first): {shown}", flush=True)
-    report(pairs, better)
+    report(pairs, metrics)
     return 0 if ok else 1
 
 

@@ -13,7 +13,9 @@ stack's flattened row-wise); observation maps take the sigma points as shaped
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -32,7 +34,7 @@ _EIG_FLOOR = -1e-9
 
 def _T(mat: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes (of each matrix in a stack)."""
-    return np.swapaxes(mat, -1, -2)
+    return mat.swapaxes(-1, -2)
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -78,13 +80,20 @@ class SigmaPointParams:
         return scale
 
     def weights(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance weights for ``2 d + 1`` points."""
-        lam = self.scaled_dim(dim) - dim
-        wm = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + lam)))
-        wc = wm.copy()
-        wm[0] = lam / (dim + lam)
-        wc[0] = wm[0] + (1.0 - self.alpha**2 + self.beta)
-        return wm, wc
+        """Mean and covariance weights for ``2 d + 1`` points, computed once
+        per parameters and ``dim`` and shared: the arrays are read-only."""
+        return _weights(self, dim)
+
+
+@lru_cache(maxsize=32)
+def _weights(params: SigmaPointParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    lam = params.scaled_dim(dim) - dim
+    wm = np.full(2 * dim + 1, 1.0 / (2.0 * (dim + lam)))
+    wc = wm.copy()
+    wm[0] = lam / (dim + lam)
+    wc[0] = wm[0] + (1.0 - params.alpha**2 + params.beta)
+    wm.flags.writeable = wc.flags.writeable = False
+    return wm, wc
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
         eigvals, eigvecs = np.linalg.eigh(symmetrize(cov))
     except np.linalg.LinAlgError:
         eigvals = np.array([-np.inf])
-    if np.all(np.isfinite(eigvals)) and eigvals.min() >= _EIG_FLOOR:
+    if np.isfinite(eigvals).all() and eigvals.min() >= _EIG_FLOOR:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     for jitter in _JITTERS:
         try:
@@ -134,7 +143,7 @@ def sigma_points(
     dim = belief.dim
     scale = params.scaled_dim(dim)
     factor = _sqrt_factor(belief.cov)
-    spread = np.sqrt(scale) * _T(factor)  # rows are scaled factor columns
+    spread = math.sqrt(scale) * _T(factor)  # rows are scaled factor columns
     mean = belief.mean[..., None, :]
     points = np.empty(belief.mean.shape[:-1] + (2 * dim + 1, dim))
     points[..., 0, :] = belief.mean
@@ -161,14 +170,16 @@ def predict(
 ) -> GaussianBelief:
     """Unscented prediction through ``dynamics`` with additive noise ``Q``.
 
-    A stack's sigma points go through ``dynamics`` in one call."""
+    ``Q`` must be symmetric: it is added to the propagated covariance, which
+    is exactly symmetric, so the result is exactly symmetric only if ``Q``
+    is.  A stack's sigma points go through ``dynamics`` in one call."""
     points, wm, wc = sigma_points(belief, params)
     rows = points.reshape(-1, belief.dim)
     propagated = np.asarray(dynamics(rows), dtype=float).reshape(points.shape)
-    if not np.all(np.isfinite(propagated)):
+    if not np.isfinite(propagated).all():
         raise DynamicsDivergedError("dynamics diverged: non-finite propagated state")
     mean, cov = _moments(propagated, wm, wc)
-    return GaussianBelief(mean=mean, cov=symmetrize(cov + Q))
+    return GaussianBelief(mean=mean, cov=cov + Q)
 
 
 def update(
@@ -205,7 +216,7 @@ def _correct(belief: GaussianBelief, y: np.ndarray, mu: np.ndarray, D: np.ndarra
     """Posterior and score of ``y`` from its prediction ``mu``, covariance ``D``
     (noise included) and cross covariance ``cross`` with the state."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != mu.shape[-1] or not np.all(np.isfinite(y)):
+    if y.size != mu.shape[-1] or not np.isfinite(y).all():
         raise InvalidMeasurementError(f"measurement {y}: need {mu.shape[-1]} finite entries")
     chol = _cholesky_innovation(D)
     # K = cross D^{-1} via two triangular solves
@@ -214,7 +225,7 @@ def _correct(belief: GaussianBelief, y: np.ndarray, mu: np.ndarray, D: np.ndarra
     mean = belief.mean + (gain @ resid)[..., 0]
     cov = belief.cov - gain @ D @ _T(gain)
     white = np.linalg.solve(chol, resid)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    log_det = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     log_lik = -log_det - (_T(white) @ white)[..., 0, 0]
     return (
         GaussianBelief(mean=mean, cov=symmetrize(cov)),
@@ -227,9 +238,10 @@ def _cholesky_innovation(D: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(D)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationError("innovation covariance singular") from exc
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    diag = chol.diagonal(axis1=-2, axis2=-1)
     lo, hi = diag.min(axis=-1), diag.max(axis=-1)
-    if np.any(lo <= 0.0) or np.any((hi / lo) ** 2 > 1e14):
+    # ``lo > 0.0`` is False for the NaN factor that a NaN in D gives
+    if not (lo > 0.0).all() or ((hi / lo) ** 2 > 1e14).any():
         raise SingularInnovationError("innovation covariance singular")
     return chol
 

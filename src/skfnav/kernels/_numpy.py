@@ -101,7 +101,12 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
 
     # Back to speed / flight-path angle / azimuth.
     speed = np.sqrt(v_n_new * v_n_new + v_e_new * v_e_new + v_d_new * v_d_new)
-    ratio = np.divide(-v_d_new, speed, out=np.zeros_like(speed), where=speed > 0.0)
+    # +0.0 where the speed is not positive (zero, or NaN); the masked divide
+    # allocates, so it runs only when some speed needs it
+    if _anywhere(~(speed > 0.0)):
+        ratio = np.divide(-v_d_new, speed, out=np.zeros_like(speed), where=speed > 0.0)
+    else:
+        ratio = -v_d_new / speed
     gamma_new = np.arcsin(np.minimum(np.maximum(ratio, -1.0), 1.0))
     alpha_new = np.arctan2(v_e_new, v_n_new)
 

@@ -66,17 +66,16 @@ class BranchSet:
 class Bank:
     """All branches as rows of stacks that persist between steps: the nominal
     in row 0, then the corrupted branches in spawn order.  ``mean`` (B, d),
-    ``cov`` (B, d, d), ``log_lik`` and ``frozen`` are views of the first B
-    rows of buffers sized for ``size`` rows.  The lists hold per row the
-    onset step ``s_index`` (0 for the nominal), the type of the exception
-    that froze the row, or None, in ``cause``, and in ``history`` one
+    ``cov`` (B, d, d) and ``log_lik`` are views of the first B rows of
+    buffers sized for ``size`` rows.  The lists hold per row the onset step
+    ``s_index`` (0 for the nominal), in ``cause`` the type of the exception
+    that froze the row, or None while it is live, and in ``history`` one
     per-row copy of ``(mean, variances, score)`` per step."""
 
     def __init__(self, prior: GaussianBelief, size: int):
         self._mean = np.zeros((size, prior.dim))
         self._cov = np.zeros((size, prior.dim, prior.dim))
         self._log_lik = np.zeros(size)
-        self._frozen = np.zeros(size, dtype=bool)
         self._mean[0], self._cov[0] = prior.mean, prior.cov
         self.s_index: list = [0]
         self.cause: list = [None]
@@ -88,10 +87,13 @@ class Bank:
     mean = property(lambda self: self._mean[: len(self.history)])
     cov = property(lambda self: self._cov[: len(self.history)])
     log_lik = property(lambda self: self._log_lik[: len(self.history)])
-    frozen = property(lambda self: self._frozen[: len(self.history)])
 
     def _buffers(self):
-        return self._mean, self._cov, self._log_lik, self._frozen
+        return self._mean, self._cov, self._log_lik
+
+    def live(self) -> list[int]:
+        """The rows that no failure has frozen."""
+        return [row for row, cause in enumerate(self.cause) if cause is None]
 
     def spawn(self, s_index: int) -> None:
         """Append a copy of row 0 with onset ``s_index``."""
@@ -114,7 +116,7 @@ class Bank:
         """Append each row's entry to its history; returns the scores, whose
         objects the entries hold."""
         scores = self.log_lik.tolist()
-        var = np.diagonal(self.cov, axis1=1, axis2=2)
+        var = self.cov.diagonal(axis1=1, axis2=2)
         for history, mean, v, score in zip(self.history, self.mean, var, scores):
             history.append((mean.copy(), v.copy(), score))
         return scores
@@ -149,23 +151,22 @@ class StepDiagnostics:
 def _run_live(bank: Bank, stage: Callable) -> None:
     """Run ``stage(rows)``, which writes its results into ``bank``'s rows, on
     all live rows as one stack (``rows`` is ``slice(None)`` when none is
-    frozen, so that no row is copied).  When it raises for the stack, it is
-    re-run one row at a time, and a row that fails alone freezes, keeping the
-    type of its exception."""
-    live = np.flatnonzero(~bank.frozen)
-    if not live.size:
+    frozen, so that no row is copied, and a list of rows otherwise).  When it
+    raises for the stack, it is re-run one row at a time, and a row that
+    fails alone freezes, keeping the type of its exception."""
+    live = bank.live()
+    if not live:
         return
     try:
-        stage(slice(None) if live.size == len(bank) else live)
+        stage(slice(None) if len(live) == len(bank) else live)
         return
     except SkfnavError:
         pass
-    for i in range(live.size):
+    for row in live:
         try:
-            stage(live[i : i + 1])
+            stage([row])
         except SkfnavError as exc:
-            bank.frozen[live[i]] = True
-            bank.cause[live[i]] = type(exc)
+            bank.cause[row] = type(exc)
 
 
 def prune(log_lik, s_index, capacity: int) -> list[int]:
@@ -254,7 +255,10 @@ class SwitchingFilter:
         self.observed = np.asarray(observed, dtype=int)
         self.d_theta = d_theta
         self._offset_columns = offset_columns(self.observed.size, d_theta)
-        self._select = np.eye(d_x + d_theta)[self.observed]
+        # observation maps of a stack, written in place at each epoch: row 0,
+        # the nominal's, is the column selector, and the others get their
+        # theta block from write_offset_basis
+        self._H = np.repeat(np.eye(d_x + d_theta)[None, self.observed], capacity + 1, axis=0)
         self.Q_aug = np.zeros((d_x + d_theta, d_x + d_theta))
         self.Q_aug[:d_x, :d_x] = Q_x
         self.Q_aug[d_x:, d_x:] = q_p * np.eye(d_theta)
@@ -286,7 +290,7 @@ class SwitchingFilter:
                 raise InvalidMeasurementError(
                     f"measurement dimension {y.size} != {self.observed.size}"
                 )
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 y = None
 
         bank = self.bank
@@ -309,11 +313,11 @@ class SwitchingFilter:
         if y is not None:
 
             def update_rows(rows):
-                # the nominal branch (onset 0, first when present) has a zero
-                # theta block
+                # the nominal branch (onset 0, first when present) takes the
+                # selector row 0; each corrupted row gets this epoch's tau
                 s_index = np.array(bank.s_index)[rows]
-                H = np.repeat(self._select[None], s_index.size, axis=0)
                 first = int(s_index[0] == 0)
+                H = self._H[1 - first : 1 - first + s_index.size]
                 taus = (k - s_index[first:]) * self.dt
                 write_offset_basis(H[first:, :, self.d_x :], self._offset_columns, taus)
                 prior = GaussianBelief(mean=bank.mean[rows], cov=bank.cov[rows])
@@ -321,7 +325,7 @@ class SwitchingFilter:
                 bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov
                 bank.log_lik[rows] += pred.log_lik
 
-            nominal_live = not bank.frozen[0]
+            nominal_live = bank.cause[0] is None
             _run_live(bank, update_rows)
             if nominal_live:
                 # the spawn's observation map at s == k adds no offset, so its
@@ -337,7 +341,7 @@ class SwitchingFilter:
             pruned_info = tuple(scores_before[i - 1] for i in removed)
             bank.drop(removed)
 
-        frozen = np.flatnonzero(bank.frozen).tolist()
+        frozen = [(s, cause) for s, cause in zip(bank.s_index, bank.cause) if cause is not None]
         return StepDiagnostics(
             k=k,
             epoch=is_epoch,
@@ -345,8 +349,8 @@ class SwitchingFilter:
             pruned=pruned_info,
             scores_before_prune=scores_before,
             n_branches=len(bank),
-            frozen=tuple(bank.s_index[i] for i in frozen),
-            frozen_causes=tuple(bank.cause[i] for i in frozen),
+            frozen=tuple(s for s, _ in frozen),
+            frozen_causes=tuple(cause for _, cause in frozen),
         )
 
     def run(self, measurements: dict[int, np.ndarray], n_steps: int) -> list[StepDiagnostics]:
@@ -365,12 +369,12 @@ class SwitchingFilter:
                 log_lik=score,
                 belief=GaussianBelief(mean=mean.copy(), cov=cov.copy()),
                 is_nominal=i == 0,
-                frozen=frozen,
+                frozen=cause is not None,
                 history=list(history),
             )
-            for i, (s, score, mean, cov, frozen, history) in enumerate(zip(
-                bank.s_index, bank.log_lik.tolist(), bank.mean, bank.cov,
-                bank.frozen.tolist(), bank.history,
+            for i, (s, score, mean, cov, cause, history) in enumerate(zip(
+                bank.s_index, bank.log_lik.tolist(), bank.mean, bank.cov, bank.cause,
+                bank.history,
             ))
         ]
         return BranchSet(nominal=views[0], corrupted=views[1:])

@@ -40,6 +40,13 @@ class TestSigmaPoints:
         pts, _, _ = sigma_points(belief, PARAMS)
         assert np.abs(pts - belief.mean).max() == 0.0
 
+    def test_weights_are_shared_and_read_only(self):
+        wm, wc = PARAMS.weights(4)
+        assert PARAMS.weights(4)[0] is wm
+        assert not wm.flags.writeable and not wc.flags.writeable
+        with pytest.raises(ValueError):
+            wm[0] = 0.0
+
     def test_moment_matching_identity(self):
         belief = GaussianBelief.create([1.0, 2.0], np.eye(2))
         mean, cov = reconstruct(*sigma_points(belief, PARAMS))
@@ -164,6 +171,16 @@ class TestUpdate:
         with pytest.raises(SingularInnovationError):
             update(belief, lambda pts: pts, np.array([0.0]), np.zeros((1, 1)), PARAMS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_covariance_rejected_not_scored(self, bad):
+        # a NaN in D gives a NaN Cholesky factor without a LinAlgError; it
+        # must not pass the guard and come back as a NaN score
+        cov = np.eye(2)
+        cov[0, 0] = bad
+        belief = GaussianBelief(mean=np.zeros(2), cov=cov)
+        with np.errstate(invalid="ignore"), pytest.raises(SingularInnovationError):
+            linear_update(belief, np.eye(2), np.zeros(2), np.eye(2))
+
 
 def random_beliefs(rng, n, dim):
     roots = rng.standard_normal((n, dim, dim))
@@ -189,6 +206,16 @@ class TestStacks:
             want = predict(belief, dynamics, Q, PARAMS)
             assert np.array_equal(out.mean[i], want.mean)
             assert np.array_equal(out.cov[i], want.cov)
+
+    def test_predicted_covariance_exactly_symmetric(self):
+        # the propagated moments are exactly symmetric, and so is Q
+        rng = np.random.default_rng(4)
+        beliefs = random_beliefs(rng, 6, 5)
+        root = rng.standard_normal((5, 5))
+        Q = 0.01 * (root @ root.T)
+        dynamics = lambda pts: pts + 0.1 * np.sin(pts) * pts[:, ::-1]  # noqa: E731
+        out = predict(stack(beliefs), dynamics, Q, PARAMS)
+        assert np.array_equal(out.cov, np.swapaxes(out.cov, -1, -2))
 
     def test_dynamics_called_once_on_all_rows(self):
         beliefs = random_beliefs(np.random.default_rng(6), 4, 3)

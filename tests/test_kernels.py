@@ -78,6 +78,23 @@ def test_columns_on_floats_match_batch_rows(n):
         assert columns_on_floats(states[i], f, w, 1.4).tobytes() == batch[i].tobytes(), i
 
 
+def test_flight_path_angle_is_plus_zero_where_speed_is_not_positive():
+    # a motionless row (speed 0) and a NaN speed take the masked divide
+    f = np.array([-5.0, 2.0, -31.0])
+    w = np.array([1e-3, -2e-3, 5e-4]) * 50
+    states = np.vstack([random_states(3, 8), edge_rows(f, w)[:1]])
+    states[1, 3] = np.nan
+    with np.errstate(invalid="ignore"):
+        batch = pure.strapdown_batch(states, f, w, 1.4)
+        floats = [columns_on_floats(row, f, w, 1.4) for row in states]
+    assert np.isnan(batch[1, 3]) and batch[3, 3] == 0.0
+    for i in (1, 3):
+        for gamma in (batch[i, 4], floats[i][4]):
+            assert gamma == 0.0 and not np.signbit(gamma)
+    for i in (0, 2, 3):
+        assert floats[i].tobytes() == batch[i].tobytes(), i
+
+
 @pytest.mark.parametrize("column, value, pitch_rate, error", [
     (7, np.pi / 2, 0.0, GimbalLockError),            # pitch at the guard
     (7, np.pi / 2 - 2e-6, 1.0, GimbalLockError),     # pitch pushed onto it

@@ -522,6 +522,18 @@ class TestStackedStepEquivalence:
         cause = CovarianceError if stage == "predict" else SingularInnovationError
         assert [(d.frozen, d.frozen_causes) for d in diags[5:]] == [((3,), (cause,))] * 3
 
+    def test_updates_after_a_freeze_and_a_drop(self):
+        # onset 1 (bank row 1) freezes at step 6, and the drops of onsets 2
+        # and 3 at steps 9 and 10 move the rows after it up: each later update
+        # stacks the live rows only, with observation-map rows that held other
+        # onsets' tau at the epoch before
+        stacked, reference, poison = poisoned_pair("update", row=1, capacity=4)
+        rng = np.random.default_rng(3)
+        measurements = {k: 1e-3 * rng.standard_normal(2) for k in range(1, 15)}
+        diags = step_both(stacked, reference, measurements, 14, poison=(6, poison))
+        assert [d.frozen for d in diags[5:]] == [(1,)] * 9
+        assert [[s for s, _ in d.pruned] for d in diags[8:10]] == [[2], [3]]
+
     @pytest.mark.parametrize("stage, row, pruned, frozen", [
         ("predict", 3, 6, (3,)),  # a corrupted branch freezes; the spawn is pruned at birth
         ("update", 0, 2, (0, 6)),  # the nominal freezes and spawns its frozen clone
