@@ -17,8 +17,6 @@ from .gaussfilt import (
 )
 from .kernels import BACKEND
 from .switching import (
-    Branch,
-    BranchSet,
     SwitchingFilter,
     estimate,
     prune,
@@ -37,8 +35,6 @@ __all__ = [
     "sigma_points",
     "predict",
     "update",
-    "Branch",
-    "BranchSet",
     "SwitchingFilter",
     "prune",
     "estimate",

@@ -36,13 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="scenario config JSON")
     sim.add_argument("--seed", type=int, default=None, help="seed override")
     sim.add_argument("--out", default="runs", help="output directory root")
-    sim.add_argument("--branches", type=int, default=None,
+    sim.add_argument("--branches", dest="capacity", type=int, default=None,
                      help="branch capacity override (default 10)")
 
     swp = sub.add_parser("sweep", help="run a parameter sweep", parents=[common])
     swp.add_argument("--config", required=True, help="sweep config JSON")
     swp.add_argument("--out", default="runs", help="output directory root")
-    swp.add_argument("--branches", type=int, default=None)
+    swp.add_argument("--branches", dest="capacity", type=int, default=None)
     swp.add_argument("--threads", type=int, default=None,
                      help="worker processes (default: SKFNAV_THREADS or cpu-based)")
 
@@ -62,8 +62,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"config is for scenario {data.get('scenario')!r}, not {args.scenario!r}"
         )
-    if args.branches is not None:
-        data["capacity"] = args.branches
+    if args.capacity is not None:
+        data["capacity"] = args.capacity
     record, filt, truth = harness.execute_case(data, seed=args.seed)
     run_id = f"run-{record.config_hash}-s{record.seed}"
     target = harness.write_run_outputs(record, filt, Path(args.out) / run_id, truth=truth)
@@ -83,8 +83,8 @@ def _cmd_sweep(args) -> int:
     data = load_config(args.config)
     if "axes" not in data:
         raise ConfigError("sweep command needs a sweep config (with axes)")
-    if args.branches is not None:
-        data.setdefault("base", {})["capacity"] = args.branches
+    if args.capacity is not None:
+        data.setdefault("base", {})["capacity"] = args.capacity
     grid = harness.sweep_from_dict(data)
     records, target = harness.run_sweep_to_dir(grid, args.out, threads=args.threads)
     failures = [r for r in records if r.status != "ok"]
@@ -112,13 +112,7 @@ def _cmd_report(args) -> int:
         doc = json.loads(sweep_path.read_text())
         doc.pop("config_hash", None)
         grid = harness.sweep_from_dict(doc)
-        harness.write_aggregates_csv(
-            out_dir / "aggregates.csv", harness.aggregate(grid, records)
-        )
-        plots = out_dir / "plots"
-        plots.mkdir(exist_ok=True)
-        for name, docu in harness.plot_documents(grid, records).items():
-            (plots / f"{name}.json").write_text(json.dumps(docu, sort_keys=True, indent=2))
+        harness.write_sweep_tables(grid, records, out_dir)
     log.info("report written to %s", out_dir)
     return 0
 

@@ -112,10 +112,7 @@ def execute_case(data: dict, seed: Optional[int] = None):
     start = time.perf_counter()
     filt = truth = None
     try:
-        if scenario == "balloon":
-            filt, truth = _run_balloon(cfg, extra, record)
-        else:
-            filt, truth = _run_shuttle(cfg, record)
+        filt, truth = _run(scenario, cfg, extra, record)
     except SkfnavError as exc:
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
@@ -132,9 +129,22 @@ def run_case(data: dict, seed: Optional[int] = None) -> RunRecord:
     return execute_case(data, seed=seed)[0]
 
 
-def _finish_record(record: RunRecord, cfg, filt, est, truth_states, state_names):
+def _run(scenario: str, cfg, field_data, record: RunRecord):
+    """Simulate and filter one case and fill in ``record``'s estimate,
+    outcome, errors and weights; returns ``(filter, truth)``."""
+    if scenario == "balloon":
+        field_obj = field_from_dict(field_data)
+        truth = simulate_balloon(cfg, field_obj)
+        filt = build_balloon_filter(cfg, field_obj)
+        truth_states = truth.states
+    else:
+        truth = simulate_shuttle(cfg)
+        filt = build_shuttle_filter(cfg, truth)
+        truth_states = truth.inertial_states
+    filt.run(truth.measurement_map(), cfg.n_steps)
+    est = filt.estimate()
     record.no_corruption = reports_no_corruption(est, cfg.n_steps)
-    record.est_switch_step = None if est.best.is_nominal else est.best.s_index
+    record.est_switch_step = None if est.is_nominal else est.s_index
     bias_free = cfg.true_switch_step is None or cfg.bias.is_zero
     record.outcome = classify(
         record.est_switch_step,
@@ -142,7 +152,8 @@ def _finish_record(record: RunRecord, cfg, filt, est, truth_states, state_names)
         bias_free=bias_free,
         no_corruption_reported=record.no_corruption,
     )
-    means = np.asarray([entry[0] for entry in est.best.history])
+    state_names = RMSE_STATES[scenario]
+    means = np.asarray([entry[0] for entry in filt.bank.history[est.row]])
     errors = relative_rmse(
         means[1:, : len(state_names)], truth_states[1:, : len(state_names)]
     )
@@ -151,26 +162,6 @@ def _finish_record(record: RunRecord, cfg, filt, est, truth_states, state_names)
         {"s_index": int(s), "t_s": float(s) * cfg.dt, "weight": float(w)}
         for s, w in zip(est.s_indices, est.weights)
     ]
-
-
-def _run_balloon(cfg, field_data, record: RunRecord):
-    field_obj = field_from_dict(field_data)
-    truth = simulate_balloon(cfg, field_obj)
-    filt = build_balloon_filter(cfg, field_obj)
-    filt.run(truth.measurement_map(), cfg.n_steps)
-    est = filt.estimate()
-    _finish_record(record, cfg, filt, est, truth.states, RMSE_STATES["balloon"])
-    return filt, truth
-
-
-def _run_shuttle(cfg, record: RunRecord):
-    truth = simulate_shuttle(cfg)
-    filt = build_shuttle_filter(cfg, truth)
-    filt.run(truth.measurement_map(), cfg.n_steps)
-    est = filt.estimate()
-    _finish_record(
-        record, cfg, filt, est, truth.inertial_states, RMSE_STATES["shuttle"]
-    )
     return filt, truth
 
 
@@ -444,6 +435,16 @@ def plot_documents(grid: SweepGrid, records: list[RunRecord]) -> dict[str, dict]
     return docs
 
 
+def write_sweep_tables(grid: SweepGrid, records: list[RunRecord], out_dir) -> None:
+    """Write ``aggregates.csv`` and ``plots/*.json`` of a sweep's records
+    into ``out_dir``."""
+    write_aggregates_csv(Path(out_dir) / "aggregates.csv", aggregate(grid, records))
+    plots = Path(out_dir) / "plots"
+    plots.mkdir(exist_ok=True)
+    for name, doc in plot_documents(grid, records).items():
+        (plots / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+
+
 def run_sweep_to_dir(
     grid: SweepGrid, out_dir, threads: Optional[int] = None
 ) -> tuple[list[RunRecord], Path]:
@@ -462,11 +463,7 @@ def run_sweep_to_dir(
     target.mkdir(parents=True, exist_ok=True)
     records = run_sweep(grid, threads=threads)
     write_records_csv(target / "records.csv", records)
-    write_aggregates_csv(target / "aggregates.csv", aggregate(grid, records))
-    plots = target / "plots"
-    plots.mkdir(exist_ok=True)
-    for name, doc in plot_documents(grid, records).items():
-        (plots / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    write_sweep_tables(grid, records, target)
     sweep_doc["config_hash"] = config_hash(sweep_doc)
     (target / "sweep_config.json").write_text(
         json.dumps(sweep_doc, sort_keys=True, indent=2)
@@ -584,24 +581,28 @@ def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
     }
     (target / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     if filt is not None:
-        best = filt.estimate().best
-        export_branch_history(target / "branch_trajectory.csv", best, record.config["dt"])
+        est = filt.estimate()
+        export_branch_history(
+            target / "branch_trajectory.csv", filt.bank.history[est.row],
+            est.s_index * filt.dt, record.config["dt"],
+        )
     return target
 
 
-def export_branch_history(path, branch, dt: float) -> None:
-    """Best-branch trajectory: step, time, hypothesis, score, means, variances.
+def export_branch_history(path, history, t_s: float, dt: float) -> None:
+    """Best-branch trajectory from its ``history`` and onset time ``t_s``:
+    step, time, hypothesis, score, means, variances.
 
     Rows are formatted whole, with the cells and CRLF line ends that
     ``csv.writer`` writes for them."""
-    dim = branch.history[0][0].size
+    dim = history[0][0].size
     fields = ["step", "time", "branch_t_s", "logL"]
     fields += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]
-    t_s = fmt(branch.t_s)
+    t_s = fmt(t_s)
     row = "%d,%s,%s,%s" + ",%.17g" * (2 * dim) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(fields)
         fh.writelines(
             row % (step, fmt(step * dt), t_s, fmt(loglik), *mean.tolist(), *var.tolist())
-            for step, (mean, var, loglik) in enumerate(branch.history)
+            for step, (mean, var, loglik) in enumerate(history)
         )

@@ -14,13 +14,11 @@ so that prediction makes one factorisation and one dynamics call, and the
 measurement update, exact because the observation map is linear in the
 augmented state, is one scored update.  A branch whose numerics fail freezes
 alone: when the stack raises, that stage is re-run one row at a time.
-``Branch`` and ``BranchSet`` are per-branch snapshots of a bank, built on
-demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,47 +28,15 @@ from .exceptions import ConfigError, InvalidMeasurementError, SkfnavError
 from .gaussfilt import GaussianBelief, SigmaPointParams, linear_update, predict
 
 
-@dataclass
-class Branch:
-    """One onset hypothesis: assumed switch step, accumulated score, belief,
-    and the ``(mean, variances, score)`` it held after each step.
-
-    A branch whose numerics diverge (hostile measurements can drive the
-    nominal model into singular territory) is frozen: it keeps its last
-    belief and score but no longer updates, spawns, or accumulates evidence.
-    """
-
-    s_index: int
-    t_s: float
-    log_lik: float
-    belief: GaussianBelief
-    is_nominal: bool = False
-    frozen: bool = False
-    history: list = field(default_factory=list)
-
-
-@dataclass
-class BranchSet:
-    """Nominal branch plus the corrupted branches in spawn order."""
-
-    nominal: Branch
-    corrupted: list[Branch] = field(default_factory=list)
-
-    def all_branches(self) -> list[Branch]:
-        return [self.nominal] + list(self.corrupted)
-
-    def __len__(self) -> int:
-        return 1 + len(self.corrupted)
-
-
 class Bank:
     """All branches as rows of stacks that persist between steps: the nominal
     in row 0, then the corrupted branches in spawn order.  ``mean`` (B, d),
     ``cov`` (B, d, d) and ``log_lik`` are views of the first B rows of
     buffers sized for ``size`` rows.  The lists hold per row the onset step
     ``s_index`` (0 for the nominal), in ``cause`` the type of the exception
-    that froze the row, or None while it is live, and in ``history`` one
-    per-row copy of ``(mean, variances, score)`` per step."""
+    that froze the row, or None while it is live (a frozen row keeps its
+    belief and score and no longer updates or spawns), and in ``history``
+    one per-row copy of ``(mean, variances, score)`` per step."""
 
     def __init__(self, prior: GaussianBelief, size: int):
         self._mean = np.zeros((size, prior.dim))
@@ -96,12 +62,12 @@ class Bank:
         return [row for row, cause in enumerate(self.cause) if cause is None]
 
     def spawn(self, s_index: int) -> None:
-        """Append a copy of row 0 with onset ``s_index``."""
+        """Append a copy of row 0, which must be live, with onset ``s_index``."""
         n = len(self)
         for buf in self._buffers():
             buf[n] = buf[0]
         self.s_index.append(s_index)
-        self.cause.append(self.cause[0])
+        self.cause.append(None)
         self.history.append(list(self.history[0]))
 
     def drop(self, rows) -> None:
@@ -124,11 +90,17 @@ class Bank:
 
 @dataclass(frozen=True)
 class SwitchEstimate:
-    """Most likely onset hypothesis and posterior weights over survivors."""
+    """The bank row of the most likely onset hypothesis, its onset step, and
+    the onsets and posterior weights of all rows."""
 
-    best: Branch
+    row: int
+    s_index: int
     s_indices: np.ndarray
     weights: np.ndarray
+
+    @property
+    def is_nominal(self) -> bool:
+        return self.row == 0
 
 
 @dataclass(frozen=True)
@@ -180,30 +152,27 @@ def prune(log_lik, s_index, capacity: int) -> list[int]:
     return ranked[: max(len(log_lik) - capacity, 0)]
 
 
-def estimate(branches: BranchSet) -> SwitchEstimate:
-    """Select the highest-score branch and weight all survivors.
+def estimate(log_lik, s_index) -> SwitchEstimate:
+    """Select the highest-score row of a bank with scores ``log_lik`` and
+    onsets ``s_index`` (the nominal branch in row 0) and weight all rows.
 
-    Weights are ``exp(score - max score)`` normalized over the surviving
-    branches; exact ties resolve to the nominal branch.
+    Weights are ``exp(score - max score)`` normalized over the rows; exact
+    ties resolve to the nominal branch.
     """
-    all_branches = branches.all_branches()
-    scores = np.array([b.log_lik for b in all_branches])
-    best = all_branches[int(np.argmax(scores))]
+    scores = np.array(log_lik, dtype=float)
+    s_indices = np.array(s_index)
+    row = int(np.argmax(scores))
     shifted = np.exp(scores - scores.max())
-    weights = shifted / shifted.sum()
     return SwitchEstimate(
-        best=best,
-        s_indices=np.array([b.s_index for b in all_branches]),
-        weights=weights,
+        row=row, s_index=int(s_indices[row]), s_indices=s_indices,
+        weights=shifted / shifted.sum(),
     )
 
 
 def reports_no_corruption(est: SwitchEstimate, n_steps: int) -> bool:
     """End-of-timeline convention: a winning hypothesis in the final 5% of
     the run (or the nominal branch itself) means no corruption detected."""
-    if est.best.is_nominal:
-        return True
-    return est.best.s_index >= 0.95 * n_steps
+    return est.is_nominal or est.s_index >= 0.95 * n_steps
 
 
 class SwitchingFilter:
@@ -325,11 +294,11 @@ class SwitchingFilter:
                 bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov
                 bank.log_lik[rows] += pred.log_lik
 
-            nominal_live = bank.cause[0] is None
             _run_live(bank, update_rows)
-            if nominal_live:
+            if bank.cause[0] is None:
                 # the spawn's observation map at s == k adds no offset, so its
-                # update (or freeze) is the nominal branch's
+                # update is the nominal branch's; a nominal that is frozen,
+                # before or in this update, spawns nothing
                 bank.spawn(k)
                 spawned_s = k
 
@@ -357,27 +326,5 @@ class SwitchingFilter:
         """Step through ``k = 1..n_steps`` pulling measurements by step index."""
         return [self.step(measurements.get(k)) for k in range(1, n_steps + 1)]
 
-    @property
-    def branches(self) -> BranchSet:
-        """The bank as per-branch objects: a snapshot that later steps leave
-        unchanged."""
-        bank = self.bank
-        views = [
-            Branch(
-                s_index=s,
-                t_s=s * self.dt,
-                log_lik=score,
-                belief=GaussianBelief(mean=mean.copy(), cov=cov.copy()),
-                is_nominal=i == 0,
-                frozen=cause is not None,
-                history=list(history),
-            )
-            for i, (s, score, mean, cov, cause, history) in enumerate(zip(
-                bank.s_index, bank.log_lik.tolist(), bank.mean, bank.cov, bank.cause,
-                bank.history,
-            ))
-        ]
-        return BranchSet(nominal=views[0], corrupted=views[1:])
-
     def estimate(self) -> SwitchEstimate:
-        return estimate(self.branches)
+        return estimate(self.bank.log_lik, self.bank.s_index)

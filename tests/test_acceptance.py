@@ -40,7 +40,7 @@ def run_balloon(cfg):
     filt = build_balloon_filter(cfg)
     diags = filt.run(truth.measurement_map(), cfg.n_steps)
     est = filt.estimate()
-    means = np.asarray([entry[0] for entry in est.best.history])
+    means = np.asarray([entry[0] for entry in filt.bank.history[est.row]])
     rmse = relative_rmse(means[1:, :2], truth.states[1:])
     return est, rmse, filt, diags
 
@@ -78,7 +78,7 @@ def test_criterion_2_balloon_static_detection():
     greens, rmses = 0, []
     for seed in range(20):
         est, rmse, _, _ = run_balloon(balloon_case(seed))
-        hit = (not est.best.is_nominal) and abs(est.best.s_index - 200) <= 1
+        hit = (not est.is_nominal) and abs(est.s_index - 200) <= 1
         greens += hit
         rmses.append(rmse)
     med = np.median(np.asarray(rmses), axis=0)
@@ -94,7 +94,7 @@ def test_criterion_3_balloon_quadratic_detection():
         cfg = balloon_case(seed, q_x=1e-6, q_p=1e-6, r=1e-3,
                            bias=BiasSpec("quadratic", A=0.1, B=0.0, C=0.01))
         est, _, _, _ = run_balloon(cfg)
-        greens += (not est.best.is_nominal) and abs(est.best.s_index - 200) <= 1
+        greens += (not est.is_nominal) and abs(est.s_index - 200) <= 1
     check(3, f"quadratic-corruption onset recovered: {greens}/20 green", greens >= 16)
 
 
@@ -106,7 +106,7 @@ def test_criterion_4_unbiased_balloon_stays_clean():
                            bias=BiasSpec("quadratic"), true_switch_step=None)
         est, _, filt, _ = run_balloon(cfg)
         clean += reports_no_corruption(est, cfg.n_steps)
-        for mean, _, _ in filt.branches.nominal.history:
+        for mean, _, _ in filt.bank.history[0]:
             theta_worst = max(theta_worst, np.abs(mean[2:]).max())
     check(4, f"clean runs report no corruption: {clean}/20, nominal parameter "
              f"mean stays |{theta_worst:.1e}| < 1e-9",
@@ -121,7 +121,7 @@ def test_criterion_5_success_rate_monotone_in_offset():
             cfg = balloon_case(seed, q_x=1e-6, q_p=1e-6, r=1e-5,
                                bias=BiasSpec("static", A=A))
             est, _, _, _ = run_balloon(cfg)
-            greens += (not est.best.is_nominal) and abs(est.best.s_index - 200) <= 1
+            greens += (not est.is_nominal) and abs(est.s_index - 200) <= 1
         rates.append(greens / 20)
     monotone = all(a <= b for a, b in zip(rates, rates[1:]))
     check(5, f"success rate over offset magnitudes {rates} is non-decreasing "
@@ -154,13 +154,14 @@ def test_criterion_6_spawned_branch_matches_nominal():
             diag = filt.step(meas.get(k))
             if diag.spawned_s is None:
                 continue
-            spawned = [b for b in filt.branches.corrupted if b.s_index == diag.spawned_s]
+            bank = filt.bank
+            spawned = [i for i in range(1, len(bank)) if bank.s_index[i] == diag.spawned_s]
             if not spawned:
                 continue  # pruned at birth
-            nom = filt.branches.nominal
+            i = spawned[0]
             worst = max(worst,
-                        np.abs(spawned[0].belief.mean - nom.belief.mean).max(),
-                        np.abs(spawned[0].belief.cov - nom.belief.cov).max())
+                        np.abs(bank.mean[i] - bank.mean[0]).max(),
+                        np.abs(bank.cov[i] - bank.cov[0]).max())
             comparisons += 1
     check(6, f"{comparisons} spawned branches match the nominal belief at the "
              f"spawn epoch (worst deviation {worst:.1e})",
@@ -176,7 +177,7 @@ def test_criterion_7_pruning_contract():
     prune_events = 0
     for k in range(1, cfg.n_steps + 1):
         diag = filt.step(meas.get(k))
-        if len(filt.branches) > cfg.capacity:
+        if len(filt.bank) > cfg.capacity:
             violations += 1
         if not diag.pruned:
             continue

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import jsonschema
@@ -424,6 +425,27 @@ class TestPersistence:
         meas_rows = (target / "measurements.csv").read_text().splitlines()
         assert meas_rows[0] == "step,time,y_lon,y_lat"
         assert len(meas_rows) == len(truth.epochs) + 1
+
+    @pytest.mark.parametrize("data, nominal_wins", [
+        (balloon_config(), False),
+        (balloon_config(bias={"kind": "quadratic"}, true_switch_step=None), True),
+    ], ids=["detection", "clean"])
+    def test_exported_trajectory_is_the_winners(self, tmp_path, data, nominal_wins):
+        record, filt, truth = harness.execute_case(data)
+        est = filt.estimate()
+        assert est.is_nominal == nominal_wins
+        target = harness.write_run_outputs(record, filt, tmp_path / "run", truth=truth)
+        with open(target / "branch_trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == record.config["n_steps"] + 1
+        assert float(rows[-1]["logL"]) == filt.bank.log_lik[est.row]
+        assert [float(rows[-1][f"mean_{i}"]) for i in range(5)] == (
+            filt.bank.mean[est.row].tolist())
+        t_s = 0.0 if nominal_wins else record.est_switch_step * record.config["dt"]
+        assert {float(row["branch_t_s"]) for row in rows} == {t_s}
+        weights = json.loads((target / "summary.json").read_text())["weights"]
+        assert [w["s_index"] for w in weights] == filt.bank.s_index
+        assert sum(w["weight"] for w in weights) == pytest.approx(1.0)
 
     def test_shuttle_truth_export(self, tmp_path):
         data = {

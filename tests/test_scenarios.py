@@ -139,7 +139,7 @@ class TestBalloonSim:
     def test_filter_dimensions(self):
         cfg = BalloonConfig(seed=0)
         filt = build_balloon_filter(cfg)
-        assert filt.branches.nominal.belief.dim == 5
+        assert filt.bank.mean.shape[-1] == 5
 
 
 def noise_to_range_ratio(r: float, trajectory: np.ndarray) -> float:

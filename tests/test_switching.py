@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +12,7 @@ from skfnav.exceptions import (
     SkfnavError,
 )
 from skfnav.gaussfilt import GaussianBelief, linear_update, predict, sigma_points
-from skfnav.switching import (
-    Branch,
-    BranchSet,
-    SwitchingFilter,
-    estimate,
-    prune,
-    reports_no_corruption,
-)
+from skfnav.switching import SwitchingFilter, estimate, prune, reports_no_corruption
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,14 +35,6 @@ def random_walk_filter(n_theta=3, delta=1, capacity=10, q_x=1e-4, q_p=1e-4, r=1e
     )
 
 
-def make_branch(s, loglik, dim=2, nominal=False):
-    return Branch(
-        s_index=s, t_s=float(s), log_lik=loglik,
-        belief=GaussianBelief.create(np.zeros(dim), np.eye(dim)),
-        is_nominal=nominal,
-    )
-
-
 def fresh_filter(x0, C0, d_theta):
     """A filter before its first step; one (A, B, C) triple per channel."""
     m = d_theta // 3
@@ -61,18 +46,16 @@ def fresh_filter(x0, C0, d_theta):
 
 class TestInit:
     def test_balloon_style_augmentation(self):
-        branches = fresh_filter(np.array([-35.0, 25.0]), np.eye(2), 3).branches
-        nom = branches.nominal
-        assert nom.belief.dim == 5
-        assert nom.belief.mean.tolist() == [-35.0, 25.0, 0.0, 0.0, 0.0]
-        assert np.abs(nom.belief.cov - np.eye(5)).max() == 0.0
-        assert nom.log_lik == 0.0
-        assert not branches.corrupted
+        bank = fresh_filter(np.array([-35.0, 25.0]), np.eye(2), 3).bank
+        assert bank.mean.shape[-1] == 5
+        assert bank.mean[0].tolist() == [-35.0, 25.0, 0.0, 0.0, 0.0]
+        assert np.abs(bank.cov[0] - np.eye(5)).max() == 0.0
+        assert bank.log_lik[0] == 0.0
+        assert not bank.s_index[1:]
 
     def test_shuttle_style_variances(self):
         C0 = 0.001 * np.eye(15)
-        branches = fresh_filter(np.zeros(15), C0, 9).branches
-        diag = np.diag(branches.nominal.belief.cov)
+        diag = np.diag(fresh_filter(np.zeros(15), C0, 9).bank.cov[0])
         assert diag[:15] == pytest.approx([0.001] * 15)
         assert diag[15:] == pytest.approx([1.0] * 9)
 
@@ -104,35 +87,24 @@ class TestPrune:
 
 
 class TestEstimate:
+    """``estimate`` takes a bank's scores and onsets, the nominal in row 0."""
+
     def test_single_nominal(self):
-        branches = BranchSet(nominal=make_branch(0, 0.0, nominal=True))
-        est = estimate(branches)
-        assert est.best.is_nominal
+        est = estimate(np.array([0.0]), [0])
+        assert est.is_nominal
         assert est.weights == pytest.approx([1.0])
 
     def test_argmax_includes_nominal(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 10.0, nominal=True),
-            corrupted=[make_branch(3, 2.0)],
-        )
-        est = estimate(branches)
-        assert est.best.is_nominal
+        est = estimate(np.array([10.0, 2.0]), [0, 3])
+        assert est.is_nominal
 
     def test_weights_normalized_and_ordered(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 0.0, nominal=True),
-            corrupted=[make_branch(1, -1.0), make_branch(2, -2.0)],
-        )
-        est = estimate(branches)
+        est = estimate(np.array([0.0, -1.0, -2.0]), [0, 1, 2])
         assert est.weights.sum() == pytest.approx(1.0)
         assert est.weights[0] > est.weights[1] > est.weights[2]
 
     def test_exact_tie_prefers_nominal(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 5.0, nominal=True),
-            corrupted=[make_branch(9, 5.0)],
-        )
-        assert estimate(branches).best.is_nominal
+        assert estimate(np.array([5.0, 5.0]), [0, 9]).is_nominal
 
 
 class TestStepping:
@@ -141,8 +113,8 @@ class TestStepping:
         diag = filt.step(None)
         assert diag.spawned_s is None
         assert not diag.epoch
-        assert len(filt.branches) == 1
-        assert filt.branches.nominal.log_lik == 0.0
+        assert len(filt.bank) == 1
+        assert filt.bank.log_lik[0] == 0.0
 
     def test_measurement_at_non_epoch_rejected(self):
         filt = random_walk_filter(delta=5)
@@ -182,37 +154,38 @@ class TestStepping:
         filt = random_walk_filter()
         diag = filt.step(np.array([0.1]))
         assert diag.spawned_s == 1
-        assert len(filt.branches) == 2
-        assert [b.s_index for b in filt.branches.corrupted] == [1]
+        assert len(filt.bank) == 2
+        assert filt.bank.s_index[1:] == [1]
 
     def test_capacity_arithmetic(self):
         filt = random_walk_filter(capacity=3)
         rng = np.random.default_rng(0)
         for _ in range(4):
             filt.step(rng.standard_normal(1) * 0.01)
-        assert len(filt.branches.corrupted) == 2
-        assert len(filt.branches) <= 3
+        assert len(filt.bank.s_index[1:]) == 2
+        assert len(filt.bank) <= 3
 
     def test_spawn_equals_nominal_at_spawn_epoch(self):
         filt = random_walk_filter()
         rng = np.random.default_rng(1)
         for k in range(1, 20):
             filt.step(rng.standard_normal(1) * 0.01)
-            nom = filt.branches.nominal
-            spawned = [b for b in filt.branches.corrupted if b.s_index == k]
+            bank = filt.bank
+            spawned = [i for i in range(1, len(bank)) if bank.s_index[i] == k]
             assert len(spawned) == 1
-            assert np.abs(spawned[0].belief.mean - nom.belief.mean).max() <= 1e-12
-            assert np.abs(spawned[0].belief.cov - nom.belief.cov).max() <= 1e-12
-            assert spawned[0].log_lik == pytest.approx(nom.log_lik, abs=1e-12)
+            i = spawned[0]
+            assert np.abs(bank.mean[i] - bank.mean[0]).max() <= 1e-12
+            assert np.abs(bank.cov[i] - bank.cov[0]).max() <= 1e-12
+            assert bank.log_lik[i] == pytest.approx(bank.log_lik[0], abs=1e-12)
 
     def test_score_changes_only_at_epochs(self):
         filt = random_walk_filter(delta=3)
         rng = np.random.default_rng(2)
-        scores = [filt.branches.nominal.log_lik]
+        scores = [filt.bank.log_lik[0]]
         for k in range(1, 13):
             y = rng.standard_normal(1) * 0.01 if k % 3 == 0 else None
             filt.step(y)
-            scores.append(filt.branches.nominal.log_lik)
+            scores.append(filt.bank.log_lik[0])
         changes = [i for i in range(1, len(scores)) if scores[i] != scores[i - 1]]
         assert changes == [3, 6, 9, 12]
 
@@ -221,17 +194,16 @@ class TestStepping:
         rng = np.random.default_rng(3)
         for _ in range(40):
             filt.step(rng.standard_normal(1) * 0.01)
-            nom = filt.branches.nominal.belief
-            assert np.abs(nom.mean[1:]).max() < 1e-9
-            assert np.abs(nom.cov[0, 1:]).max() < 1e-9
+            assert np.abs(filt.bank.mean[0, 1:]).max() < 1e-9
+            assert np.abs(filt.bank.cov[0, 0, 1:]).max() < 1e-9
 
     def test_history_lengths_aligned(self):
         filt = random_walk_filter()
         rng = np.random.default_rng(4)
         for _ in range(15):
             filt.step(rng.standard_normal(1) * 0.01)
-        for b in filt.branches.all_branches():
-            assert len(b.history) == 16  # steps 0..15
+        for history in filt.bank.history:
+            assert len(history) == 16  # steps 0..15
 
     def test_determinism_same_inputs(self):
         def trace():
@@ -240,7 +212,7 @@ class TestStepping:
             out = []
             for _ in range(25):
                 filt.step(rng.standard_normal(1) * 0.01)
-                out.append([(b.s_index, b.log_lik) for b in filt.branches.all_branches()])
+                out.append(list(zip(filt.bank.s_index, filt.bank.log_lik.tolist())))
             return out
 
         assert trace() == trace()
@@ -279,17 +251,17 @@ class TestStepping:
         rng = np.random.default_rng(6)
         for _ in range(3):
             filt.step(rng.standard_normal(1) * 0.01)
-        before = [(b.s_index, b.log_lik) for b in filt.branches.all_branches()]
+        before = list(zip(filt.bank.s_index, filt.bank.log_lik.tolist()))
         diag = filt.step(np.array([np.nan]))
         assert diag.epoch and diag.spawned_s is None and diag.pruned == ()
         assert diag.frozen == ()
-        assert [(b.s_index, b.log_lik) for b in filt.branches.all_branches()] == before
-        assert all(len(b.history) == 5 for b in filt.branches.all_branches())
+        assert list(zip(filt.bank.s_index, filt.bank.log_lik.tolist())) == before
+        assert all(len(history) == 5 for history in filt.bank.history)
         # detection goes on: the next finite fix updates and spawns as usual
         diag = filt.step(np.array([0.02]))
         assert diag.spawned_s == 5 and diag.frozen == ()
-        assert all(b.log_lik != old for b, (_, old) in
-                   zip(filt.branches.all_branches(), before))
+        assert all(score != old for score, (_, old) in
+                   zip(filt.bank.log_lik.tolist(), before))
 
 
 class TestDivergenceFreeze:
@@ -308,12 +280,12 @@ class TestDivergenceFreeze:
         filt.step(np.array([0.0]))
         filt.step(np.array([0.0]))
         diag = filt.step(np.array([0.0]))
-        assert filt.branches.nominal.frozen
+        assert filt.bank.cause[0] is not None
         assert diag.frozen
         # frozen branches stop accumulating score
-        before = filt.branches.nominal.log_lik
+        before = filt.bank.log_lik[0]
         filt.step(np.array([0.0]))
-        assert filt.branches.nominal.log_lik == before
+        assert filt.bank.log_lik[0] == before
 
 
 def test_unbiased_survivors_cluster_at_timeline_end():
@@ -325,48 +297,61 @@ def test_unbiased_survivors_cluster_at_timeline_end():
     truth = simulate_balloon(cfg)
     filt = build_balloon_filter(cfg)
     filt.run(truth.measurement_map(), cfg.n_steps)
-    survivors = filt.branches.corrupted
+    survivors = filt.bank.s_index[1:]
     assert survivors
-    assert min(b.s_index for b in survivors) >= 0.9 * cfg.n_steps
-    nominal = filt.branches.nominal.log_lik
-    spread = max(abs(b.log_lik - nominal) for b in survivors)
+    assert min(survivors) >= 0.9 * cfg.n_steps
+    nominal = filt.bank.log_lik[0]
+    spread = max(abs(score - nominal) for score in filt.bank.log_lik[1:])
     assert spread < 0.01 * abs(nominal)
 
 
 class TestNoCorruptionConvention:
     def test_nominal_win_reports_clean(self):
-        branches = BranchSet(nominal=make_branch(0, 1.0, nominal=True), corrupted=[])
-        assert reports_no_corruption(estimate(branches), n_steps=500)
+        assert reports_no_corruption(estimate(np.array([1.0]), [0]), n_steps=500)
 
     def test_tail_hypothesis_reports_clean(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 0.0, nominal=True),
-            corrupted=[make_branch(499, 5.0)],
-        )
-        assert reports_no_corruption(estimate(branches), n_steps=500)
+        est = estimate(np.array([0.0, 5.0]), [0, 499])
+        assert reports_no_corruption(est, n_steps=500)
 
     def test_mid_run_hypothesis_is_detection(self):
-        branches = BranchSet(
-            nominal=make_branch(0, 0.0, nominal=True),
-            corrupted=[make_branch(200, 5.0)],
-        )
-        assert not reports_no_corruption(estimate(branches), n_steps=500)
+        est = estimate(np.array([0.0, 5.0]), [0, 200])
+        assert not reports_no_corruption(est, n_steps=500)
 
 
 # -- stacked step against the per-branch step ---------------------------------
 
 
+@dataclass
+class ReferenceBranch:
+    """One onset hypothesis of the reference: onset step (0 for the nominal),
+    accumulated score, belief, and the ``(mean, variances, score)`` it held
+    after each step.  A frozen branch no longer updates, spawns or scores."""
+
+    s_index: int
+    log_lik: float
+    belief: GaussianBelief
+    is_nominal: bool = False
+    frozen: bool = False
+    history: list = field(default_factory=list)
+
+
 class PerBranchReference:
     """The per-branch step, independent of the filter's bank: every branch is
     predicted, updated and scored on its own single belief, a branch whose
-    numerics fail freezes, and the lowest-score corrupted branches are
-    discarded one at a time.  It starts from ``model``'s initial branches and
-    reads only its model: dynamics, noise, observed columns, step and
-    capacity."""
+    numerics fail freezes, a nominal that is live after its update spawns,
+    and the lowest-score corrupted branches are discarded one at a time.
+    ``branches`` holds the nominal first, then the corrupted branches in
+    spawn order.  It starts from row 0 of ``model``'s bank and reads only its
+    model: dynamics, noise, observed columns, step and capacity."""
 
     def __init__(self, model):
         self.model = model
-        self.branches = model.branches
+        bank = model.bank
+        self.branches = [ReferenceBranch(
+            0, float(bank.log_lik[0]),
+            GaussianBelief(mean=bank.mean[0].copy(), cov=bank.cov[0].copy()),
+            is_nominal=True, history=list(bank.history[0]),
+        )]
         self.k = 0
 
     def step(self, y=None):
@@ -410,11 +395,9 @@ class PerBranchReference:
                 log_lik, frozen = branch.log_lik + float(pred.log_lik), False
             except SkfnavError:
                 belief, log_lik, frozen = branch.belief, branch.log_lik, True
-            return Branch(s_index, s_index * filt.dt, log_lik, belief, is_nominal, frozen,
-                          history)
+            return ReferenceBranch(s_index, log_lik, belief, is_nominal, frozen, history)
 
-        nominal = predict_branch(self.branches.nominal)
-        corrupted = [predict_branch(b) for b in self.branches.corrupted]
+        nominal, *corrupted = (predict_branch(b) for b in self.branches)
         if y is not None:
             y = np.asarray(y, dtype=float).reshape(-1)
             spawned = None
@@ -423,25 +406,27 @@ class PerBranchReference:
                 nominal = update_branch(nominal, 0, True)
             corrupted = [b if b.frozen else update_branch(b, b.s_index, False)
                          for b in corrupted]
-            if spawned is not None:
+            if not nominal.frozen:
                 corrupted.append(spawned)
             while len(corrupted) > filt.capacity - 1:
                 corrupted.remove(min(corrupted, key=lambda b: (b.log_lik, -b.s_index)))
-        self.branches = BranchSet(nominal, corrupted)
-        for b in self.branches.all_branches():
+        self.branches = [nominal, *corrupted]
+        for b in self.branches:
             b.history.append((b.belief.mean.copy(), b.belief.cov.diagonal().copy(),
                               b.log_lik))
 
 
-def assert_same_branches(a, b, history_from=-1):
-    assert len(a) == len(b)
-    for x, y in zip(a.all_branches(), b.all_branches()):
-        assert (x.s_index, x.is_nominal, x.frozen) == (y.s_index, y.is_nominal, y.frozen)
-        assert x.log_lik == y.log_lik
-        assert np.array_equal(x.belief.mean, y.belief.mean)
-        assert np.array_equal(x.belief.cov, y.belief.cov)
-        assert len(x.history) == len(y.history)
-        for hx, hy in zip(x.history[history_from:], y.history[history_from:]):
+def assert_same_branches(bank, branches, history_from=-1):
+    """Every row of ``bank`` equals the reference branch at its position."""
+    assert len(bank) == len(branches)
+    for i, y in enumerate(branches):
+        assert (bank.s_index[i], i == 0, bank.cause[i] is not None) == (
+            y.s_index, y.is_nominal, y.frozen)
+        assert bank.log_lik[i] == y.log_lik
+        assert np.array_equal(bank.mean[i], y.belief.mean)
+        assert np.array_equal(bank.cov[i], y.belief.cov)
+        assert len(bank.history[i]) == len(y.history)
+        for hx, hy in zip(bank.history[i][history_from:], y.history[history_from:]):
             assert np.array_equal(hx[0], hy[0]) and np.array_equal(hx[1], hy[1])
             assert hx[2] == hy[2]
 
@@ -457,8 +442,8 @@ def step_both(stacked, reference, measurements, n_steps, poison=None):
             poison[1](stacked, reference)
         diags.append(stacked.step(measurements.get(k)))
         reference.step(measurements.get(k))
-        assert_same_branches(stacked.branches, reference.branches)
-    assert_same_branches(stacked.branches, reference.branches, history_from=0)
+        assert_same_branches(stacked.bank, reference.branches)
+    assert_same_branches(stacked.bank, reference.branches, history_from=0)
     return diags
 
 
@@ -479,10 +464,9 @@ def poisoned_pair(stage, row, capacity=10):
 
     def poison(stacked, reference):
         stacked.bank.cov[row] = bad
-        branches = reference.branches.all_branches()
+        branches = reference.branches
         branches[row] = replace(branches[row], belief=GaussianBelief.create(
             branches[row].belief.mean, bad))
-        reference.branches = BranchSet(branches[0], branches[1:])
 
     return make(), PerBranchReference(make()), poison
 
@@ -497,7 +481,7 @@ class TestStackedStepEquivalence:
         stacked = build_balloon_filter(cfg, field)
         reference = PerBranchReference(build_balloon_filter(cfg, field))
         step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
-        assert len(stacked.branches) == cfg.capacity
+        assert len(stacked.bank) == cfg.capacity
 
     def test_short_shuttle_run(self):
         from skfnav.scenarios.shuttle import build_shuttle_filter, simulate_shuttle
@@ -508,7 +492,7 @@ class TestStackedStepEquivalence:
         stacked = build_shuttle_filter(cfg, truth)
         reference = PerBranchReference(build_shuttle_filter(cfg, truth))
         step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
-        assert len(stacked.branches) == cfg.capacity
+        assert len(stacked.bank) == cfg.capacity
 
     @pytest.mark.parametrize("stage", ["predict", "update"])
     def test_one_failing_branch_freezes_alone(self, stage):
@@ -517,7 +501,8 @@ class TestStackedStepEquivalence:
         rng = np.random.default_rng(7)
         measurements = {k: 1e-3 * rng.standard_normal(2) for k in range(1, 9)}
         diags = step_both(stacked, reference, measurements, 8, poison=(6, poison))
-        frozen = [b.s_index for b in stacked.branches.all_branches() if b.frozen]
+        frozen = [s for s, cause in zip(stacked.bank.s_index, stacked.bank.cause)
+                  if cause is not None]
         assert frozen == [3]
         cause = CovarianceError if stage == "predict" else SingularInnovationError
         assert [(d.frozen, d.frozen_causes) for d in diags[5:]] == [((3,), (cause,))] * 3
@@ -536,7 +521,7 @@ class TestStackedStepEquivalence:
 
     @pytest.mark.parametrize("stage, row, pruned, frozen", [
         ("predict", 3, 6, (3,)),  # a corrupted branch freezes; the spawn is pruned at birth
-        ("update", 0, 2, (0, 6)),  # the nominal freezes and spawns its frozen clone
+        ("update", 0, None, (0,)),  # the nominal freezes in its update and spawns nothing
     ])
     def test_freeze_spawn_and_prune_in_one_step(self, stage, row, pruned, frozen):
         stacked, reference, poison = poisoned_pair(stage, row=row, capacity=4)
@@ -544,7 +529,8 @@ class TestStackedStepEquivalence:
         measurements = {k: 1e-3 * rng.standard_normal(2) for k in range(1, 9)}
         diags = step_both(stacked, reference, measurements, 8, poison=(6, poison))
         assert not any(d.frozen for d in diags[:5])
-        assert diags[5].spawned_s == 6
-        assert [s for s, _ in diags[5].pruned] == [pruned]
+        # the bank is full, so a spawn at step 6 is the branch pruned at birth
+        assert diags[5].spawned_s == pruned
+        assert [s for s, _ in diags[5].pruned] == ([] if pruned is None else [pruned])
         assert diags[5].frozen == frozen
-        assert len(stacked.branches) == 4
+        assert len(stacked.bank) == 4
