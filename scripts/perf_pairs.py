@@ -7,12 +7,14 @@ Exports ``PARENT_REV`` with ``git archive`` into a temporary directory and,
 for each seed, runs ``perfbench/run.py --workload W --seed N --trace 0`` in
 that export and in the working tree, the parent first in the first pair and
 the side that runs first alternating after that.  Each side runs its own
-``perfbench/run.py`` on its own sources.  For every end-to-end metric it
-then prints both sides' q1/median/q3, the pairs in which the working tree
-did better (in the metric's ``better`` direction from ``BENCHMARK.json``),
-the parent's IQR and whether the median gain exceeds it, and one verdict
-(see ``verdict``).  ``W`` may be ``all``; the metric names then carry the
-workload as a prefix.  Seeds are a
+``perfbench/run.py`` on its own sources.  After each pair it prints every
+end-to-end metric of both sides.  For every end-to-end metric it then prints
+both sides' q1/median/q3, the pairs in which the working tree did better (in
+the metric's ``better`` direction from ``BENCHMARK.json``), the parent's IQR
+and whether the median gain exceeds it, and one verdict (see ``verdict``),
+and last the pairs in which ``green_frac`` differs between the two sides,
+which a change with byte-identical outputs leaves empty.  ``W`` may be
+``all``; the metric names then carry the workload as a prefix.  Seeds are a
 range ``A-B`` or a comma list.  The exit code is 1 when any run failed an
 output check or reported failed operations.
 """
@@ -95,6 +97,30 @@ def verdict(old: list[float], new: list[float], higher: bool, bound: float) -> s
     return "unresolved" if iqr > allowed else "within bound"
 
 
+def pair_lines(old: dict, new: dict) -> list[str]:
+    """Every end-to-end metric of one pair as ``parent/tree`` values, one line
+    per workload prefix (none when one workload ran)."""
+    groups: dict[str, list[str]] = {}
+    for name, metric in old["metrics"].items():
+        workload, _, short = name.rpartition("/")
+        groups.setdefault(workload, []).append(
+            f"{short} {metric['value']:.4g}/{new['metrics'][name]['value']:.4g}")
+    return [f"  {workload + ': ' if workload else ''}{', '.join(cells)}"
+            for workload, cells in groups.items()]
+
+
+def differing_pairs(pairs: list[tuple[dict, dict]], metric: str):
+    """``(pair number, metric name, parent value, tree value)`` for each pair
+    (numbered from 1) and workload in which ``metric`` differs between sides."""
+    return [
+        (number, name, old["metrics"][name]["value"], new["metrics"][name]["value"])
+        for number, (old, new) in enumerate(pairs, start=1)
+        for name in old["metrics"]
+        if name.rpartition("/")[2] == metric
+        and old["metrics"][name]["value"] != new["metrics"][name]["value"]
+    ]
+
+
 def report(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
     names = list(pairs[0][0]["metrics"])
     print(f"\n{len(pairs)} pairs; parent -> working tree as q1/median/q3")
@@ -109,6 +135,10 @@ def report(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
               f"{pn[0]:.4g}/{pn[1]:.4g}/{pn[2]:.4g}  x{ratio:.3f}  "
               f"better in {won}/{len(pairs)}  parent IQR {iqr:.4g}  "
               f"median gain {gain:+.4g}  {verdict(old, new, higher, metric['bound'])}")
+    differing = differing_pairs(pairs, "green_frac")
+    print(f"pairs in which green_frac differs: {len(differing) or 'none'}")
+    for number, name, old_value, new_value in differing:
+        print(f"  pair {number} {name} {old_value:.6g} -> {new_value:.6g}")
 
 
 def main(argv=None) -> int:
@@ -139,11 +169,8 @@ def main(argv=None) -> int:
                           f"correct {line['correct']}, failed {line['failed']}")
             old, new = result["parent"], result["tree"]
             pairs.append((old, new))
-            shown = ", ".join(
-                f"{name} {old['metrics'][name]['value']:.4g}/{new['metrics'][name]['value']:.4g}"
-                for name in old["metrics"] if name.endswith("runs_per_s")
-            )
-            print(f"pair {i + 1} seed {seed} ({sides[0][0]} first): {shown}", flush=True)
+            print(f"pair {i + 1} seed {seed} ({sides[0][0]} first), parent/tree:",
+                  *pair_lines(old, new), sep="\n", flush=True)
     report(pairs, metrics)
     return 0 if ok else 1
 

@@ -120,6 +120,8 @@ def _cmd_report(args) -> int:
 def _cmd_validate(args) -> int:
     data = load_config(args.config)
     kind = validate_config(data)
+    if kind == "sweep":
+        harness.sweep_from_dict(data)  # checks and builds every cell
     print(f"OK: {kind} config")
     return 0
 

@@ -93,9 +93,11 @@ class RunRecord:
 
 
 def execute_case(data: dict, seed: Optional[int] = None):
-    """Execute one configured run end to end; failures are captured in the
-    record rather than raised.  Returns ``(record, filter, truth)``; the
-    filter and truth are None when the run failed."""
+    """Execute one configured run end to end.  Returns ``(record, filter,
+    truth)``.  A config that fails validation or cannot build its dataclass
+    raises ``ConfigError``; a package error while simulating or filtering
+    (``SkfnavError``, a bad ``init_state`` included) is captured in the
+    record, and the filter and truth are then None."""
     validate_config(data)
     data = dict(data)
     if seed is not None:
@@ -188,10 +190,21 @@ class SweepGrid:
                 raise ConfigError(f"unknown sweep axis {axis!r}")
         if not self.seeds:
             raise ConfigError("sweep needs at least one seed")
+        # every cell is checked and built here, so that no run starts on a
+        # sweep whose cells would fail before simulating
+        for values, cell in self._cells():
+            try:
+                validate_config(cell)
+                parse_single(cell)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep cell {values}: {exc}") from exc
 
     def cell_configs(self) -> list[dict]:
+        return [cell for _, cell in self._cells()]
+
+    def _cells(self):
+        """Each cell's config with its axis values as text (``r=1e-06, A=0.0``)."""
         names = [a for a in AXIS_ORDER if a in self.axes]
-        cells = []
         for combo in itertools.product(*(self.axes[a] for a in names)):
             data = dict(self.base)
             data["scenario"] = self.scenario
@@ -210,8 +223,7 @@ class SweepGrid:
                         "q_x_over_r needs a measurement-noise value (axis or base)"
                     )
                 data["q_x"] = data["r"] / self.q_x_over_r
-            cells.append(data)
-        return cells
+            yield ", ".join(f"{a}={v!r}" for a, v in zip(names, combo)), data
 
 
 def sweep_from_dict(data: dict) -> SweepGrid:

@@ -1,5 +1,9 @@
 """Numpy implementation of the hot kernels (fallback backend).
 
+``kernels`` is the only home of the strapdown navigation equations.  The
+Earth frame is treated as inertial (no transport rate or Coriolis terms)
+with axes North, East, down-positive; units are feet, seconds, radians.
+
 The compiled backend in ``_native.pyx`` agrees with ``strapdown_batch`` to a
 relative 1e-13; a parity test keeps the two in agreement.  The numpy kernel is
 one column body, ``strapdown_columns``, that runs unchanged on 1-D columns

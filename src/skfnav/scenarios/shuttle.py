@@ -21,8 +21,8 @@ import numpy as np
 
 from .. import kernels
 from ..biasmodels import BiasSpec, check_onset, gated_offsets
-from ..exceptions import ConfigError
-from ..inertial import NavState15, attitude_matrix, gravity
+from ..constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD
+from ..exceptions import ConfigError, GimbalLockError
 from ..switching import SwitchingFilter
 
 STATE_LABELS = ("h", "L", "lam", "v", "gamma", "alpha", "phi", "theta", "psi")
@@ -140,20 +140,25 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     that one time.
     """
     dt_f = cfg.dt / cfg.oversample
-    try:
-        x0 = NavState15(*cfg.init_state).as_vector()
-    except ValueError as exc:
-        raise ConfigError(f"invalid init_state: {exc}") from exc
-    nav, b_a, b_g = x0[:9].tolist(), x0[9:12].tolist(), x0[12:].tolist()
-    states = np.empty((cfg.n_steps + 1, 15))
-    states[:] = x0  # the bias components pass through every step
+    nav = [float(x) for x in cfg.init_state]
+    if nav[3] < 0.0:
+        raise ConfigError("invalid init_state: speed must be non-negative")
+    if abs(nav[4]) > np.pi / 2 + 1e-12:
+        raise ConfigError("invalid init_state: flight-path angle outside [-pi/2, pi/2]")
+    if abs(nav[7]) >= PITCH_GUARD:
+        raise GimbalLockError("pitch at Euler-rate singularity")
+    b_a = b_g = [0.0, 0.0, 0.0]
+    states = np.zeros((cfg.n_steps + 1, 15))  # the zero biases pass through every step
+    states[0, :9] = nav
     imu_true = np.empty((cfg.n_steps, 6))
     times = np.arange(cfg.n_steps * cfg.oversample) * dt_f
     commands = zip(_command_accel(times), _command_rates(times).tolist())
     for k in range(cfg.n_steps):
         for sub in range(cfg.oversample):
             accel, rates = next(commands)
-            f_b = attitude_matrix(*nav[6:9]).T @ (accel - gravity(nav[0]))
+            attitude = np.array(kernels.attitude_entries(*nav[6:9])).reshape(3, 3)
+            gravity = np.array([0.0, 0.0, GRAV_PARAM / (EARTH_RADIUS_FT + nav[0]) ** 2])
+            f_b = attitude.T @ (accel - gravity)
             imu = [*f_b.tolist(), *rates]
             if not all(map(math.isfinite, imu)):
                 raise ValueError("IMU sample must be finite")

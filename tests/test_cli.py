@@ -118,6 +118,24 @@ def test_report_without_records(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"base": {"n_steps": 20, "true_switch_step": 10}, "axes": {"r": [-1.0, 1e-6]}},
+     "sweep cell r=-1.0: shuttle config: -1.0 is less than the minimum of 0"),
+    ({"base": {"n_steps": 20, "true_switch_step": 50}, "axes": {"r": [1e-6]}},
+     "sweep cell r=1e-06: switch index 50 outside [0, 20]"),
+], ids=["negative-axis-value", "onset-past-the-run"])
+def test_sweep_with_a_bad_cell_is_rejected_before_any_run(tmp_path, caplog, sweep, message):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"scenario": "shuttle", "seeds": 1, **sweep}))
+    out = tmp_path / "runs"
+    assert main(["--quiet", "validate-config", "--config", str(path)]) == 2
+    assert main(["--quiet", "sweep", "--config", str(path), "--out", str(out),
+                 "--threads", "1"]) == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"config error: {message}"] * 2
+
+
 def test_validate_config_ok(sweep_cfg, capsys):
     rc = main(["--quiet", "validate-config", "--config", str(sweep_cfg)])
     assert rc == 0

@@ -269,7 +269,7 @@ class TestSweep:
         assert "Polar" in records[0].error
 
     def test_negative_speed_is_a_config_error_not_a_crash(self):
-        # schema-valid, but NavState15 rejects a negative speed
+        # schema-valid, but generate_reference rejects a negative speed
         base = {"n_steps": 20, "true_switch_step": None, "oversample": 1,
                 "init_state": [1.5e5, 0.93, 0.32, -1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]}
         record = harness.run_case({"scenario": "shuttle", **base})
@@ -283,6 +283,18 @@ class TestSweep:
         assert len(records) == 2
         assert [r.status for r in records] == ["error", "error"]
         assert all(r.error.startswith("ConfigError: ") for r in records)
+
+    @pytest.mark.parametrize("index, value, error", [
+        (4, 2.0, "ConfigError: invalid init_state: flight-path angle outside [-pi/2, pi/2]"),
+        (7, np.pi / 2, "GimbalLockError: pitch at Euler-rate singularity"),
+    ], ids=["flight-path-angle", "pitch"])
+    def test_bad_init_state_is_an_error_record(self, index, value, error):
+        init = [1.5e5, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]
+        init[index] = value
+        record = harness.run_case({"scenario": "shuttle", "n_steps": 20, "oversample": 1,
+                                   "true_switch_step": None, "init_state": init})
+        assert record.status == "error"
+        assert record.error == error
 
 
 class TestDataFiles:

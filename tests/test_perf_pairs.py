@@ -1,4 +1,5 @@
-"""The verdict that scripts/perf_pairs.py gives each end-to-end metric."""
+"""The verdict that scripts/perf_pairs.py gives each end-to-end metric, and
+what it prints of each pair."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,32 @@ def test_regression_is_a_median_worse_by_more_than_the_relative_bound(higher, sc
 def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     wide = [1.0, 1.4, 0.6, 1.2, 0.8, 1.0, 1.3, 0.7, 1.1, 0.9]
     assert verdict(wide, [p * 0.95 for p in wide], higher=True, bound=0.25) == "unresolved"
+
+
+
+def summary(values: dict) -> dict:
+    """A ``perfbench/run.py`` summary line carrying the given metric values."""
+    return {"metrics": {name: {"value": v, "unit": ""} for name, v in values.items()}}
+
+
+def test_pair_lines_show_every_metric_of_both_sides_per_workload():
+    old = summary({"a/runs_per_s": 5.0, "a/green_frac": 0.4, "b/runs_per_s": 1.25,
+                   "b/green_frac": 1.0})
+    new = summary({"a/runs_per_s": 5.5, "a/green_frac": 0.4, "b/runs_per_s": 1.5,
+                   "b/green_frac": 1.0})
+    assert perf_pairs.pair_lines(old, new) == [
+        "  a: runs_per_s 5/5.5, green_frac 0.4/0.4",
+        "  b: runs_per_s 1.25/1.5, green_frac 1/1",
+    ]
+    one = summary({"runs_per_s": 7.85, "setup_s": 0.4})
+    assert perf_pairs.pair_lines(one, one) == ["  runs_per_s 7.85/7.85, setup_s 0.4/0.4"]
+
+
+def test_differing_pairs_lists_each_pair_and_workload_whose_metric_differs():
+    same = summary({"a/green_frac": 0.625, "b/green_frac": 1.0, "b/runs_per_s": 1.0})
+    moved = summary({"a/green_frac": 0.594, "b/green_frac": 1.0, "b/runs_per_s": 2.0})
+    pairs = [(same, same), (same, moved), (moved, moved)]
+    assert perf_pairs.differing_pairs(pairs, "green_frac") == [(2, "a/green_frac", 0.625, 0.594)]
+    assert perf_pairs.differing_pairs(pairs[:1], "green_frac") == []
+    single = [(summary({"green_frac": 0.5}), summary({"green_frac": 0.53}))]
+    assert perf_pairs.differing_pairs(single, "green_frac") == [(1, "green_frac", 0.5, 0.53)]

@@ -5,8 +5,8 @@ import pytest
 
 from skfnav import kernels
 from skfnav.biasmodels import BiasSpec
+from skfnav.constants import EARTH_RADIUS_FT, GRAV_PARAM
 from skfnav.exceptions import ConfigError, FieldDomainError
-from skfnav.inertial import ImuSample, NavState15, attitude_matrix, gravity, strapdown_step
 from skfnav.scenarios.balloon import (
     BalloonConfig,
     build_balloon_filter,
@@ -219,6 +219,55 @@ class TestShuttleSim:
         assert np.abs(truth.gps - recon).max() == 0.0
 
 
+def shuttle_imu(n_steps=40, seed=0, **noise):
+    """A clean shuttle run's truth with the given IMU noise and bias walks."""
+    levels = dict(imu_noise_accel=0.0, imu_noise_gyro=0.0,
+                  imu_walk_accel=0.0, imu_walk_gyro=0.0)
+    levels.update(noise)
+    return simulate_shuttle(ShuttleConfig(n_steps=n_steps, oversample=1, seed=seed,
+                                          true_switch_step=None, **levels))
+
+
+class TestImuSynthesis:
+    """The bias walks and white noise ``simulate_shuttle`` adds to the
+    reference IMU stream."""
+
+    def test_bias_propagation_zero_sigma_is_identity(self):
+        truth = shuttle_imu()
+        assert not truth.accel_bias.any() and not truth.gyro_bias.any()
+
+    def test_bias_propagation_reproducible(self):
+        runs = [shuttle_imu(seed=7, imu_walk_accel=1e-4, imu_walk_gyro=1e-6) for _ in range(2)]
+        assert np.array_equal(runs[0].accel_bias, runs[1].accel_bias)
+        assert np.array_equal(runs[0].gyro_bias, runs[1].gyro_bias)
+        assert runs[0].accel_bias.any()
+
+    def test_random_walk_variance(self):
+        # 2000 steps on 3 axes: the pooled step variance approaches the walk
+        # variance with ~1.8% sampling error over the 6000 samples
+        var = 1e-4
+        truth = shuttle_imu(n_steps=2001, seed=1, imu_walk_accel=np.sqrt(var))
+        steps = np.diff(truth.accel_bias, axis=0)
+        assert np.mean(steps**2) == pytest.approx(var, rel=0.05)
+
+    def test_synthesize_truth_when_clean(self):
+        truth = shuttle_imu()
+        assert np.array_equal(truth.imu_meas, truth.reference.imu_true)
+
+    def test_synthesize_adds_bias(self):
+        truth = shuttle_imu(imu_walk_accel=1e-3, imu_walk_gyro=1e-6)
+        added = truth.imu_meas - truth.reference.imu_true
+        assert np.abs(added[:, :3] - truth.accel_bias).max() < 1e-12
+        assert np.abs(added[:, 3:] - truth.gyro_bias).max() < 1e-15
+
+    def test_noise_mean_converges(self):
+        n = 2001
+        truth = shuttle_imu(n_steps=n, seed=5, imu_noise_accel=0.3)
+        noise = truth.imu_meas[:, :3] - truth.reference.imu_true[:, :3]
+        # CLT: sample mean within ~3 sigma / sqrt(N) of zero
+        assert np.abs(noise.mean(axis=0)).max() < 3 * 0.3 / np.sqrt(n)
+
+
 class TestReference:
     def test_round_trip_reintegration(self):
         cfg = ShuttleConfig(n_steps=200, oversample=1, true_switch_step=None)
@@ -231,7 +280,7 @@ class TestReference:
         ref = generate_reference(cfg)
         assert ref.states.shape == (51, 15)
         assert ref.imu_true.shape == (50, 6)
-        assert np.array_equal(ref.states[0], NavState15(*cfg.init_state).as_vector())
+        assert np.array_equal(ref.states[0], [*cfg.init_state, *np.zeros(6)])
 
     def test_inertial_model_drifts_from_fine_reference(self):
         # zero-order-hold reintegration accumulates position error while the
@@ -355,24 +404,28 @@ class TestReferenceCache:
 
 
 def reference_oracle(cfg: ShuttleConfig):
-    """Reference states and IMU stream from one ``NavState15``/``ImuSample``
-    and one single-row ``strapdown_step`` per substep."""
+    """Reference states and IMU stream from one state vector and one
+    single-row numpy ``strapdown_batch`` call per substep."""
     dt_f = cfg.dt / cfg.oversample
-    state = NavState15(*cfg.init_state)
+    state = np.zeros(15)
+    state[:9] = cfg.init_state
     states = np.empty((cfg.n_steps + 1, 15))
     imu_true = np.empty((cfg.n_steps, 6))
-    states[0] = state.as_vector()
+    states[0] = state
     for k in range(cfg.n_steps):
         for sub in range(cfg.oversample):
             t = (k * cfg.oversample + sub) * dt_f
-            C = attitude_matrix(state.phi, state.theta, state.psi)
-            f_b = C.T @ (_command_accel(t) - gravity(state.h))
+            C = np.array(kernels.attitude_entries(*state[6:9])).reshape(3, 3)
+            gravity = np.array([0.0, 0.0, GRAV_PARAM / (EARTH_RADIUS_FT + state[0]) ** 2])
+            f_b = C.T @ (_command_accel(t) - gravity)
             omega_b = _command_rates(t)
+            if not (np.isfinite(f_b).all() and np.isfinite(omega_b).all()):
+                raise ValueError("IMU sample must be finite")
             if sub == 0:
                 imu_true[k, :3] = f_b
                 imu_true[k, 3:] = omega_b
-            state = strapdown_step(state, ImuSample(f_b, omega_b), dt_f)
-        states[k + 1] = state.as_vector()
+            state = kernels.numpy_backend.strapdown_batch(state[None, :], f_b, omega_b, dt_f)[0]
+        states[k + 1] = state
     return states, imu_true
 
 
@@ -384,11 +437,9 @@ TURNED_INIT = (1.2e5, 0.5, -0.4, 9.0e3, 0.02, -2.5, -0.3, -0.6, 3.0)
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("oversample", [7, 1])
     @pytest.mark.parametrize("init_state", [RAISED_INIT, TURNED_INIT])
-    def test_generate_reference_matches_single_row_oracle(self, oversample, init_state,
-                                                          monkeypatch):
-        # generate_reference runs the numpy body under either backend, so the
-        # oracle's strapdown_step must too
-        monkeypatch.setattr(kernels, "strapdown_batch", kernels.numpy_backend.strapdown_batch)
+    def test_generate_reference_matches_single_row_oracle(self, oversample, init_state):
+        # generate_reference runs the numpy body under either backend, and so
+        # does the oracle
         cfg = ShuttleConfig(n_steps=60, oversample=oversample, init_state=init_state,
                             true_switch_step=None)
         states, imu_true = reference_oracle(cfg)
