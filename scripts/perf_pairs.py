@@ -15,7 +15,10 @@ and whether the median gain exceeds it, and one verdict (see ``verdict``),
 and last the pairs in which ``green_frac`` differs between the two sides,
 which a change with byte-identical outputs leaves empty.  ``W`` may be
 ``all``; the metric names then carry the workload as a prefix.  Seeds are a
-range ``A-B`` or a comma list.  The exit code is 1 when any run failed an
+range ``A-B`` or a comma list.  The same comparison, with both commits, each
+side's backend and source digest, the CPU count, the Python and numpy
+versions and the seeds, is written to ``BENCH_<W>.json`` at the repository
+root (see ``bench_document``).  The exit code is 1 when any run failed an
 output check or reported failed operations.
 """
 
@@ -46,8 +49,15 @@ def export(rev: str, target: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON summary line of one ``perfbench/run.py --trace 0`` run."""
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float,
+              stamp_workload: str) -> dict:
+    """The JSON summary line of one ``perfbench/run.py --trace 0`` run, with
+    the ``stamp`` of its result file for ``stamp_workload``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -58,6 +68,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"perfbench in {tree} printed nothing:\n{proc.stderr}")
     line = json.loads(lines[-1])
     line["returncode"] = proc.returncode
+    result = tree / "perfbench" / "out" / f"{stamp_workload}-s{seed}-trace0.json"
+    line["stamp"] = json.loads(result.read_text())["stamp"] if result.is_file() else {}
     return line
 
 
@@ -121,20 +133,56 @@ def differing_pairs(pairs: list[tuple[dict, dict]], metric: str):
     ]
 
 
-def report(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
-    names = list(pairs[0][0]["metrics"])
-    print(f"\n{len(pairs)} pairs; parent -> working tree as q1/median/q3")
-    for name in names:
+def summarize(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> dict[str, dict]:
+    """Per end-to-end metric of the pairs: both sides' quartiles, the pairs in
+    which the working tree did better, the parent's IQR, the median gain and
+    the verdict."""
+    out = {}
+    for name in pairs[0][0]["metrics"]:
         metric = spec[name.rsplit("/", 1)[-1]]
         higher = metric["better"] == "higher"
         old = [p["metrics"][name]["value"] for p, _ in pairs]
         new = [c["metrics"][name]["value"] for _, c in pairs]
         won, po, pn, iqr, gain = compare(old, new, higher)
-        ratio = pn[1] / po[1] if po[1] else float("nan")
-        print(f"  {name:34s} {po[0]:.4g}/{po[1]:.4g}/{po[2]:.4g} -> "
-              f"{pn[0]:.4g}/{pn[1]:.4g}/{pn[2]:.4g}  x{ratio:.3f}  "
-              f"better in {won}/{len(pairs)}  parent IQR {iqr:.4g}  "
-              f"median gain {gain:+.4g}  {verdict(old, new, higher, metric['bound'])}")
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            "parent": dict(zip(("q1", "median", "q3"), po)),
+            "tree": dict(zip(("q1", "median", "q3"), pn)),
+            "tree_better_in": won, "pairs": len(pairs), "parent_iqr": iqr,
+            "median_gain": gain, "verdict": verdict(old, new, higher, metric["bound"]),
+        }
+    return out
+
+
+def bench_document(workload: str, seeds: list[int], seconds: float, commits: dict,
+                   pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> dict:
+    """The content of ``BENCH_<workload>.json``: the two commits, each side's
+    backend and source digest and the machine from the runs' stamps, the
+    seeds, every metric's ``summarize`` entry, and the pairs in which
+    ``green_frac`` differs."""
+    stamps = {"parent": pairs[0][0]["stamp"], "tree": pairs[0][1]["stamp"]}
+    return {
+        "workload": workload,
+        "commits": commits,
+        "backend": {side: stamp.get("backend") for side, stamp in stamps.items()},
+        "source_sha256": {side: stamp.get("source_sha256") for side, stamp in stamps.items()},
+        **{key: stamps["tree"].get(key) for key in ("nproc", "python", "numpy")},
+        "seeds": seeds,
+        "seconds": seconds,
+        "metrics": summarize(pairs, spec),
+        "green_frac_differs": [list(row) for row in differing_pairs(pairs, "green_frac")],
+    }
+
+
+def report(pairs: list[tuple[dict, dict]], spec: dict[str, dict]) -> None:
+    print(f"\n{len(pairs)} pairs; parent -> working tree as q1/median/q3")
+    for name, m in summarize(pairs, spec).items():
+        po, pn = m["parent"], m["tree"]
+        ratio = pn["median"] / po["median"] if po["median"] else float("nan")
+        print(f"  {name:34s} {po['q1']:.4g}/{po['median']:.4g}/{po['q3']:.4g} -> "
+              f"{pn['q1']:.4g}/{pn['median']:.4g}/{pn['q3']:.4g}  x{ratio:.3f}  "
+              f"better in {m['tree_better_in']}/{m['pairs']}  parent IQR "
+              f"{m['parent_iqr']:.4g}  median gain {m['median_gain']:+.4g}  {m['verdict']}")
     differing = differing_pairs(pairs, "green_frac")
     print(f"pairs in which green_frac differs: {len(differing) or 'none'}")
     for number, name, old_value, new_value in differing:
@@ -150,6 +198,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    stamp_workload = (spec["workloads"][0]["name"] if args.workload == "all"
+                      else args.workload)
+    commits = {
+        "parent": git("rev-parse", args.parent_rev),
+        "tree": git("rev-parse", "HEAD"),
+        "tree_has_uncommitted_changes": bool(git("status", "--porcelain",
+                                                 "--untracked-files=no")),
+    }
 
     pairs = []
     ok = True
@@ -160,7 +216,8 @@ def main(argv=None) -> int:
             sides = [("parent", parent), ("tree", ROOT)]
             if i % 2:
                 sides.reverse()
-            result = {label: run_bench(tree, args.workload, seed, args.seconds)
+            result = {label: run_bench(tree, args.workload, seed, args.seconds,
+                                       stamp_workload)
                       for label, tree in sides}
             for label, line in result.items():
                 if line["returncode"] or not line["correct"] or line["failed"]:
@@ -172,6 +229,10 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} seed {seed} ({sides[0][0]} first), parent/tree:",
                   *pair_lines(old, new), sep="\n", flush=True)
     report(pairs, metrics)
+    doc = bench_document(args.workload, args.seeds, args.seconds, commits, pairs, metrics)
+    path = ROOT / f"BENCH_{args.workload}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path.name}")
     return 0 if ok else 1
 
 

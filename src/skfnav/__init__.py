@@ -6,7 +6,7 @@ scores competing hypotheses about when an observation stream turned bad,
 alongside the simulation scenarios and experiment harness used to exercise it.
 """
 
-from .biasmodels import BiasSpec, bias_eval
+from .biasmodels import BiasSpec
 from .gaussfilt import (
     GaussianBelief,
     PredictedObservation,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "BiasSpec",
-    "bias_eval",
     "GaussianBelief",
     "SigmaPointParams",
     "PredictedObservation",

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .configio import load_config, validate_config
+from .configio import load_config, parse_single, validate_config
 from .exceptions import ConfigError, SkfnavError
 
 log = logging.getLogger("skfnav")
@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run directory containing records.csv")
     rep.add_argument("--out", default=None, help="output directory (default: in place)")
 
-    val = sub.add_parser("validate-config", help="schema-check a config file", parents=[common])
+    val = sub.add_parser("validate-config", help="check and build a config file",
+                         parents=[common])
     val.add_argument("--config", required=True)
     return parser
 
@@ -120,8 +121,11 @@ def _cmd_report(args) -> int:
 def _cmd_validate(args) -> int:
     data = load_config(args.config)
     kind = validate_config(data)
+    # builds the config (every cell of a sweep), as a run would before simulating
     if kind == "sweep":
-        harness.sweep_from_dict(data)  # checks and builds every cell
+        harness.sweep_from_dict(data)
+    else:
+        parse_single(data)
     print(f"OK: {kind} config")
     return 0
 

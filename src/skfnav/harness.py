@@ -65,12 +65,16 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _canonical(data: dict, omit: str) -> str:
+    """``data`` without its ``omit`` entry as canonical JSON text."""
+    doc = {k: v for k, v in data.items() if k != omit}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(data: dict) -> str:
     """Hash of the config content, seed excluded: replicated runs of one cell
     share a hash and records key on (hash, seed)."""
-    doc = {k: v for k, v in data.items() if k != "seed"}
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return hashlib.sha256(_canonical(data, "seed").encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -143,7 +147,7 @@ def _run(scenario: str, cfg, field_data, record: RunRecord):
         truth = simulate_shuttle(cfg)
         filt = build_shuttle_filter(cfg, truth)
         truth_states = truth.inertial_states
-    filt.run(truth.measurement_map(), cfg.n_steps)
+    _run_filter(filt, truth.measurement_map(), cfg, _prefix_key(record.config))
     est = filt.estimate()
     record.no_corruption = reports_no_corruption(est, cfg.n_steps)
     record.est_switch_step = None if est.is_nominal else est.s_index
@@ -165,6 +169,45 @@ def _run(scenario: str, cfg, field_data, record: RunRecord):
         for s, w in zip(est.s_indices, est.weights)
     ]
     return filt, truth
+
+
+# The filter of the most recent keyed run at its last offset-free step, as
+# (key, step, bank, fixes through that step); one entry, like the shuttle's
+# reference cache, so that memory stays flat however many keys a process sees.
+_checkpoint: Optional[tuple] = None
+
+
+def _prefix_key(snapshot: dict) -> Optional[str]:
+    """The key of the filter's steps through the onset, which runs that differ
+    only in their bias share, since no fix carries an offset before then:
+    the config ``snapshot`` without its ``bias`` entry.  None when those
+    steps are empty (onset 0) or when the run reads a file, which may change."""
+    reads_file = (snapshot.get("reference_path") is not None
+                  or "path" in snapshot.get("field", {}))
+    if snapshot["true_switch_step"] == 0 or reads_file:
+        return None
+    return _canonical(snapshot, "bias")
+
+
+def _run_filter(filt, measurements: dict, cfg, key: Optional[str]) -> None:
+    """Step ``filt`` through ``cfg.n_steps``.  A keyed run whose fixes through
+    its onset equal those of the checkpoint under its key resumes from a copy
+    of the checkpoint; any other keyed run steps to its onset, leaves its
+    checkpoint there, and steps on.  Either way the bank ends the same, bit
+    for bit."""
+    global _checkpoint
+    if key is None:
+        filt.run(measurements, cfg.n_steps)
+        return
+    onset = cfg.n_steps if cfg.true_switch_step is None else cfg.true_switch_step
+    fixes = np.array([y for k, y in measurements.items() if k <= onset])
+    if (_checkpoint is not None and _checkpoint[0] == key
+            and np.array_equal(_checkpoint[3], fixes)):
+        filt.k, filt.bank = _checkpoint[1], _checkpoint[2].copy()
+    else:
+        filt.run(measurements, onset)
+        _checkpoint = (key, filt.k, filt.bank.copy(), fixes)
+    filt.run(measurements, cfg.n_steps)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -262,15 +305,19 @@ def _run_task(task) -> RunRecord:
 
 
 def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]:
-    """All cells x seeds, in deterministic order regardless of parallelism.
+    """All cells x seeds, cell-major (each cell's seeds together), in an order
+    that does not depend on parallelism.
 
     Individual cell failures are captured in their records; the sweep always
     completes.
     """
     threads = resolve_threads() if threads is None else max(1, int(threads))
-    tasks = [(cell, seed) for cell in grid.cell_configs() for seed in grid.seeds]
+    cells, seeds = grid.cell_configs(), grid.seeds
+    # seed-major, so that the cells of one seed that differ only in their bias,
+    # and share a checkpoint (see _run_filter), run one after another
+    tasks = [(cell, seed) for seed in seeds for cell in cells]
     log.info("sweep: %d runs (%d cells x %d seeds), %d worker(s)",
-             len(tasks), len(tasks) // len(grid.seeds), len(grid.seeds), threads)
+             len(tasks), len(cells), len(seeds), threads)
     start = time.perf_counter()
     if threads == 1:
         records = [_run_task(task) for task in tasks]
@@ -278,7 +325,7 @@ def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_run_task, tasks, chunksize=1))
     log.info("sweep finished in %.1fs", time.perf_counter() - start)
-    return records
+    return [records[s * len(cells) + c] for c in range(len(cells)) for s in range(len(seeds))]
 
 
 def _is_success(record: RunRecord, include_yellow: bool) -> bool:

@@ -24,10 +24,8 @@ else:
 
 strapdown_batch = _impl.strapdown_batch
 strapdown_columns = numpy_backend.strapdown_columns
-wrap_angle = numpy_backend.wrap_angle
 attitude_entries = numpy_backend.attitude_entries
 
 __all__ = [
-    "BACKEND", "strapdown_batch", "strapdown_columns", "wrap_angle", "attitude_entries",
-    "numpy_backend",
+    "BACKEND", "strapdown_batch", "strapdown_columns", "attitude_entries", "numpy_backend",
 ]

@@ -57,6 +57,17 @@ class Bank:
     def _buffers(self):
         return self._mean, self._cov, self._log_lik
 
+    def copy(self) -> "Bank":
+        """A bank with the same rows that steps independently of this one:
+        the buffers and lists are copied, and the histories share their
+        entries, which are never written once recorded."""
+        new = object.__new__(Bank)
+        new._mean, new._cov, new._log_lik = (buf.copy() for buf in self._buffers())
+        new.s_index = list(self.s_index)
+        new.cause = list(self.cause)
+        new.history = [list(history) for history in self.history]
+        return new
+
     def live(self) -> list[int]:
         """The rows that no failure has frozen."""
         return [row for row, cause in enumerate(self.cause) if cause is None]
@@ -323,8 +334,9 @@ class SwitchingFilter:
         )
 
     def run(self, measurements: dict[int, np.ndarray], n_steps: int) -> list[StepDiagnostics]:
-        """Step through ``k = 1..n_steps`` pulling measurements by step index."""
-        return [self.step(measurements.get(k)) for k in range(1, n_steps + 1)]
+        """Step on from the current step through ``k = n_steps``, pulling
+        measurements by step index (``k = 1..n_steps`` on a new filter)."""
+        return [self.step(measurements.get(k)) for k in range(self.k + 1, n_steps + 1)]
 
     def estimate(self) -> SwitchEstimate:
         return estimate(self.bank.log_lik, self.bank.s_index)

@@ -136,6 +136,15 @@ def test_sweep_with_a_bad_cell_is_rejected_before_any_run(tmp_path, caplog, swee
     assert errors == [f"config error: {message}"] * 2
 
 
+def test_single_config_that_cannot_be_built_is_rejected(tmp_path, caplog):
+    path = tmp_path / "shuttle.json"
+    path.write_text(json.dumps({"scenario": "shuttle", "n_steps": 20, "true_switch_step": 50}))
+    for command in (["validate-config"], ["simulate", "shuttle", "--out", str(tmp_path)]):
+        assert main(["--quiet", *command, "--config", str(path)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["config error: switch index 50 outside [0, 20]"] * 2
+
+
 def test_validate_config_ok(sweep_cfg, capsys):
     rc = main(["--quiet", "validate-config", "--config", str(sweep_cfg)])
     assert rc == 0

@@ -11,6 +11,7 @@ from skfnav import configio, harness
 from skfnav.cli import main
 from skfnav.exceptions import ConfigError
 from skfnav.metrics import GREEN, RED, YELLOW, classify, relative_rmse
+from skfnav.switching import SwitchingFilter
 
 
 def balloon_config(**overrides):
@@ -295,6 +296,127 @@ class TestSweep:
                                    "true_switch_step": None, "init_state": init})
         assert record.status == "error"
         assert record.error == error
+
+
+def shuttle_config(**overrides):
+    data = {"scenario": "shuttle", "n_steps": 30, "oversample": 1, "seed": 3,
+            "true_switch_step": 15, "bias": {"kind": "quadratic", "A": 100.0, "cap": 1000.0}}
+    data.update(overrides)
+    return data
+
+
+class TestPrefixCheckpoint:
+    """Runs that differ only in their bias share the filter's steps through
+    their onset: a run resumes from the checkpoint that an earlier run left."""
+
+    @pytest.fixture(autouse=True)
+    def no_checkpoint(self, monkeypatch):
+        monkeypatch.setattr(harness, "_checkpoint", None)
+
+    @staticmethod
+    def count_steps(monkeypatch) -> list:
+        """The step each ``SwitchingFilter.step`` call starts from, from now on."""
+        starts = []
+        step = SwitchingFilter.step
+
+        def counted(self, y=None):
+            starts.append(self.k)
+            return step(self, y)
+
+        monkeypatch.setattr(SwitchingFilter, "step", counted)
+        return starts
+
+    GRIDS = {
+        "balloon": {"scenario": "balloon", "seeds": 2,
+                    "base": {"n_steps": 60, "dt": 0.01, "q_x": 1e-6, "q_p": 1e-6,
+                             "true_switch_step": 30},
+                    "axes": {"r": [1e-6, 1e-4], "A": [0.0, 0.2], "B": [0.0, 2.0]}},
+        "shuttle": {"scenario": "shuttle", "seeds": [3, 4],
+                    "base": {"n_steps": 30, "oversample": 1, "true_switch_step": 15,
+                             "bias": {"kind": "quadratic", "cap": 1000.0}},
+                    "axes": {"A": [0.0, 100.0], "C": [0.0, 10.0]}},
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scenario", ["balloon", "shuttle"])
+    def test_sweep_writes_the_records_of_runs_without_a_checkpoint(
+            self, tmp_path, monkeypatch, scenario, threads):
+        grid = harness.sweep_from_dict({"name": "reuse", **self.GRIDS[scenario]})
+        cold = []
+        for cell in grid.cell_configs():
+            for seed in grid.seeds:
+                harness._checkpoint = None
+                cold.append(harness.run_case(cell, seed=seed))
+        harness.write_records_csv(tmp_path / "cold.csv", cold)
+        harness._checkpoint = None
+        starts = self.count_steps(monkeypatch)
+        _, target = harness.run_sweep_to_dir(grid, tmp_path, threads=threads)
+        assert (target / "records.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        if threads == 1:
+            # per seed and noise level, the first of four bias cells steps
+            # the whole run and the other three only the steps after onset
+            n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
+            families = len(cold) // 4
+            assert len(starts) == families * (n + 3 * (n - onset))
+
+    @pytest.mark.parametrize("data, freezes", [
+        (balloon_config(n_steps=60, true_switch_step=30), False),
+        (shuttle_config(), True),
+    ], ids=["balloon", "shuttle"])
+    def test_resumed_bank_equals_a_fresh_runs(self, monkeypatch, assert_banks_equal,
+                                              data, freezes):
+        harness.execute_case({**data, "bias": {"kind": "quadratic", "B": 3.0}})
+        starts = self.count_steps(monkeypatch)
+        resumed_record, resumed, _ = harness.execute_case(data)
+        onset, n = data["true_switch_step"], data["n_steps"]
+        assert starts == list(range(onset, n))
+        harness._checkpoint = None
+        fresh_record, fresh, _ = harness.execute_case(data)
+        assert_banks_equal(resumed.bank, fresh.bank)
+        assert harness.record_row(resumed_record) == harness.record_row(fresh_record)
+        assert any(cause is not None for cause in fresh.bank.cause) == freezes
+
+    def test_onset_zero_takes_no_checkpoint(self, monkeypatch):
+        starts = self.count_steps(monkeypatch)
+        for a in (0.1, 0.2):
+            harness.run_case(balloon_config(n_steps=40, true_switch_step=0,
+                                            bias={"kind": "static", "A": a}))
+        assert harness._checkpoint is None
+        assert starts == list(range(40)) * 2
+
+    def test_fix_mismatch_runs_from_scratch(self, monkeypatch, assert_banks_equal):
+        data = balloon_config(n_steps=60, true_switch_step=30)
+        harness.execute_case(data)
+        key, k, bank, fixes = harness._checkpoint
+        bank.log_lik[:] += 1.0  # a resumed run would carry this into its scores
+        harness._checkpoint = (key, k, bank, fixes + 1e-3)
+        starts = self.count_steps(monkeypatch)
+        _, filt, _ = harness.execute_case(data)
+        assert starts == list(range(60))
+        harness._checkpoint = None
+        _, fresh, _ = harness.execute_case(data)
+        assert_banks_equal(filt.bank, fresh.bank)
+
+    def test_rewritten_reference_file_is_read_again(self, tmp_path):
+        from skfnav.scenarios.shuttle import (
+            ShuttleConfig,
+            generate_reference,
+            save_reference_csv,
+        )
+
+        path = tmp_path / "ref.csv"
+        data = shuttle_config(reference_path=str(path))
+        h, *rest = ShuttleConfig().init_state
+        records = []
+        for offset in (0.0, 100.0):
+            source = ShuttleConfig(n_steps=30, oversample=1, true_switch_step=None,
+                                   init_state=(h + offset, *rest))
+            save_reference_csv(path, generate_reference(source))
+            records.append(harness.run_case(data))
+        assert harness._checkpoint is None
+        assert records[0].rmse != records[1].rmse
+        cold = harness.run_case(data)
+        assert harness.record_row(records[1]) == harness.record_row(cold)
 
 
 class TestDataFiles:

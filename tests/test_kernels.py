@@ -25,7 +25,7 @@ def random_states(n, seed):
 
 def test_wrap_angle_half_open_interval():
     vals = np.array([0.0, np.pi, -np.pi, 3.5, -3.5, 10.0])
-    wrapped = kernels.wrap_angle(vals)
+    wrapped = kernels.numpy_backend.wrap_angle(vals)
     assert np.all(wrapped > -np.pi) and np.all(wrapped <= np.pi)
     assert wrapped[0] == 0.0
     assert wrapped[1] == np.pi

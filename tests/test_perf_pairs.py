@@ -1,7 +1,8 @@
-"""The verdict that scripts/perf_pairs.py gives each end-to-end metric, and
-what it prints of each pair."""
+"""The verdict that scripts/perf_pairs.py gives each end-to-end metric, what
+it prints of each pair, and the BENCH document it writes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,36 @@ def test_differing_pairs_lists_each_pair_and_workload_whose_metric_differs():
     assert perf_pairs.differing_pairs(pairs[:1], "green_frac") == []
     single = [(summary({"green_frac": 0.5}), summary({"green_frac": 0.53}))]
     assert perf_pairs.differing_pairs(single, "green_frac") == [(1, "green_frac", 0.5, 0.53)]
+
+
+def test_bench_document_holds_the_commits_machine_seeds_and_each_verdict():
+    spec = {"runs_per_s": {"name": "runs_per_s", "unit": "runs/s", "better": "higher",
+                           "bound": 0.25},
+            "green_frac": {"name": "green_frac", "unit": "fraction", "better": "higher",
+                           "bound": 0.25}}
+    stamp = {"backend": "numpy", "source_sha256": "p", "nproc": 2, "python": "3.11.7",
+             "numpy": "2.4.6", "commit": None}
+    pairs = []
+    for i, p in enumerate(PARENT):
+        old = summary({"runs_per_s": p, "green_frac": 0.5})
+        new = summary({"runs_per_s": p + 0.1, "green_frac": 0.5 if i else 0.75})
+        old["stamp"], new["stamp"] = stamp, {**stamp, "source_sha256": "t"}
+        pairs.append((old, new))
+    commits = {"parent": "a" * 40, "tree": "a" * 40, "tree_has_uncommitted_changes": True}
+    doc = perf_pairs.bench_document("w", list(range(301, 311)), 20.0, commits, pairs, spec)
+    assert {k: doc[k] for k in ("workload", "commits", "backend", "source_sha256", "nproc",
+                                "python", "numpy", "seeds", "seconds")} == {
+        "workload": "w", "commits": commits, "backend": {"parent": "numpy", "tree": "numpy"},
+        "source_sha256": {"parent": "p", "tree": "t"}, "nproc": 2, "python": "3.11.7",
+        "numpy": "2.4.6", "seeds": list(range(301, 311)), "seconds": 20.0,
+    }
+    runs = doc["metrics"]["runs_per_s"]
+    assert runs["verdict"] == "gain" and runs["tree_better_in"] == 10 and runs["pairs"] == 10
+    assert runs["parent"] == pytest.approx({"q1": 0.99, "median": 1.0, "q3": 1.01})
+    assert runs["tree"] == pytest.approx({"q1": 1.09, "median": 1.1, "q3": 1.11})
+    assert runs["parent_iqr"] == pytest.approx(0.02)
+    assert runs["median_gain"] == pytest.approx(0.1)
+    assert (runs["unit"], runs["better"], runs["bound"]) == ("runs/s", "higher", 0.25)
+    assert doc["metrics"]["green_frac"]["verdict"] == "within bound"
+    assert doc["green_frac_differs"] == [[1, "green_frac", 0.5, 0.75]]
+    json.dumps(doc)  # the document is written as JSON

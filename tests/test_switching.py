@@ -217,6 +217,26 @@ class TestStepping:
 
         assert trace() == trace()
 
+    def test_run_steps_on_from_the_current_step(self, assert_banks_equal):
+        from skfnav.scenarios.balloon import build_balloon_filter, simulate_balloon
+
+        _, cfg, field = parse_single({**load_config(CONFIGS / "table3_test3.json"),
+                                      "n_steps": 120, "true_switch_step": 50})
+        measurements = simulate_balloon(cfg, field).measurement_map()
+        whole = build_balloon_filter(cfg, field)
+        whole.run(measurements, 120)
+        split = build_balloon_filter(cfg, field)
+        first = split.run(measurements, 60)
+        checkpoint = split.bank.copy()
+        rest = split.run(measurements, 120)
+        assert [d.k for d in first + rest] == list(range(1, 121))
+        assert_banks_equal(split.bank, whole.bank)
+        # the copy taken at step 60 is untouched by the steps after it
+        resumed = build_balloon_filter(cfg, field)
+        resumed.k, resumed.bank = 60, checkpoint
+        resumed.run(measurements, 120)
+        assert_banks_equal(resumed.bank, whole.bank)
+
     def test_dynamics_sees_physical_columns_and_theta_passes_through(self, monkeypatch):
         import skfnav.switching as switching
 
