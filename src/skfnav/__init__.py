@@ -7,14 +7,7 @@ alongside the simulation scenarios and experiment harness used to exercise it.
 """
 
 from .biasmodels import BiasSpec
-from .gaussfilt import (
-    GaussianBelief,
-    PredictedObservation,
-    SigmaPointParams,
-    predict,
-    sigma_points,
-    update,
-)
+from .gaussfilt import linear_update, predict, sigma_points
 from .kernels import BACKEND
 from .switching import (
     SwitchingFilter,
@@ -28,12 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "BiasSpec",
-    "GaussianBelief",
-    "SigmaPointParams",
-    "PredictedObservation",
     "sigma_points",
     "predict",
-    "update",
+    "linear_update",
     "SwitchingFilter",
     "prune",
     "estimate",

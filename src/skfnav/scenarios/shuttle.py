@@ -50,6 +50,11 @@ _VERTICAL_PERIOD_S = 400.0
 _RATE_AMPS = np.array([1.0e-3, 0.8e-3, 1.2e-3])
 _RATE_PERIODS = np.array([300.0, 400.0, 500.0])
 
+# Prior variances of the filter's accelerometer (ft^2/s^4) and gyro
+# (rad^2/s^2) bias states.
+_INIT_ACCEL_BIAS_VAR = 1e-6
+_INIT_GYRO_BIAS_VAR = 1e-12
+
 
 @dataclass(frozen=True)
 class ShuttleConfig:
@@ -69,8 +74,6 @@ class ShuttleConfig:
     imu_walk_accel: float = 1e-5  # ft/s^2 per sqrt(step), bias random walk
     imu_walk_gyro: float = 1e-8  # rad/s per sqrt(step)
     init_pos_var: float = 1e-3
-    init_accel_bias_var: float = 1e-6
-    init_gyro_bias_var: float = 1e-12
     capacity: int = 10
     reference_path: Optional[str] = None
 
@@ -291,8 +294,8 @@ def build_shuttle_filter(
 
     C0 = np.diag(np.concatenate([
         np.full(9, cfg.init_pos_var),
-        np.full(3, cfg.init_accel_bias_var),
-        np.full(3, cfg.init_gyro_bias_var),
+        np.full(3, _INIT_ACCEL_BIAS_VAR),
+        np.full(3, _INIT_GYRO_BIAS_VAR),
     ]))
     return SwitchingFilter(
         dynamics=dynamics,

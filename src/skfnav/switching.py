@@ -25,24 +25,25 @@ import numpy as np
 
 from .biasmodels import offset_columns, write_offset_basis
 from .exceptions import ConfigError, InvalidMeasurementError, SkfnavError
-from .gaussfilt import GaussianBelief, SigmaPointParams, linear_update, predict
+from .gaussfilt import linear_update, predict, symmetrize
 
 
 class Bank:
     """All branches as rows of stacks that persist between steps: the nominal
     in row 0, then the corrupted branches in spawn order.  ``mean`` (B, d),
     ``cov`` (B, d, d) and ``log_lik`` are views of the first B rows of
-    buffers sized for ``size`` rows.  The lists hold per row the onset step
-    ``s_index`` (0 for the nominal), in ``cause`` the type of the exception
-    that froze the row, or None while it is live (a frozen row keeps its
-    belief and score and no longer updates or spawns), and in ``history``
-    one per-row copy of ``(mean, variances, score)`` per step."""
+    buffers sized for ``size`` rows; the prior ``(mean, cov)`` starts row 0.
+    The lists hold per row the onset step ``s_index`` (0 for the nominal), in
+    ``cause`` the type of the exception that froze the row, or None while it
+    is live (a frozen row keeps its belief and score and no longer updates or
+    spawns), and in ``history`` one per-row copy of ``(mean, variances,
+    score)`` per step."""
 
-    def __init__(self, prior: GaussianBelief, size: int):
-        self._mean = np.zeros((size, prior.dim))
-        self._cov = np.zeros((size, prior.dim, prior.dim))
+    def __init__(self, mean: np.ndarray, cov: np.ndarray, size: int):
+        self._mean = np.zeros((size, mean.size))
+        self._cov = np.zeros((size, mean.size, mean.size))
         self._log_lik = np.zeros(size)
-        self._mean[0], self._cov[0] = prior.mean, prior.cov
+        self._mean[0], self._cov[0] = mean, cov
         self.s_index: list = [0]
         self.cause: list = [None]
         self.history: list = [[]]
@@ -235,9 +236,9 @@ class SwitchingFilter:
         self.observed = np.asarray(observed, dtype=int)
         self.d_theta = d_theta
         self._offset_columns = offset_columns(self.observed.size, d_theta)
-        # observation maps of a stack, written in place at each epoch: row 0,
-        # the nominal's, is the column selector, and the others get their
-        # theta block from write_offset_basis
+        # observation maps by bank row, written in place at each epoch: row 0,
+        # the nominal's, is the column selector, and every corrupted row gets
+        # its theta block at this epoch's tau from write_offset_basis
         self._H = np.repeat(np.eye(d_x + d_theta)[None, self.observed], capacity + 1, axis=0)
         self.Q_aug = np.zeros((d_x + d_theta, d_x + d_theta))
         self.Q_aug[:d_x, :d_x] = Q_x
@@ -246,12 +247,11 @@ class SwitchingFilter:
         self.dt = dt
         self.delta = delta
         self.capacity = capacity
-        self.params = SigmaPointParams()
         cov = np.zeros((d_x + d_theta, d_x + d_theta))
         cov[:d_x, :d_x] = C0
         cov[d_x:, d_x:] = np.eye(d_theta)
-        prior = GaussianBelief.create(np.concatenate([x0, np.zeros(d_theta)]), cov)
-        self.bank = Bank(prior, size=capacity + 1)
+        mean = np.concatenate([x0, np.zeros(d_theta)])
+        self.bank = Bank(mean, symmetrize(cov), size=capacity + 1)
         self.bank.record()
         self.k = 0
 
@@ -281,9 +281,8 @@ class SwitchingFilter:
             return out
 
         def predict_rows(rows):
-            prior = GaussianBelief(mean=bank.mean[rows], cov=bank.cov[rows])
-            posterior = predict(prior, dynamics, self.Q_aug, self.params)
-            bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov
+            bank.mean[rows], bank.cov[rows] = predict(
+                bank.mean[rows], bank.cov[rows], dynamics, self.Q_aug)
 
         _run_live(bank, predict_rows)
 
@@ -291,19 +290,14 @@ class SwitchingFilter:
         pruned_info: tuple = ()
         scores_before: tuple = ()
         if y is not None:
+            n = len(bank)
+            taus = (k - np.array(bank.s_index[1:])) * self.dt
+            write_offset_basis(self._H[1:n, :, self.d_x :], self._offset_columns, taus)
 
             def update_rows(rows):
-                # the nominal branch (onset 0, first when present) takes the
-                # selector row 0; each corrupted row gets this epoch's tau
-                s_index = np.array(bank.s_index)[rows]
-                first = int(s_index[0] == 0)
-                H = self._H[1 - first : 1 - first + s_index.size]
-                taus = (k - s_index[first:]) * self.dt
-                write_offset_basis(H[first:, :, self.d_x :], self._offset_columns, taus)
-                prior = GaussianBelief(mean=bank.mean[rows], cov=bank.cov[rows])
-                posterior, pred = linear_update(prior, H, y, self.R)
-                bank.mean[rows], bank.cov[rows] = posterior.mean, posterior.cov
-                bank.log_lik[rows] += pred.log_lik
+                bank.mean[rows], bank.cov[rows], log_lik = linear_update(
+                    bank.mean[rows], bank.cov[rows], self._H[:n][rows], y, self.R)
+                bank.log_lik[rows] += log_lik
 
             _run_live(bank, update_rows)
             if bank.cause[0] is None:

@@ -10,16 +10,12 @@ from skfnav.exceptions import (
     InvalidMeasurementError,
     SingularInnovationError,
 )
-from skfnav.gaussfilt import (
-    GaussianBelief,
-    SigmaPointParams,
-    linear_update,
-    predict,
-    sigma_points,
-    update,
-)
+from skfnav.gaussfilt import linear_update, predict, sigma_points
 
-PARAMS = SigmaPointParams()
+
+def belief(mean, cov):
+    """A ``(mean, cov)`` pair of float arrays, as the filter functions take it."""
+    return np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
 
 
 def reconstruct(points, wm, wc):
@@ -30,26 +26,27 @@ def reconstruct(points, wm, wc):
 
 class TestSigmaPoints:
     def test_scalar_unit_gaussian_hand_values(self):
-        # alpha=1, kappa=2 gives points at 0 and +-sqrt(3)
-        belief = GaussianBelief.create([0.0], [[1.0]])
-        pts, _, _ = sigma_points(belief, SigmaPointParams(alpha=1.0, beta=0.0, kappa=2.0))
-        assert sorted(pts.ravel()) == pytest.approx([-np.sqrt(3), 0.0, np.sqrt(3)])
+        # alpha=0.1, beta=2, kappa=0 at d=1: lambda = 0.01 - 1 = -0.99, points
+        # at 0 and +-sqrt(d + lambda) = +-0.1, outer weights 1 / (2 (d + lambda))
+        pts, wm, wc = sigma_points(*belief([0.0], [[1.0]]))
+        assert pts.ravel() == pytest.approx([0.0, 0.1, -0.1], abs=1e-15)
+        assert wm == pytest.approx([-99.0, 50.0, 50.0])
+        assert wc == pytest.approx([-96.01, 50.0, 50.0])
 
     def test_zero_covariance_collapses_to_mean(self):
-        belief = GaussianBelief.create([1.0, -2.0], np.zeros((2, 2)))
-        pts, _, _ = sigma_points(belief, PARAMS)
-        assert np.abs(pts - belief.mean).max() == 0.0
+        mean, cov = belief([1.0, -2.0], np.zeros((2, 2)))
+        pts, _, _ = sigma_points(mean, cov)
+        assert np.abs(pts - mean).max() == 0.0
 
     def test_weights_are_shared_and_read_only(self):
-        wm, wc = PARAMS.weights(4)
-        assert PARAMS.weights(4)[0] is wm
+        _, wm, wc = sigma_points(np.zeros(4), np.eye(4))
+        assert sigma_points(np.ones(4), 2.0 * np.eye(4))[1] is wm
         assert not wm.flags.writeable and not wc.flags.writeable
         with pytest.raises(ValueError):
             wm[0] = 0.0
 
     def test_moment_matching_identity(self):
-        belief = GaussianBelief.create([1.0, 2.0], np.eye(2))
-        mean, cov = reconstruct(*sigma_points(belief, PARAMS))
+        mean, cov = reconstruct(*sigma_points(*belief([1.0, 2.0], np.eye(2))))
         assert np.abs(mean - [1.0, 2.0]).max() < 1e-12
         assert np.abs(cov - np.eye(2)).max() < 1e-12
 
@@ -57,119 +54,111 @@ class TestSigmaPoints:
     def test_moment_matching_random(self, dim):
         rng = np.random.default_rng(dim)
         root = rng.standard_normal((dim, dim))
-        belief = GaussianBelief.create(rng.standard_normal(dim), root @ root.T + dim * np.eye(dim))
-        mean, cov = reconstruct(*sigma_points(belief, PARAMS))
-        assert np.abs(mean - belief.mean).max() < 1e-9
-        assert np.abs(cov - belief.cov).max() < 1e-9
+        prior_mean, prior_cov = rng.standard_normal(dim), root @ root.T + dim * np.eye(dim)
+        mean, cov = reconstruct(*sigma_points(prior_mean, prior_cov))
+        assert np.abs(mean - prior_mean).max() < 1e-9
+        assert np.abs(cov - prior_cov).max() < 1e-9
 
     def test_not_psd_rejected(self):
-        belief = GaussianBelief.create([0.0, 0.0], np.diag([1.0, -1.0]))
         with pytest.raises(CovarianceError):
-            sigma_points(belief, PARAMS)
+            sigma_points(*belief([0.0, 0.0], np.diag([1.0, -1.0])))
 
     def test_small_negative_eigenvalue_tolerated(self):
-        belief = GaussianBelief.create([0.0, 0.0], np.diag([1.0, -1e-10]))
-        pts, wm, wc = sigma_points(belief, PARAMS)
+        pts, wm, wc = sigma_points(*belief([0.0, 0.0], np.diag([1.0, -1e-10])))
         assert np.all(np.isfinite(pts))
 
 
 class TestPredict:
     def test_identity_dynamics_zero_noise(self):
-        belief = GaussianBelief.create([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
-        out = predict(belief, lambda pts: pts, np.zeros((2, 2)), PARAMS)
-        assert np.abs(out.mean - belief.mean).max() < 1e-12
-        assert np.abs(out.cov - belief.cov).max() < 1e-12
+        prior = belief([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
+        mean, cov = predict(*prior, lambda pts: pts, np.zeros((2, 2)))
+        assert np.abs(mean - prior[0]).max() < 1e-12
+        assert np.abs(cov - prior[1]).max() < 1e-12
 
     def test_linear_dynamics_matches_closed_form(self, linear_kalman):
         dt = 0.1
         A = np.array([[1.0, dt], [0.0, 1.0]])
         Q = np.diag([1e-3, 1e-2])
-        belief = GaussianBelief.create([1.0, -0.5], [[0.8, 0.1], [0.1, 0.5]])
-        out = predict(belief, lambda pts: pts @ A.T, Q, PARAMS)
-        expect_cov = A @ belief.cov @ A.T + Q
-        assert np.abs(out.mean - A @ belief.mean).max() < 1e-9
-        assert np.abs(out.cov - expect_cov).max() < 1e-9
+        prior_mean, prior_cov = belief([1.0, -0.5], [[0.8, 0.1], [0.1, 0.5]])
+        mean, cov = predict(prior_mean, prior_cov, lambda pts: pts @ A.T, Q)
+        assert np.abs(mean - A @ prior_mean).max() < 1e-9
+        assert np.abs(cov - (A @ prior_cov @ A.T + Q)).max() < 1e-9
 
     def test_constant_drift_map(self):
         # planar advection with a uniform unit field moves the mean by dt
         dt = 0.01
-        belief = GaussianBelief.create([-35.0, 25.0], np.eye(2))
 
         def dyn(pts):
             out = pts.copy()
             out[:, 0] += dt * 1.0
             return out
 
-        out = predict(belief, dyn, np.zeros((2, 2)), PARAMS)
-        assert out.mean == pytest.approx([-35.0 + dt, 25.0], abs=1e-12)
+        mean, _ = predict(*belief([-35.0, 25.0], np.eye(2)), dyn, np.zeros((2, 2)))
+        assert mean == pytest.approx([-35.0 + dt, 25.0], abs=1e-12)
 
     def test_added_noise_dominates(self):
-        belief = GaussianBelief.create([0.0], [[1.0]])
         Q = np.array([[0.5]])
-        out = predict(belief, lambda pts: pts, Q, PARAMS)
-        assert np.linalg.eigvalsh(out.cov - Q).min() > -1e-10
+        _, cov = predict(*belief([0.0], [[1.0]]), lambda pts: pts, Q)
+        assert np.linalg.eigvalsh(cov - Q).min() > -1e-10
 
     def test_diverging_dynamics_raises(self):
-        belief = GaussianBelief.create([1.0], [[1.0]])
         with pytest.raises(DynamicsDivergedError):
-            predict(belief, lambda pts: pts * np.nan, np.zeros((1, 1)), PARAMS)
+            predict(*belief([1.0], [[1.0]]), lambda pts: pts * np.nan, np.zeros((1, 1)))
 
 
 class TestUpdate:
     def test_uninformative_measurement_keeps_prior(self):
-        belief = GaussianBelief.create([1.0, 2.0], np.eye(2))
-        post, _ = update(belief, lambda pts: pts, np.array([5.0, 5.0]), 1e12 * np.eye(2), PARAMS)
-        assert np.abs(post.mean - belief.mean).max() < 1e-3
-        assert np.abs(post.cov - belief.cov).max() / np.abs(belief.cov).max() < 1e-3
+        prior_mean, prior_cov = belief([1.0, 2.0], np.eye(2))
+        mean, cov, _ = linear_update(prior_mean, prior_cov, np.eye(2), np.array([5.0, 5.0]),
+                                     1e12 * np.eye(2))
+        assert np.abs(mean - prior_mean).max() < 1e-3
+        assert np.abs(cov - prior_cov).max() / np.abs(prior_cov).max() < 1e-3
 
     def test_scalar_linear_update_matches_closed_form(self, linear_kalman):
         kf = linear_kalman([0.5], [[2.0]], [[1.0]], [[1.0]], [[0.0]], [[0.3]])
-        belief = GaussianBelief.create([0.5], [[2.0]])
         y = np.array([1.7])
         kf.predict()
         kf.update(y)
-        post, pred = update(belief, lambda pts: pts, y, np.array([[0.3]]), PARAMS)
-        assert np.abs(post.mean - kf.m).max() < 1e-9
-        assert np.abs(post.cov - kf.P).max() < 1e-9
-        assert pred.mu == pytest.approx([0.5])
-        assert pred.D.ravel() == pytest.approx([2.3])
+        mean, cov, log_lik = linear_update(*belief([0.5], [[2.0]]), np.eye(1), y,
+                                           np.array([[0.3]]))
+        assert np.abs(mean - kf.m).max() < 1e-9
+        assert np.abs(cov - kf.P).max() < 1e-9
+        # predicted observation N(0.5, 2.3)
+        assert log_lik == pytest.approx(-np.log(2.3) - 1.2**2 / 2.3)
 
     def test_unobserved_block_untouched(self):
-        cov = np.diag([1.0, 1.0, 4.0])
-        belief = GaussianBelief.create([1.0, 2.0, 3.0], cov)
-        post, _ = update(belief, lambda pts: pts[:, :2], np.array([1.5, 1.5]),
-                         0.01 * np.eye(2), PARAMS)
-        assert abs(post.mean[2] - 3.0) < 1e-10
-        assert np.abs(post.cov[2, :2]).max() < 1e-10
+        mean, cov, _ = linear_update(*belief([1.0, 2.0, 3.0], np.diag([1.0, 1.0, 4.0])),
+                                     np.eye(3)[:2], np.array([1.5, 1.5]), 0.01 * np.eye(2))
+        assert abs(mean[2] - 3.0) < 1e-10
+        assert np.abs(cov[2, :2]).max() < 1e-10
 
     def test_trace_never_grows_linear_case(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             root = rng.standard_normal((3, 3))
-            belief = GaussianBelief.create(rng.standard_normal(3), root @ root.T + np.eye(3))
-            post, _ = update(belief, lambda pts: pts[:, :1], rng.standard_normal(1),
-                             np.array([[0.5]]), PARAMS)
-            assert np.trace(post.cov) <= np.trace(belief.cov) + 1e-10
+            prior_cov = root @ root.T + np.eye(3)
+            _, cov, _ = linear_update(rng.standard_normal(3), prior_cov, np.eye(3)[:1],
+                                      rng.standard_normal(1), np.array([[0.5]]))
+            assert np.trace(cov) <= np.trace(prior_cov) + 1e-10
 
     def test_symmetry_after_operations(self):
         rng = np.random.default_rng(11)
-        belief = GaussianBelief.create(rng.standard_normal(4), np.eye(4))
+        mean, cov = belief(rng.standard_normal(4), np.eye(4))
         for _ in range(50):
-            belief = predict(belief, lambda pts: pts * 0.99, 0.01 * np.eye(4), PARAMS)
-            belief, _ = update(belief, lambda pts: pts[:, :2], rng.standard_normal(2),
-                               0.1 * np.eye(2), PARAMS)
-            asym = np.abs(belief.cov - belief.cov.T).max()
+            mean, cov = predict(mean, cov, lambda pts: pts * 0.99, 0.01 * np.eye(4))
+            mean, cov, _ = linear_update(mean, cov, np.eye(4)[:2], rng.standard_normal(2),
+                                         0.1 * np.eye(2))
+            asym = np.abs(cov - cov.T).max()
             assert asym < 1e-10
 
     def test_nonfinite_measurement_rejected(self):
-        belief = GaussianBelief.create([0.0], [[1.0]])
         with pytest.raises(InvalidMeasurementError):
-            update(belief, lambda pts: pts, np.array([np.nan]), np.eye(1), PARAMS)
+            linear_update(*belief([0.0], [[1.0]]), np.eye(1), np.array([np.nan]), np.eye(1))
 
     def test_singular_innovation_rejected(self):
-        belief = GaussianBelief.create([0.0], np.zeros((1, 1)))
         with pytest.raises(SingularInnovationError):
-            update(belief, lambda pts: pts, np.array([0.0]), np.zeros((1, 1)), PARAMS)
+            linear_update(*belief([0.0], np.zeros((1, 1))), np.eye(1), np.array([0.0]),
+                          np.zeros((1, 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_covariance_rejected_not_scored(self, bad):
@@ -177,20 +166,18 @@ class TestUpdate:
         # must not pass the guard and come back as a NaN score
         cov = np.eye(2)
         cov[0, 0] = bad
-        belief = GaussianBelief(mean=np.zeros(2), cov=cov)
         with np.errstate(invalid="ignore"), pytest.raises(SingularInnovationError):
-            linear_update(belief, np.eye(2), np.zeros(2), np.eye(2))
+            linear_update(np.zeros(2), cov, np.eye(2), np.zeros(2), np.eye(2))
 
 
 def random_beliefs(rng, n, dim):
     roots = rng.standard_normal((n, dim, dim))
-    return [GaussianBelief.create(rng.standard_normal(dim), r @ r.T + np.eye(dim))
-            for r in roots]
+    return [(rng.standard_normal(dim), r @ r.T + np.eye(dim)) for r in roots]
 
 
 def stack(beliefs):
-    return GaussianBelief(mean=np.stack([b.mean for b in beliefs]),
-                          cov=np.stack([b.cov for b in beliefs]))
+    means, covs = zip(*beliefs)
+    return np.stack(means), np.stack(covs)
 
 
 class TestStacks:
@@ -201,11 +188,11 @@ class TestStacks:
         beliefs = random_beliefs(np.random.default_rng(5), 6, 5)
         dynamics = lambda pts: pts + 0.1 * np.sin(pts)  # noqa: E731
         Q = 0.01 * np.eye(5)
-        out = predict(stack(beliefs), dynamics, Q, PARAMS)
-        for i, belief in enumerate(beliefs):
-            want = predict(belief, dynamics, Q, PARAMS)
-            assert np.array_equal(out.mean[i], want.mean)
-            assert np.array_equal(out.cov[i], want.cov)
+        mean, cov = predict(*stack(beliefs), dynamics, Q)
+        for i, one in enumerate(beliefs):
+            want_mean, want_cov = predict(*one, dynamics, Q)
+            assert np.array_equal(mean[i], want_mean)
+            assert np.array_equal(cov[i], want_cov)
 
     def test_predicted_covariance_exactly_symmetric(self):
         # the propagated moments are exactly symmetric, and so is Q
@@ -214,8 +201,8 @@ class TestStacks:
         root = rng.standard_normal((5, 5))
         Q = 0.01 * (root @ root.T)
         dynamics = lambda pts: pts + 0.1 * np.sin(pts) * pts[:, ::-1]  # noqa: E731
-        out = predict(stack(beliefs), dynamics, Q, PARAMS)
-        assert np.array_equal(out.cov, np.swapaxes(out.cov, -1, -2))
+        _, cov = predict(*stack(beliefs), dynamics, Q)
+        assert np.array_equal(cov, np.swapaxes(cov, -1, -2))
 
     def test_dynamics_called_once_on_all_rows(self):
         beliefs = random_beliefs(np.random.default_rng(6), 4, 3)
@@ -225,26 +212,14 @@ class TestStacks:
             calls.append(pts.shape)
             return pts
 
-        predict(stack(beliefs), dynamics, np.zeros((3, 3)), PARAMS)
+        predict(*stack(beliefs), dynamics, np.zeros((3, 3)))
         assert calls == [(4 * 7, 3)]
-
-    def test_update_matches_each_belief(self):
-        rng = np.random.default_rng(7)
-        beliefs = random_beliefs(rng, 6, 5)
-        observation = lambda pts: pts[..., :2] ** 2  # noqa: E731
-        y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = update(stack(beliefs), observation, y, R, PARAMS)
-        for i, belief in enumerate(beliefs):
-            want, want_pred = update(belief, observation, y, R, PARAMS)
-            assert np.array_equal(post.mean[i], want.mean)
-            assert np.array_equal(post.cov[i], want.cov)
-            assert pred.log_lik[i] == want_pred.log_lik
 
     def test_one_bad_member_fails_the_stack(self):
         beliefs = random_beliefs(np.random.default_rng(8), 3, 2)
-        beliefs[1] = GaussianBelief.create([0.0, 0.0], np.diag([1.0, -1.0]))
+        beliefs[1] = belief([0.0, 0.0], np.diag([1.0, -1.0]))
         with pytest.raises(CovarianceError):
-            sigma_points(stack(beliefs), PARAMS)
+            sigma_points(*stack(beliefs))
 
 
 def observation_matrix(tau, d_theta, d_x=3, observed=(0, 2)):
@@ -261,66 +236,75 @@ def assert_rel_close(got, want, rtol=1e-9):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
+def closed_form(linear_kalman, mean, cov, H, y, R):
+    """Posterior mean and covariance from the closed-form Kalman update, and
+    the score ``-log|S| - r^T S^{-1} r`` of the innovation ``r`` under its
+    covariance ``S``."""
+    kf = linear_kalman(mean, cov, np.eye(mean.size), H, np.zeros_like(cov), R)
+    _, S = kf.update(y)
+    resid = y - H @ mean
+    return kf.m, kf.P, -np.linalg.slogdet(S)[1] - resid @ np.linalg.solve(S, resid)
+
+
 class TestLinearUpdate:
-    """For a linear map the unscented update is exact, so the closed-form
-    update must agree with it to rounding."""
+    """The exact update agrees with the closed-form Kalman filter to rounding
+    on the switching filter's observation maps."""
 
     @pytest.mark.parametrize("d_theta", [3, 6])
-    def test_single_belief_matches_unscented_update(self, d_theta):
+    def test_single_belief_matches_closed_form(self, linear_kalman, d_theta):
         rng = np.random.default_rng(d_theta)
-        (belief,) = random_beliefs(rng, 1, 3 + d_theta)
+        ((prior_mean, prior_cov),) = random_beliefs(rng, 1, 3 + d_theta)
         H = observation_matrix(2.5, d_theta)
         y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = linear_update(belief, H, y, R)
-        want, want_pred = update(belief, lambda pts: pts @ H.T, y, R, PARAMS)
-        assert_rel_close(post.mean, want.mean)
-        assert_rel_close(post.cov, want.cov)
-        assert_rel_close(pred.mu, want_pred.mu)
-        assert_rel_close(pred.D, want_pred.D)
-        assert_rel_close(pred.log_lik, want_pred.log_lik)
+        mean, cov, log_lik = linear_update(prior_mean, prior_cov, H, y, R)
+        want_mean, want_cov, want_log_lik = closed_form(
+            linear_kalman, prior_mean, prior_cov, H, y, R)
+        assert_rel_close(mean, want_mean)
+        assert_rel_close(cov, want_cov)
+        assert_rel_close(log_lik, want_log_lik)
 
     @pytest.mark.parametrize("d_theta", [3, 6])
-    def test_stack_matches_unscented_update(self, d_theta):
+    def test_stack_matches_closed_form(self, linear_kalman, d_theta):
         rng = np.random.default_rng(10 + d_theta)
-        beliefs = stack(random_beliefs(rng, 5, 3 + d_theta))
+        beliefs = random_beliefs(rng, 5, 3 + d_theta)
         H = observation_matrix(np.array([0.0, 0.3, 1.0, 2.0, 4.5]), d_theta)
         H[0, :, 3:] = 0.0  # a nominal branch: no parameter block
         y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = linear_update(beliefs, H, y, R)
-        want, want_pred = update(beliefs, lambda pts: pts @ np.swapaxes(H, -1, -2), y, R, PARAMS)
-        for i in range(5):
-            assert_rel_close(post.mean[i], want.mean[i])
-            assert_rel_close(post.cov[i], want.cov[i])
-            assert_rel_close(pred.log_lik[i], want_pred.log_lik[i])
+        mean, cov, log_lik = linear_update(*stack(beliefs), H, y, R)
+        for i, (prior_mean, prior_cov) in enumerate(beliefs):
+            want_mean, want_cov, want_log_lik = closed_form(
+                linear_kalman, prior_mean, prior_cov, H[i], y, R)
+            assert_rel_close(mean[i], want_mean)
+            assert_rel_close(cov[i], want_cov)
+            assert_rel_close(log_lik[i], want_log_lik)
 
     def test_stack_matches_each_belief(self):
         rng = np.random.default_rng(9)
         beliefs = random_beliefs(rng, 4, 9)
         H = observation_matrix(np.array([0.1, 0.2, 0.7, 3.0]), 6)
         y, R = rng.standard_normal(2), 0.1 * np.eye(2)
-        post, pred = linear_update(stack(beliefs), H, y, R)
-        for i, belief in enumerate(beliefs):
-            want, want_pred = linear_update(belief, H[i], y, R)
-            assert np.array_equal(post.mean[i], want.mean)
-            assert np.array_equal(post.cov[i], want.cov)
-            assert pred.log_lik[i] == want_pred.log_lik
+        mean, cov, log_lik = linear_update(*stack(beliefs), H, y, R)
+        for i, one in enumerate(beliefs):
+            want_mean, want_cov, want_log_lik = linear_update(*one, H[i], y, R)
+            assert np.array_equal(mean[i], want_mean)
+            assert np.array_equal(cov[i], want_cov)
+            assert log_lik[i] == want_log_lik
 
     def test_bad_measurements_rejected(self):
-        belief = GaussianBelief.create([0.0, 0.0], np.eye(2))
+        prior = belief([0.0, 0.0], np.eye(2))
         H = np.eye(2)
         with pytest.raises(InvalidMeasurementError):
-            linear_update(belief, H, np.array([np.nan, 0.0]), np.eye(2))
+            linear_update(*prior, H, np.array([np.nan, 0.0]), np.eye(2))
         with pytest.raises(InvalidMeasurementError):
-            linear_update(belief, H, np.zeros(3), np.eye(2))
+            linear_update(*prior, H, np.zeros(3), np.eye(2))
 
 
 def log_likelihood_increment(y, mu, D):
     """Score of ``y`` from an update whose prediction is exactly ``N(mu, D)``:
     a point-mass prior at ``mu`` observed directly with noise ``D``."""
     mu = np.asarray(mu, dtype=float)
-    belief = GaussianBelief.create(mu, np.zeros((mu.size, mu.size)))
-    _, pred = update(belief, lambda pts: pts, np.asarray(y, dtype=float), D, PARAMS)
-    return pred.log_lik
+    return linear_update(mu, np.zeros((mu.size, mu.size)), np.eye(mu.size),
+                         np.asarray(y, dtype=float), D)[2]
 
 
 class TestLogLikelihood:
@@ -361,14 +345,15 @@ def test_linear_gaussian_equivalence_long_run(linear_kalman):
     Q = np.diag([1e-4, 1e-3])
     R = np.array([[0.04]])
     kf = linear_kalman([0.0, 1.0], np.eye(2), A, H, Q, R)
-    belief = GaussianBelief.create([0.0, 1.0], np.eye(2))
+    mean, cov = belief([0.0, 1.0], np.eye(2))
     x = np.array([0.0, 1.0])
     for _ in range(100):
         x = A @ x + np.linalg.cholesky(Q) @ rng.standard_normal(2)
         y = H @ x + 0.2 * rng.standard_normal(1)
         kf.predict()
         kf.update(y)
-        belief = predict(belief, lambda pts: pts @ A.T, Q, PARAMS)
-        belief, _ = update(belief, lambda pts: pts @ H.T, y, R, PARAMS)
-        assert np.abs(belief.mean - kf.m).max() < 1e-8
-        assert np.abs(belief.cov - kf.P).max() < 1e-8
+        # the switching filter's path: unscented predict, exact linear update
+        mean, cov = predict(mean, cov, lambda pts: pts @ A.T, Q)
+        mean, cov, _ = linear_update(mean, cov, H, y, R)
+        assert np.abs(mean - kf.m).max() < 1e-8
+        assert np.abs(cov - kf.P).max() < 1e-8

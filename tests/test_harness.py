@@ -138,6 +138,14 @@ class TestRunCase:
         assert fielded.config["field"] == {"kind": "analytic", "u0": 0.5}
         assert fielded.config_hash != plain.config_hash
 
+    @pytest.mark.parametrize("scenario", ["balloon", "shuttle"])
+    def test_echoed_config_validates(self, scenario):
+        # the record's config echo is itself a config of its scenario
+        data = balloon_config() if scenario == "balloon" else shuttle_config()
+        record = harness.run_case(data)
+        assert record.status == "ok"
+        assert configio.validate_config(record.config) == scenario
+
     def test_same_config_same_record(self):
         a = harness.run_case(balloon_config())
         b = harness.run_case(balloon_config())

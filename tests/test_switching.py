@@ -11,7 +11,7 @@ from skfnav.exceptions import (
     SingularInnovationError,
     SkfnavError,
 )
-from skfnav.gaussfilt import GaussianBelief, linear_update, predict, sigma_points
+from skfnav.gaussfilt import linear_update, predict, sigma_points
 from skfnav.switching import SwitchingFilter, estimate, prune, reports_no_corruption
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -122,17 +122,25 @@ class TestStepping:
             filt.step(np.array([0.0]))
 
     def test_one_sigma_point_set_per_step(self, monkeypatch):
-        # prediction only: the measurement update is the exact linear one
+        # prediction only: the measurement update is the exact linear one,
+        # called once per epoch through the name that the stage timers wrap
         import skfnav.gaussfilt as gaussfilt
+        import skfnav.switching as switching
 
         calls = []
-        real = gaussfilt.sigma_points
+
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
         monkeypatch.setattr(gaussfilt, "sigma_points",
-                            lambda *args: calls.append(1) or real(*args))
-        filt = random_walk_filter()
-        for k in range(1, 6):
-            filt.step(np.array([0.01 * k]))
-        assert len(calls) == 5
+                            counted("sigma_points", gaussfilt.sigma_points))
+        monkeypatch.setattr(switching, "linear_update",
+                            counted("linear_update", switching.linear_update))
+        filt = random_walk_filter(delta=2)
+        for k in range(1, 11):
+            filt.step(np.array([0.01 * k]) if k % 2 == 0 else None)
+        assert calls.count("sigma_points") == 10
+        assert calls.count("linear_update") == 5
 
     def test_bad_theta_width_rejected_at_construction(self):
         # 4 fits neither one shared (A, B, C) triple nor one per channel
@@ -246,10 +254,10 @@ class TestStepping:
             calls.append(pts.shape)
             return pts + 0.1 * np.sin(pts)
 
-        def spy(belief, dynamics, Q, params):
-            rows = sigma_points(belief, params)[0].reshape(-1, belief.dim)
+        def spy(mean, cov, dynamics, Q):
+            rows = sigma_points(mean, cov)[0].reshape(-1, mean.shape[-1])
             propagated.append((rows, dynamics(rows)))
-            return predict(belief, dynamics, Q, params)
+            return predict(mean, cov, dynamics, Q)
 
         monkeypatch.setattr(switching, "predict", spy)
         filt = SwitchingFilter(
@@ -344,12 +352,14 @@ class TestNoCorruptionConvention:
 @dataclass
 class ReferenceBranch:
     """One onset hypothesis of the reference: onset step (0 for the nominal),
-    accumulated score, belief, and the ``(mean, variances, score)`` it held
-    after each step.  A frozen branch no longer updates, spawns or scores."""
+    accumulated score, belief mean and covariance, and the ``(mean,
+    variances, score)`` it held after each step.  A frozen branch no longer
+    updates, spawns or scores."""
 
     s_index: int
     log_lik: float
-    belief: GaussianBelief
+    mean: np.ndarray
+    cov: np.ndarray
     is_nominal: bool = False
     frozen: bool = False
     history: list = field(default_factory=list)
@@ -368,8 +378,7 @@ class PerBranchReference:
         self.model = model
         bank = model.bank
         self.branches = [ReferenceBranch(
-            0, float(bank.log_lik[0]),
-            GaussianBelief(mean=bank.mean[0].copy(), cov=bank.cov[0].copy()),
+            0, float(bank.log_lik[0]), bank.mean[0].copy(), bank.cov[0].copy(),
             is_nominal=True, history=list(bank.history[0]),
         )]
         self.k = 0
@@ -387,10 +396,10 @@ class PerBranchReference:
             if branch.frozen:
                 return branch
             try:
-                belief = predict(branch.belief, dynamics, filt.Q_aug, filt.params)
+                mean, cov = predict(branch.mean, branch.cov, dynamics, filt.Q_aug)
             except SkfnavError:
                 return replace(branch, frozen=True)
-            return replace(branch, belief=belief)
+            return replace(branch, mean=mean, cov=cov)
 
         def observation_matrix(s_index):
             m = filt.observed.size
@@ -408,14 +417,14 @@ class PerBranchReference:
             if not is_nominal and s_index == k:
                 history = list(history)
             try:
-                belief, pred = linear_update(
-                    branch.belief, observation_matrix(None if is_nominal else s_index), y,
-                    filt.R,
+                mean, cov, increment = linear_update(
+                    branch.mean, branch.cov,
+                    observation_matrix(None if is_nominal else s_index), y, filt.R,
                 )
-                log_lik, frozen = branch.log_lik + float(pred.log_lik), False
+                log_lik, frozen = branch.log_lik + float(increment), False
             except SkfnavError:
-                belief, log_lik, frozen = branch.belief, branch.log_lik, True
-            return ReferenceBranch(s_index, log_lik, belief, is_nominal, frozen, history)
+                mean, cov, log_lik, frozen = branch.mean, branch.cov, branch.log_lik, True
+            return ReferenceBranch(s_index, log_lik, mean, cov, is_nominal, frozen, history)
 
         nominal, *corrupted = (predict_branch(b) for b in self.branches)
         if y is not None:
@@ -432,8 +441,7 @@ class PerBranchReference:
                 corrupted.remove(min(corrupted, key=lambda b: (b.log_lik, -b.s_index)))
         self.branches = [nominal, *corrupted]
         for b in self.branches:
-            b.history.append((b.belief.mean.copy(), b.belief.cov.diagonal().copy(),
-                              b.log_lik))
+            b.history.append((b.mean.copy(), b.cov.diagonal().copy(), b.log_lik))
 
 
 def assert_same_branches(bank, branches, history_from=-1):
@@ -443,8 +451,8 @@ def assert_same_branches(bank, branches, history_from=-1):
         assert (bank.s_index[i], i == 0, bank.cause[i] is not None) == (
             y.s_index, y.is_nominal, y.frozen)
         assert bank.log_lik[i] == y.log_lik
-        assert np.array_equal(bank.mean[i], y.belief.mean)
-        assert np.array_equal(bank.cov[i], y.belief.cov)
+        assert np.array_equal(bank.mean[i], y.mean)
+        assert np.array_equal(bank.cov[i], y.cov)
         assert len(bank.history[i]) == len(y.history)
         for hx, hy in zip(bank.history[i][history_from:], y.history[history_from:]):
             assert np.array_equal(hx[0], hy[0]) and np.array_equal(hx[1], hy[1])
@@ -484,9 +492,7 @@ def poisoned_pair(stage, row, capacity=10):
 
     def poison(stacked, reference):
         stacked.bank.cov[row] = bad
-        branches = reference.branches
-        branches[row] = replace(branches[row], belief=GaussianBelief.create(
-            branches[row].belief.mean, bad))
+        reference.branches[row] = replace(reference.branches[row], cov=bad)
 
     return make(), PerBranchReference(make()), poison
 
