@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -96,12 +97,13 @@ class RunRecord:
     error: Optional[str] = None
 
 
-def execute_case(data: dict, seed: Optional[int] = None):
+def execute_case(data: dict, seed: Optional[int] = None, prefix: Optional[list] = None):
     """Execute one configured run end to end.  Returns ``(record, filter,
     truth)``.  A config that fails validation or cannot build its dataclass
     raises ``ConfigError``; a package error while simulating or filtering
     (``SkfnavError``, a bad ``init_state`` included) is captured in the
-    record, and the filter and truth are then None."""
+    record, and the filter and truth are then None.  The filter steps from
+    the start unless ``prefix`` holds a checkpoint (see ``_run_filter``)."""
     validate_config(data)
     data = dict(data)
     if seed is not None:
@@ -118,7 +120,7 @@ def execute_case(data: dict, seed: Optional[int] = None):
     start = time.perf_counter()
     filt = truth = None
     try:
-        filt, truth = _run(scenario, cfg, extra, record)
+        filt, truth = _run(scenario, cfg, extra, record, prefix)
     except SkfnavError as exc:
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
@@ -135,7 +137,7 @@ def run_case(data: dict, seed: Optional[int] = None) -> RunRecord:
     return execute_case(data, seed=seed)[0]
 
 
-def _run(scenario: str, cfg, field_data, record: RunRecord):
+def _run(scenario: str, cfg, field_data, record: RunRecord, prefix: Optional[list]):
     """Simulate and filter one case and fill in ``record``'s estimate,
     outcome, errors and weights; returns ``(filter, truth)``."""
     if scenario == "balloon":
@@ -147,7 +149,7 @@ def _run(scenario: str, cfg, field_data, record: RunRecord):
         truth = simulate_shuttle(cfg)
         filt = build_shuttle_filter(cfg, truth)
         truth_states = truth.inertial_states
-    _run_filter(filt, truth.measurement_map(), cfg, _prefix_key(record.config))
+    _run_filter(filt, truth.measurement_map(), cfg, prefix)
     est = filt.estimate()
     record.no_corruption = reports_no_corruption(est, cfg.n_steps)
     record.est_switch_step = None if est.is_nominal else est.s_index
@@ -171,17 +173,13 @@ def _run(scenario: str, cfg, field_data, record: RunRecord):
     return filt, truth
 
 
-# The filter of the most recent keyed run at its last offset-free step, as
-# (key, step, bank, fixes through that step); one entry, like the shuttle's
-# reference cache, so that memory stays flat however many keys a process sees.
-_checkpoint: Optional[tuple] = None
-
-
 def _prefix_key(snapshot: dict) -> Optional[str]:
-    """The key of the filter's steps through the onset, which runs that differ
-    only in their bias share, since no fix carries an offset before then:
-    the config ``snapshot`` without its ``bias`` entry.  None when those
-    steps are empty (onset 0) or when the run reads a file, which may change."""
+    """The key of a run's prefix family: the config ``snapshot`` without its
+    ``bias`` entry.  Runs under one key differ only in their bias, and since
+    no fix carries an offset before the onset, they step the filter
+    identically through it.  None, and the run forms a family of its own,
+    when those steps are empty (onset 0) or when the run reads a file, which
+    may change."""
     reads_file = (snapshot.get("reference_path") is not None
                   or "path" in snapshot.get("field", {}))
     if snapshot["true_switch_step"] == 0 or reads_file:
@@ -189,24 +187,26 @@ def _prefix_key(snapshot: dict) -> Optional[str]:
     return _canonical(snapshot, "bias")
 
 
-def _run_filter(filt, measurements: dict, cfg, key: Optional[str]) -> None:
-    """Step ``filt`` through ``cfg.n_steps``.  A keyed run whose fixes through
-    its onset equal those of the checkpoint under its key resumes from a copy
-    of the checkpoint; any other keyed run steps to its onset, leaves its
-    checkpoint there, and steps on.  Either way the bank ends the same, bit
-    for bit."""
-    global _checkpoint
-    if key is None:
+def _run_filter(filt, measurements: dict, cfg, prefix: Optional[list]) -> None:
+    """Step ``filt`` through ``cfg.n_steps``.  ``prefix``, unless None, is the
+    checkpoint holder of the run's prefix family: the family's first run
+    steps to its onset and leaves ``(step, bank, fixes through the onset)``
+    there, and every later run resumes from a copy of that bank.  Either way
+    the bank ends the same, bit for bit."""
+    if prefix is None:
         filt.run(measurements, cfg.n_steps)
         return
     onset = cfg.n_steps if cfg.true_switch_step is None else cfg.true_switch_step
     fixes = np.array([y for k, y in measurements.items() if k <= onset])
-    if (_checkpoint is not None and _checkpoint[0] == key
-            and np.array_equal(_checkpoint[3], fixes)):
-        filt.k, filt.bank = _checkpoint[1], _checkpoint[2].copy()
+    if prefix:
+        k, bank, family_fixes = prefix[0]
+        if not np.array_equal(family_fixes, fixes):
+            raise RuntimeError("runs of one prefix family differ in their fixes "
+                               "through the onset")
+        filt.k, filt.bank = k, bank.copy()
     else:
         filt.run(measurements, onset)
-        _checkpoint = (key, filt.k, filt.bank.copy(), fixes)
+        prefix.append((filt.k, filt.bank.copy(), fixes))
     filt.run(measurements, cfg.n_steps)
 
 
@@ -300,32 +300,52 @@ def resolve_threads() -> int:
 
 
 def _run_task(task) -> RunRecord:
-    data, seed = task
-    return run_case(data, seed=seed)
+    data, seed, prefix = task
+    return execute_case(data, seed=seed, prefix=prefix)[0]
+
+
+def _run_family(tasks: list) -> list[RunRecord]:
+    """The records of one prefix family's ``(data, seed)`` runs, in order.
+    The runs share one checkpoint holder (see ``_run_filter``), and each is
+    one ``_run_task`` call, which ``perfbench/run.py`` stands in for to time
+    each run."""
+    prefix = [] if len(tasks) > 1 else None
+    return [_run_task((data, seed, prefix)) for data, seed in tasks]
 
 
 def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]:
     """All cells x seeds, cell-major (each cell's seeds together), in an order
     that does not depend on parallelism.
 
-    Individual cell failures are captured in their records; the sweep always
-    completes.
+    Each prefix family (the runs under one ``_prefix_key``) is one task, so
+    one process steps its shared prefix once.  With fewer families than
+    workers, families are split into tasks of at most ``ceil(runs /
+    workers)`` runs, so that every worker has one.  Individual cell failures
+    are captured in their records; the sweep always completes.
     """
     threads = resolve_threads() if threads is None else max(1, int(threads))
     cells, seeds = grid.cell_configs(), grid.seeds
-    # seed-major, so that the cells of one seed that differ only in their bias,
-    # and share a checkpoint (see _run_filter), run one after another
-    tasks = [(cell, seed) for seed in seeds for cell in cells]
-    log.info("sweep: %d runs (%d cells x %d seeds), %d worker(s)",
-             len(tasks), len(cells), len(seeds), threads)
+    tasks = [(cell, seed) for cell in cells for seed in seeds]
+    families = {}
+    for i, (cell, seed) in enumerate(tasks):
+        key = _prefix_key(config_to_dict(*parse_single({**cell, "seed": seed})))
+        families.setdefault(i if key is None else key, []).append(i)
+    families = list(families.values())
+    log.info("sweep: %d runs (%d cells x %d seeds) in %d prefix families, %d worker(s)",
+             len(tasks), len(cells), len(seeds), len(families), threads)
+    if len(families) < threads:
+        size = math.ceil(len(tasks) / threads)
+        families = [f[i:i + size] for f in families for i in range(0, len(f), size)]
+    family_tasks = [[tasks[i] for i in family] for family in families]
     start = time.perf_counter()
     if threads == 1:
-        records = [_run_task(task) for task in tasks]
+        results = [_run_family(family) for family in family_tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=1))
+            results = list(pool.map(_run_family, family_tasks))
     log.info("sweep finished in %.1fs", time.perf_counter() - start)
-    return [records[s * len(cells) + c] for c in range(len(cells)) for s in range(len(seeds))]
+    records = dict(zip(itertools.chain(*families), itertools.chain(*results)))
+    return [records[i] for i in range(len(tasks))]
 
 
 def _is_success(record: RunRecord, include_yellow: bool) -> bool:

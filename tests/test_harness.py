@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 
 import jsonschema
 import numpy as np
@@ -314,12 +315,9 @@ def shuttle_config(**overrides):
 
 
 class TestPrefixCheckpoint:
-    """Runs that differ only in their bias share the filter's steps through
-    their onset: a run resumes from the checkpoint that an earlier run left."""
-
-    @pytest.fixture(autouse=True)
-    def no_checkpoint(self, monkeypatch):
-        monkeypatch.setattr(harness, "_checkpoint", None)
+    """A sweep runs the cells that differ only in their bias as one prefix
+    family: the family's first run leaves a checkpoint at its onset, and the
+    others resume from it.  Single runs step in full."""
 
     @staticmethod
     def count_steps(monkeypatch) -> list:
@@ -333,6 +331,21 @@ class TestPrefixCheckpoint:
 
         monkeypatch.setattr(SwitchingFilter, "step", counted)
         return starts
+
+    @staticmethod
+    def count_sweep_steps(monkeypatch):
+        """The number of ``SwitchingFilter.step`` calls from now on, in this
+        process and in the worker processes that it forks."""
+        calls = multiprocessing.Value("l", 0)
+        step = SwitchingFilter.step
+
+        def counted(self, y=None):
+            with calls.get_lock():
+                calls.value += 1
+            return step(self, y)
+
+        monkeypatch.setattr(SwitchingFilter, "step", counted)
+        return calls
 
     GRIDS = {
         "balloon": {"scenario": "balloon", "seeds": 2,
@@ -350,22 +363,36 @@ class TestPrefixCheckpoint:
     def test_sweep_writes_the_records_of_runs_without_a_checkpoint(
             self, tmp_path, monkeypatch, scenario, threads):
         grid = harness.sweep_from_dict({"name": "reuse", **self.GRIDS[scenario]})
-        cold = []
-        for cell in grid.cell_configs():
-            for seed in grid.seeds:
-                harness._checkpoint = None
-                cold.append(harness.run_case(cell, seed=seed))
+        cold = [harness.run_case(cell, seed=seed)
+                for cell in grid.cell_configs() for seed in grid.seeds]
         harness.write_records_csv(tmp_path / "cold.csv", cold)
-        harness._checkpoint = None
-        starts = self.count_steps(monkeypatch)
+        steps = self.count_sweep_steps(monkeypatch)
         _, target = harness.run_sweep_to_dir(grid, tmp_path, threads=threads)
         assert (target / "records.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
-        if threads == 1:
-            # per seed and noise level, the first of four bias cells steps
-            # the whole run and the other three only the steps after onset
-            n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
-            families = len(cold) // 4
-            assert len(starts) == families * (n + 3 * (n - onset))
+        # per seed and noise level, on any worker count, the first of four
+        # bias cells steps the whole run and the other three only the steps
+        # after onset
+        n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
+        families = len(cold) // 4
+        assert steps.value == families * (n + 3 * (n - onset))
+
+    def test_a_lone_family_is_split_over_the_workers(self, tmp_path, monkeypatch):
+        doc = {**self.GRIDS["balloon"], "name": "split", "seeds": 1,
+               "axes": {"A": [0.0, 0.2], "B": [0.0, 2.0]}}
+        grid = harness.sweep_from_dict(doc)
+        steps = self.count_sweep_steps(monkeypatch)
+        blobs, counts = [], []
+        for threads in (1, 2):
+            steps.value = 0
+            _, target = harness.run_sweep_to_dir(grid, tmp_path / f"t{threads}",
+                                                 threads=threads)
+            blobs.append((target / "records.csv").read_bytes())
+            counts.append(steps.value)
+        assert blobs[0] == blobs[1]
+        # one family of four runs: one task in one process, two tasks of two
+        # runs on two workers, each stepping the prefix once
+        n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
+        assert counts == [n + 3 * (n - onset), 2 * (n + (n - onset))]
 
     @pytest.mark.parametrize("data, freezes", [
         (balloon_config(n_steps=60, true_switch_step=30), False),
@@ -373,39 +400,47 @@ class TestPrefixCheckpoint:
     ], ids=["balloon", "shuttle"])
     def test_resumed_bank_equals_a_fresh_runs(self, monkeypatch, assert_banks_equal,
                                               data, freezes):
-        harness.execute_case({**data, "bias": {"kind": "quadratic", "B": 3.0}})
+        prefix = []
+        harness.execute_case({**data, "bias": {"kind": "quadratic", "B": 3.0}},
+                             prefix=prefix)
         starts = self.count_steps(monkeypatch)
-        resumed_record, resumed, _ = harness.execute_case(data)
+        resumed_record, resumed, _ = harness.execute_case(data, prefix=prefix)
         onset, n = data["true_switch_step"], data["n_steps"]
         assert starts == list(range(onset, n))
-        harness._checkpoint = None
         fresh_record, fresh, _ = harness.execute_case(data)
         assert_banks_equal(resumed.bank, fresh.bank)
         assert harness.record_row(resumed_record) == harness.record_row(fresh_record)
         assert any(cause is not None for cause in fresh.bank.cause) == freezes
 
-    def test_onset_zero_takes_no_checkpoint(self, monkeypatch):
+    def test_repeated_runs_step_in_full(self, monkeypatch):
+        data = balloon_config(n_steps=60, true_switch_step=30)
         starts = self.count_steps(monkeypatch)
-        for a in (0.1, 0.2):
-            harness.run_case(balloon_config(n_steps=40, true_switch_step=0,
-                                            bias={"kind": "static", "A": a}))
-        assert harness._checkpoint is None
+        rows = []
+        for _ in range(2):
+            rows.append(harness.record_row(harness.execute_case(data)[0]))
+            assert starts == list(range(60))
+            starts.clear()
+        assert rows[0] == rows[1]
+
+    def test_onset_zero_takes_no_checkpoint(self, tmp_path, monkeypatch):
+        grid = harness.sweep_from_dict({
+            "scenario": "balloon", "name": "onset0", "seeds": 1,
+            "base": {"n_steps": 40, "true_switch_step": 0}, "axes": {"A": [0.1, 0.2]}})
+        assert harness._prefix_key(harness.run_case(grid.cell_configs()[0]).config) is None
+        starts = self.count_steps(monkeypatch)
+        harness.run_sweep_to_dir(grid, tmp_path, threads=1)
         assert starts == list(range(40)) * 2
 
-    def test_fix_mismatch_runs_from_scratch(self, monkeypatch, assert_banks_equal):
+    def test_fix_mismatch_in_a_family_raises(self):
         data = balloon_config(n_steps=60, true_switch_step=30)
-        harness.execute_case(data)
-        key, k, bank, fixes = harness._checkpoint
-        bank.log_lik[:] += 1.0  # a resumed run would carry this into its scores
-        harness._checkpoint = (key, k, bank, fixes + 1e-3)
-        starts = self.count_steps(monkeypatch)
-        _, filt, _ = harness.execute_case(data)
-        assert starts == list(range(60))
-        harness._checkpoint = None
-        _, fresh, _ = harness.execute_case(data)
-        assert_banks_equal(filt.bank, fresh.bank)
+        prefix = []
+        harness.execute_case(data, prefix=prefix)
+        k, bank, fixes = prefix[0]
+        prefix[0] = (k, bank, fixes + 1e-3)
+        with pytest.raises(RuntimeError, match="differ in their fixes"):
+            harness.execute_case(data, prefix=prefix)
 
-    def test_rewritten_reference_file_is_read_again(self, tmp_path):
+    def test_rewritten_reference_file_is_read_again(self, tmp_path, monkeypatch):
         from skfnav.scenarios.shuttle import (
             ShuttleConfig,
             generate_reference,
@@ -421,10 +456,18 @@ class TestPrefixCheckpoint:
                                    init_state=(h + offset, *rest))
             save_reference_csv(path, generate_reference(source))
             records.append(harness.run_case(data))
-        assert harness._checkpoint is None
+        assert harness._prefix_key(records[0].config) is None
         assert records[0].rmse != records[1].rmse
         cold = harness.run_case(data)
         assert harness.record_row(records[1]) == harness.record_row(cold)
+        # in a sweep, each run that reads the file is a family of its own
+        grid = harness.sweep_from_dict({
+            "scenario": "shuttle", "name": "file", "seeds": 1,
+            "base": {k: v for k, v in data.items() if k not in ("scenario", "bias")},
+            "axes": {"A": [0.0, 100.0]}})
+        starts = self.count_steps(monkeypatch)
+        harness.run_sweep_to_dir(grid, tmp_path, threads=1)
+        assert starts == list(range(30)) * 2
 
 
 class TestDataFiles:
