@@ -6,10 +6,14 @@
 For each of the 45 table configs (``configs/table*.json``) this runs the case
 at its configured seed and writes the single-run outputs (records.csv,
 summary.json, branch_trajectory.csv, truth.csv, measurements.csv) to
-``OUT/<config name>/``.  All of them share one shuttle reference key, so four
-more shuttle runs of ``table5_test22`` cover reference generation:
-``oversample`` 1 and 3, an initial altitude 250 ft higher, and a run whose
-reference is read from ``OUT/reference.csv``, a file written by
+``OUT/<config name>/``.  ``table3_test3`` and ``table5_test22`` run again
+with ``"r": 0.0`` into ``OUT/r0_<config name>/``: an exact update without
+measurement noise leaves semi-definite covariances, so these runs factor
+stacks one matrix at a time, partly by ``eigh``, which no run at its
+configured ``r`` reaches.  The table configs share one shuttle reference
+key, so four more shuttle runs of ``table5_test22`` cover reference
+generation: ``oversample`` 1 and 3, an initial altitude 250 ft higher, and a
+run whose reference is read from ``OUT/reference.csv``, a file written by
 ``save_reference_csv`` (``OUT/reference_*/``).  It then runs
 ``configs/shuttle_sa.json`` on two worker processes into ``OUT/sweeps/``,
 and ``skfnav report`` on that sweep directory into ``OUT/report/``, which
@@ -50,6 +54,8 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     for path in sorted((ROOT / "configs").glob("table*.json")):
         run(load_config(path), out / path.stem)
+    for name in ("table3_test3", "table5_test22"):
+        run({**load_config(ROOT / "configs" / f"{name}.json"), "r": 0.0}, out / f"r0_{name}")
 
     base = load_config(ROOT / "configs" / "table5_test22.json")
     h, *rest = ShuttleConfig().init_state

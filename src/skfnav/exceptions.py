@@ -6,7 +6,7 @@ class SkfnavError(Exception):
 
 
 class CovarianceError(SkfnavError):
-    """Covariance is not positive semi-definite after jitter escalation."""
+    """Covariance is not positive semi-definite."""
 
 
 class DynamicsDivergedError(SkfnavError):

@@ -27,9 +27,7 @@ from .exceptions import (
 # Scaled unscented-transform tuning (Wan & van der Merwe, 2000).
 ALPHA, BETA, KAPPA = 0.1, 2.0, 0.0
 
-# Diagonal jitter ladder applied before declaring a covariance non-PSD.
-_JITTERS = tuple(1e-12 * 10.0**i for i in range(7))  # 1e-12 .. 1e-6
-_EIG_FLOOR = -1e-9
+_EIG_FLOOR = -1e-9  # least eigenvalue that still counts as semi-definite
 
 
 def _T(mat: np.ndarray) -> np.ndarray:
@@ -60,12 +58,13 @@ def _weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix S with S S^T = cov, tolerating slightly indefinite inputs.
+    """Matrix S with S S^T = cov.
 
-    Tries Cholesky first, then an eigenvalue factorization with negative
-    eigenvalues above ``_EIG_FLOOR`` clipped to zero, then Cholesky with an
-    escalating diagonal jitter.  Raises CovarianceError when all fail.  A
-    stack whose batched Cholesky fails is factored one matrix at a time.
+    Tries Cholesky, then, because an exact update with R = 0 leaves a
+    semi-definite posterior, ``eigh`` with eigenvalues above ``_EIG_FLOOR``
+    clipped to zero.  Any other matrix raises CovarianceError.  A stack whose
+    batched Cholesky fails is factored one matrix at a time, so each member
+    still gets its own factor bit for bit.
     """
     try:
         return np.linalg.cholesky(cov)
@@ -79,11 +78,6 @@ def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
         eigvals = np.array([-np.inf])
     if np.isfinite(eigvals).all() and eigvals.min() >= _EIG_FLOOR:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    for jitter in _JITTERS:
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
     raise CovarianceError("covariance not PSD")
 
 

@@ -132,11 +132,6 @@ def execute_case(data: dict, seed: Optional[int] = None, prefix: Optional[list] 
     return record, filt, truth
 
 
-def run_case(data: dict, seed: Optional[int] = None) -> RunRecord:
-    """Full pipeline for one config + seed; see ``execute_case``."""
-    return execute_case(data, seed=seed)[0]
-
-
 def _run(scenario: str, cfg, field_data, record: RunRecord, prefix: Optional[list]):
     """Simulate and filter one case and fill in ``record``'s estimate,
     outcome, errors and weights; returns ``(filter, truth)``."""

@@ -227,7 +227,7 @@ def test_criterion_9_shuttle_large_bias_detection():
             "bias": {"kind": "quadratic", "A": 100.0, "B": 100.0, "C": 0.0, "cap": 1000.0},
             "true_switch_step": 357,
         }
-        record = harness.run_case(data)
+        record = harness.execute_case(data)[0]
         assert record.status == "ok", record.error
         hits += (record.est_switch_step is not None
                  and abs(record.est_switch_step - 357) <= 1)

@@ -59,9 +59,11 @@ class TestSigmaPoints:
         assert np.abs(mean - prior_mean).max() < 1e-9
         assert np.abs(cov - prior_cov).max() < 1e-9
 
-    def test_not_psd_rejected(self):
+    # -1e-7 is small but far below rounding: it is reported, not repaired
+    @pytest.mark.parametrize("low", [-1.0, -1e-7], ids=["eig-1", "eig-1e-7"])
+    def test_not_psd_rejected(self, low):
         with pytest.raises(CovarianceError):
-            sigma_points(*belief([0.0, 0.0], np.diag([1.0, -1.0])))
+            sigma_points(*belief([0.0, 0.0], np.diag([1.0, low])))
 
     def test_small_negative_eigenvalue_tolerated(self):
         pts, wm, wc = sigma_points(*belief([0.0, 0.0], np.diag([1.0, -1e-10])))

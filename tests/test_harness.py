@@ -107,7 +107,7 @@ class TestClassify:
 
 class TestRunCase:
     def test_detecting_run_is_green(self):
-        record = harness.run_case(balloon_config())
+        record = harness.execute_case(balloon_config())[0]
         assert record.status == "ok"
         assert record.outcome == GREEN
         assert record.est_switch_step == 50
@@ -115,15 +115,15 @@ class TestRunCase:
         assert record.rmse["lon"] < 1e-2
 
     def test_unbiased_run_no_corruption(self):
-        record = harness.run_case(balloon_config(
-            bias={"kind": "quadratic"}, true_switch_step=None, q_x=1e-6, q_p=1e-6))
+        record = harness.execute_case(balloon_config(
+            bias={"kind": "quadratic"}, true_switch_step=None, q_x=1e-6, q_p=1e-6))[0]
         assert record.no_corruption
         assert record.outcome == GREEN
         assert max(record.rmse.values()) < 1e-2
 
     def test_two_seeds_share_config_hash(self):
-        a = harness.run_case(balloon_config(), seed=1)
-        b = harness.run_case(balloon_config(), seed=2)
+        a = harness.execute_case(balloon_config(), seed=1)[0]
+        b = harness.execute_case(balloon_config(), seed=2)[0]
         assert a.seed == 1 and b.seed == 2
         assert a.config_hash == b.config_hash
         assert a.rmse != b.rmse  # different noise draws, distinct records
@@ -131,8 +131,8 @@ class TestRunCase:
     def test_field_is_part_of_the_config(self):
         # two runs that differ only in their velocity field
         data = {"scenario": "balloon", "n_steps": 30, "true_switch_step": None}
-        plain = harness.run_case(data)
-        fielded = harness.run_case({**data, "field": {"kind": "analytic", "u0": 0.5}})
+        plain = harness.execute_case(data)[0]
+        fielded = harness.execute_case({**data, "field": {"kind": "analytic", "u0": 0.5}})[0]
         assert plain.rmse != fielded.rmse
         assert plain.config_hash == "cd621069d0eb"  # a config without a field keeps its hash
         assert "field" not in plain.config
@@ -143,19 +143,19 @@ class TestRunCase:
     def test_echoed_config_validates(self, scenario):
         # the record's config echo is itself a config of its scenario
         data = balloon_config() if scenario == "balloon" else shuttle_config()
-        record = harness.run_case(data)
+        record = harness.execute_case(data)[0]
         assert record.status == "ok"
         assert configio.validate_config(record.config) == scenario
 
     def test_same_config_same_record(self):
-        a = harness.run_case(balloon_config())
-        b = harness.run_case(balloon_config())
+        a = harness.execute_case(balloon_config())[0]
+        b = harness.execute_case(balloon_config())[0]
         assert a.rmse == b.rmse
         assert a.est_switch_step == b.est_switch_step
 
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
-            harness.run_case({"scenario": "balloon", "n_steps": 0})
+            harness.execute_case({"scenario": "balloon", "n_steps": 0})
 
     # json loads NaN and Infinity, and the schema takes them as numbers
     @pytest.mark.parametrize("data", [
@@ -168,7 +168,7 @@ class TestRunCase:
     ], ids=["shuttle-init-state-nan", "shuttle-dt-nan", "balloon-q-x-nan", "balloon-x0-inf"])
     def test_non_finite_number_is_a_config_error(self, data):
         with pytest.raises(ConfigError, match="must be finite"):
-            harness.run_case(data)
+            harness.execute_case(data)
 
 
 class TestSweep:
@@ -282,7 +282,7 @@ class TestSweep:
         # schema-valid, but generate_reference rejects a negative speed
         base = {"n_steps": 20, "true_switch_step": None, "oversample": 1,
                 "init_state": [1.5e5, 0.93, 0.32, -1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]}
-        record = harness.run_case({"scenario": "shuttle", **base})
+        record = harness.execute_case({"scenario": "shuttle", **base})[0]
         assert record.status == "error"
         assert record.error.startswith("ConfigError: ")
         assert "speed must be non-negative" in record.error
@@ -301,8 +301,8 @@ class TestSweep:
     def test_bad_init_state_is_an_error_record(self, index, value, error):
         init = [1.5e5, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]
         init[index] = value
-        record = harness.run_case({"scenario": "shuttle", "n_steps": 20, "oversample": 1,
-                                   "true_switch_step": None, "init_state": init})
+        record = harness.execute_case({"scenario": "shuttle", "n_steps": 20, "oversample": 1,
+                                       "true_switch_step": None, "init_state": init})[0]
         assert record.status == "error"
         assert record.error == error
 
@@ -363,7 +363,7 @@ class TestPrefixCheckpoint:
     def test_sweep_writes_the_records_of_runs_without_a_checkpoint(
             self, tmp_path, monkeypatch, scenario, threads):
         grid = harness.sweep_from_dict({"name": "reuse", **self.GRIDS[scenario]})
-        cold = [harness.run_case(cell, seed=seed)
+        cold = [harness.execute_case(cell, seed=seed)[0]
                 for cell in grid.cell_configs() for seed in grid.seeds]
         harness.write_records_csv(tmp_path / "cold.csv", cold)
         steps = self.count_sweep_steps(monkeypatch)
@@ -426,7 +426,7 @@ class TestPrefixCheckpoint:
         grid = harness.sweep_from_dict({
             "scenario": "balloon", "name": "onset0", "seeds": 1,
             "base": {"n_steps": 40, "true_switch_step": 0}, "axes": {"A": [0.1, 0.2]}})
-        assert harness._prefix_key(harness.run_case(grid.cell_configs()[0]).config) is None
+        assert harness._prefix_key(harness.execute_case(grid.cell_configs()[0])[0].config) is None
         starts = self.count_steps(monkeypatch)
         harness.run_sweep_to_dir(grid, tmp_path, threads=1)
         assert starts == list(range(40)) * 2
@@ -455,10 +455,10 @@ class TestPrefixCheckpoint:
             source = ShuttleConfig(n_steps=30, oversample=1, true_switch_step=None,
                                    init_state=(h + offset, *rest))
             save_reference_csv(path, generate_reference(source))
-            records.append(harness.run_case(data))
+            records.append(harness.execute_case(data)[0])
         assert harness._prefix_key(records[0].config) is None
         assert records[0].rmse != records[1].rmse
-        cold = harness.run_case(data)
+        cold = harness.execute_case(data)[0]
         assert harness.record_row(records[1]) == harness.record_row(cold)
         # in a sweep, each run that reads the file is a family of its own
         grid = harness.sweep_from_dict({
@@ -481,7 +481,7 @@ class TestDataFiles:
     ], ids=["gridded-without-path", "default-kind-with-path", "analytic-with-path"])
     def test_field_path_is_checked_by_the_schema(self, field, tmp_path):
         with pytest.raises(ConfigError, match="balloon config"):
-            harness.run_case(balloon_config(field=field))
+            harness.execute_case(balloon_config(field=field))
         path = tmp_path / "gridded.json"
         path.write_text(json.dumps(balloon_config(field=field)))
         assert main(["--quiet", "simulate", "balloon", "--config", str(path),
@@ -495,7 +495,7 @@ class TestDataFiles:
         return harness.run_sweep(grid, threads=1)
 
     def assert_config_error_records(self, scenario, base, message):
-        record = harness.run_case({"scenario": scenario, **base})
+        record = harness.execute_case({"scenario": scenario, **base})[0]
         assert record.status == "error" and record.outcome == "red"
         assert record.error.startswith("ConfigError: ") and message in record.error
         records = self.sweep_records(scenario, base)

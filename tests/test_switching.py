@@ -498,22 +498,26 @@ def poisoned_pair(stage, row, capacity=10):
 
 
 class TestStackedStepEquivalence:
-    def test_balloon_run(self):
+    # with r = 0 a stack mixes rows that Cholesky factors with semi-definite
+    # rows that it cannot, so each stack is factored one matrix at a time
+    @pytest.mark.parametrize("noise", [{}, {"r": 0.0}], ids=["config-r", "r0"])
+    def test_balloon_run(self, noise):
         from skfnav.scenarios.balloon import build_balloon_filter, simulate_balloon
 
         _, cfg, field = parse_single({**load_config(CONFIGS / "table3_test3.json"),
-                                      "n_steps": 260})
+                                      "n_steps": 260, **noise})
         truth = simulate_balloon(cfg, field)
         stacked = build_balloon_filter(cfg, field)
         reference = PerBranchReference(build_balloon_filter(cfg, field))
         step_both(stacked, reference, truth.measurement_map(), cfg.n_steps)
         assert len(stacked.bank) == cfg.capacity
 
-    def test_short_shuttle_run(self):
+    @pytest.mark.parametrize("noise", [{}, {"r": 0.0}], ids=["config-r", "r0"])
+    def test_short_shuttle_run(self, noise):
         from skfnav.scenarios.shuttle import build_shuttle_filter, simulate_shuttle
 
         _, cfg, _ = parse_single({**load_config(CONFIGS / "table5_test22.json"),
-                                  "n_steps": 40, "true_switch_step": 25})
+                                  "n_steps": 40, "true_switch_step": 25, **noise})
         truth = simulate_shuttle(cfg)
         stacked = build_shuttle_filter(cfg, truth)
         reference = PerBranchReference(build_shuttle_filter(cfg, truth))
