@@ -156,7 +156,7 @@ def _run(scenario: str, cfg, field_data, record: RunRecord, prefix: Optional[lis
         no_corruption_reported=record.no_corruption,
     )
     state_names = RMSE_STATES[scenario]
-    means = np.asarray([entry[0] for entry in filt.bank.history[est.row]])
+    means = np.asarray([entry[0] for entry in filt.bank.trajectory(est.row)])
     errors = relative_rmse(
         means[1:, : len(state_names)], truth_states[1:, : len(state_names)]
     )
@@ -291,7 +291,11 @@ def resolve_threads() -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"SKFNAV_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(4, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(4, cpus))
 
 
 def _run_task(task) -> RunRecord:
@@ -657,19 +661,19 @@ def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
     if filt is not None:
         est = filt.estimate()
         export_branch_history(
-            target / "branch_trajectory.csv", filt.bank.history[est.row],
+            target / "branch_trajectory.csv", filt.bank.trajectory(est.row),
             est.s_index * filt.dt, record.config["dt"],
         )
     return target
 
 
-def export_branch_history(path, history, t_s: float, dt: float) -> None:
-    """Best-branch trajectory from its ``history`` and onset time ``t_s``:
+def export_branch_history(path, trajectory, t_s: float, dt: float) -> None:
+    """Best-branch ``trajectory`` (``Bank.trajectory``) and onset time ``t_s``:
     step, time, hypothesis, score, means, variances.
 
     Rows are formatted whole, with the cells and CRLF line ends that
     ``csv.writer`` writes for them."""
-    dim = history[0][0].size
+    dim = trajectory[0][0].size
     fields = ["step", "time", "branch_t_s", "logL"]
     fields += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]
     t_s = fmt(t_s)
@@ -678,5 +682,5 @@ def export_branch_history(path, history, t_s: float, dt: float) -> None:
         csv.writer(fh).writerow(fields)
         fh.writelines(
             row % (step, fmt(step * dt), t_s, fmt(loglik), *mean.tolist(), *var.tolist())
-            for step, (mean, var, loglik) in enumerate(history)
+            for step, (mean, var, loglik) in enumerate(trajectory)
         )

@@ -100,7 +100,10 @@ def build_balloon_filter(
 
     def dynamics(points: np.ndarray, k: int) -> np.ndarray:
         u, v = field.eval(points[:, 0], points[:, 1], (k - 1) * cfg.dt)
-        return points + cfg.dt * np.column_stack([u, v])
+        out = points.copy()
+        out[:, 0] += cfg.dt * u
+        out[:, 1] += cfg.dt * v
+        return out
 
     return SwitchingFilter(
         dynamics=dynamics,

@@ -33,11 +33,12 @@ class Bank:
     in row 0, then the corrupted branches in spawn order.  ``mean`` (B, d),
     ``cov`` (B, d, d) and ``log_lik`` are views of the first B rows of
     buffers sized for ``size`` rows; the prior ``(mean, cov)`` starts row 0.
-    The lists hold per row the onset step ``s_index`` (0 for the nominal), in
-    ``cause`` the type of the exception that froze the row, or None while it
-    is live (a frozen row keeps its belief and score and no longer updates or
-    spawns), and in ``history`` one per-row copy of ``(mean, variances,
-    score)`` per step."""
+    The lists hold per row the onset step ``s_index`` (0 for the nominal), and
+    in ``cause`` the type of the exception that froze the row, or None while
+    it is live (a frozen row keeps its belief and score and no longer updates
+    or spawns).  ``snapshots`` holds one entry per step, ``(means,
+    variances, scores, onsets)`` of the rows then in the bank, from which
+    ``trajectory`` rebuilds any row's; ``record`` appends it."""
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray, size: int):
         self._mean = np.zeros((size, mean.size))
@@ -46,27 +47,29 @@ class Bank:
         self._mean[0], self._cov[0] = mean, cov
         self.s_index: list = [0]
         self.cause: list = [None]
-        self.history: list = [[]]
+        self.snapshots: list = []
+        self._trimmed = 0  # the snapshots before this step hold the nominal only
 
     def __len__(self) -> int:
-        return len(self.history)
+        return len(self.s_index)
 
-    mean = property(lambda self: self._mean[: len(self.history)])
-    cov = property(lambda self: self._cov[: len(self.history)])
-    log_lik = property(lambda self: self._log_lik[: len(self.history)])
+    mean = property(lambda self: self._mean[: len(self.s_index)])
+    cov = property(lambda self: self._cov[: len(self.s_index)])
+    log_lik = property(lambda self: self._log_lik[: len(self.s_index)])
 
     def _buffers(self):
         return self._mean, self._cov, self._log_lik
 
     def copy(self) -> "Bank":
         """A bank with the same rows that steps independently of this one:
-        the buffers and lists are copied, and the histories share their
-        entries, which are never written once recorded."""
+        the buffers and lists are copied, and the snapshots are shared, as
+        ``record`` replaces a list entry but never writes into one."""
         new = object.__new__(Bank)
         new._mean, new._cov, new._log_lik = (buf.copy() for buf in self._buffers())
         new.s_index = list(self.s_index)
         new.cause = list(self.cause)
-        new.history = [list(history) for history in self.history]
+        new.snapshots = list(self.snapshots)
+        new._trimmed = self._trimmed
         return new
 
     def live(self) -> list[int]:
@@ -80,7 +83,6 @@ class Bank:
             buf[n] = buf[0]
         self.s_index.append(s_index)
         self.cause.append(None)
-        self.history.append(list(self.history[0]))
 
     def drop(self, rows) -> None:
         """Remove ``rows``, keeping the order of the others."""
@@ -88,16 +90,31 @@ class Bank:
             n = len(self)
             for buf in self._buffers():
                 buf[row : n - 1] = buf[row + 1 : n]
-            del self.s_index[row], self.cause[row], self.history[row]
+            del self.s_index[row], self.cause[row]
 
-    def record(self) -> list[float]:
-        """Append each row's entry to its history; returns the scores, whose
-        objects the entries hold."""
-        scores = self.log_lik.tolist()
-        var = self.cov.diagonal(axis1=1, axis2=2)
-        for history, mean, v, score in zip(self.history, self.mean, var, scores):
-            history.append((mean.copy(), v.copy(), score))
-        return scores
+    def record(self) -> None:
+        """Append this step's snapshot of every row.  A snapshot older than
+        every corrupted row's onset is read, by the rows in the bank and by
+        any later spawn, for its nominal row only, so it is replaced by one
+        that holds that row alone: replaced, never written into, so that the
+        copies of a bank stay independent."""
+        self.snapshots.append((self.mean.copy(), self.cov.diagonal(axis1=1, axis2=2).copy(),
+                               self.log_lik.tolist(), tuple(self.s_index)))
+        oldest = min(self.s_index[1:], default=len(self.snapshots))
+        for t in range(self._trimmed, oldest):
+            mean, var, scores, onsets = self.snapshots[t]
+            self.snapshots[t] = (mean[:1].copy(), var[:1].copy(), scores[:1], onsets[:1])
+        self._trimmed = oldest
+
+    def trajectory(self, row: int) -> list[tuple]:
+        """Row ``row``'s ``(mean, variances, score)`` after every step: the
+        nominal's before the row's onset, and its own from the onset on."""
+        s = self.s_index[row]
+        entries = []
+        for t, (mean, var, scores, onsets) in enumerate(self.snapshots):
+            i = 0 if t < s else onsets.index(s)
+            entries.append((mean[i], var[i], scores[i]))
+        return entries
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,7 @@ def _run_live(bank: Bank, stage: Callable) -> None:
     frozen, so that no row is copied, and a list of rows otherwise).  When it
     raises for the stack, it is re-run one row at a time, and a row that
     fails alone freezes, keeping the type of its exception."""
-    live = bank.live()
+    live = bank.live() if any(bank.cause) else range(len(bank))
     if not live:
         return
     try:
@@ -307,15 +324,16 @@ class SwitchingFilter:
                 bank.spawn(k)
                 spawned_s = k
 
-        # the rows that a prune drops lose this entry with their history
-        scores = bank.record()
-        if y is not None:
+            scores = bank.log_lik.tolist()
             scores_before = tuple(zip(bank.s_index[1:], scores[1:]))
             removed = prune(scores, bank.s_index, self.capacity)
             pruned_info = tuple(scores_before[i - 1] for i in removed)
             bank.drop(removed)
+        # the rows that this prune dropped leave no entry at this step
+        bank.record()
 
-        frozen = [(s, cause) for s, cause in zip(bank.s_index, bank.cause) if cause is not None]
+        frozen = [(s, cause) for s, cause in zip(bank.s_index, bank.cause)
+                  if cause is not None] if any(bank.cause) else []
         return StepDiagnostics(
             k=k,
             epoch=is_epoch,

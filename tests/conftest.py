@@ -28,13 +28,14 @@ def linear_kalman():
 
 
 def _assert_banks_equal(a, b):
-    """Two banks hold the same rows, bit for bit, with the same histories."""
+    """Two banks hold the same rows, bit for bit, with the same trajectories."""
     for name in ("mean", "cov", "log_lik"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.s_index, a.cause) == (b.s_index, b.cause)
-    assert [len(h) for h in a.history] == [len(h) for h in b.history]
-    for history_a, history_b in zip(a.history, b.history):
-        for (mean_a, var_a, score_a), (mean_b, var_b, score_b) in zip(history_a, history_b):
+    for row in range(len(a)):
+        trajectory_a, trajectory_b = a.trajectory(row), b.trajectory(row)
+        assert len(trajectory_a) == len(trajectory_b)
+        for (mean_a, var_a, score_a), (mean_b, var_b, score_b) in zip(trajectory_a, trajectory_b):
             assert np.array_equal(mean_a, mean_b) and np.array_equal(var_a, var_b)
             assert score_a == score_b
 

@@ -39,7 +39,7 @@ def run_balloon(cfg):
     filt = build_balloon_filter(cfg)
     diags = filt.run(truth.measurement_map(), cfg.n_steps)
     est = filt.estimate()
-    means = np.asarray([entry[0] for entry in filt.bank.history[est.row]])
+    means = np.asarray([entry[0] for entry in filt.bank.trajectory(est.row)])
     rmse = relative_rmse(means[1:, :2], truth.states[1:])
     return est, rmse, filt, diags
 
@@ -104,7 +104,7 @@ def test_criterion_4_unbiased_balloon_stays_clean():
                            bias=BiasSpec("quadratic"), true_switch_step=None)
         est, _, filt, _ = run_balloon(cfg)
         clean += reports_no_corruption(est, cfg.n_steps)
-        for mean, _, _ in filt.bank.history[0]:
+        for mean, _, _ in filt.bank.trajectory(0):
             theta_worst = max(theta_worst, np.abs(mean[2:]).max())
     check(4, f"clean runs report no corruption: {clean}/20, nominal parameter "
              f"mean stays |{theta_worst:.1e}| < 1e-9",

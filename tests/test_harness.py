@@ -314,6 +314,14 @@ def shuttle_config(**overrides):
     return data
 
 
+def test_threads_default_to_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("SKFNAV_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness.resolve_threads() == 1
+    monkeypatch.setenv("SKFNAV_THREADS", "3")
+    assert harness.resolve_threads() == 3
+
+
 class TestPrefixCheckpoint:
     """A sweep runs the cells that differ only in their bias as one prefix
     family: the family's first run leaves a checkpoint at its onset, and the
@@ -411,6 +419,27 @@ class TestPrefixCheckpoint:
         assert_banks_equal(resumed.bank, fresh.bank)
         assert harness.record_row(resumed_record) == harness.record_row(fresh_record)
         assert any(cause is not None for cause in fresh.bank.cause) == freezes
+
+    def test_resumed_copies_leave_the_checkpoint_unchanged(self):
+        prefix = []
+        harness.execute_case(balloon_config(n_steps=60, true_switch_step=30), prefix=prefix)
+        _, bank, _ = prefix[0]
+        before = [[(mean.copy(), var.copy(), score) for mean, var, score in bank.trajectory(row)]
+                  for row in range(len(bank))]
+        snapshots = list(bank.snapshots)
+        _, resumed, _ = harness.execute_case(
+            balloon_config(n_steps=60, true_switch_step=30, bias={"kind": "static"}),
+            prefix=prefix)
+        # the resumed run trimmed snapshots that the checkpoint holds in full
+        assert any(len(ours[3]) < len(theirs[3])
+                   for ours, theirs in zip(resumed.bank.snapshots, snapshots))
+        assert all(ours is theirs for ours, theirs in zip(bank.snapshots, snapshots))
+        for row, entries in enumerate(before):
+            trajectory = bank.trajectory(row)
+            assert len(trajectory) == len(entries) == 31
+            for (mean, var, score), (mean_0, var_0, score_0) in zip(trajectory, entries):
+                assert np.array_equal(mean, mean_0) and np.array_equal(var, var_0)
+                assert score == score_0
 
     def test_repeated_runs_step_in_full(self, monkeypatch):
         data = balloon_config(n_steps=60, true_switch_step=30)

@@ -210,8 +210,8 @@ class TestStepping:
         rng = np.random.default_rng(4)
         for _ in range(15):
             filt.step(rng.standard_normal(1) * 0.01)
-        for history in filt.bank.history:
-            assert len(history) == 16  # steps 0..15
+        for row in range(len(filt.bank)):
+            assert len(filt.bank.trajectory(row)) == 16  # steps 0..15
 
     def test_determinism_same_inputs(self):
         def trace():
@@ -284,7 +284,7 @@ class TestStepping:
         assert diag.epoch and diag.spawned_s is None and diag.pruned == ()
         assert diag.frozen == ()
         assert list(zip(filt.bank.s_index, filt.bank.log_lik.tolist())) == before
-        assert all(len(history) == 5 for history in filt.bank.history)
+        assert all(len(filt.bank.trajectory(row)) == 5 for row in range(len(filt.bank)))
         # detection goes on: the next finite fix updates and spawns as usual
         diag = filt.step(np.array([0.02]))
         assert diag.spawned_s == 5 and diag.frozen == ()
@@ -379,7 +379,7 @@ class PerBranchReference:
         bank = model.bank
         self.branches = [ReferenceBranch(
             0, float(bank.log_lik[0]), bank.mean[0].copy(), bank.cov[0].copy(),
-            is_nominal=True, history=list(bank.history[0]),
+            is_nominal=True, history=bank.trajectory(0),
         )]
         self.k = 0
 
@@ -453,8 +453,9 @@ def assert_same_branches(bank, branches, history_from=-1):
         assert bank.log_lik[i] == y.log_lik
         assert np.array_equal(bank.mean[i], y.mean)
         assert np.array_equal(bank.cov[i], y.cov)
-        assert len(bank.history[i]) == len(y.history)
-        for hx, hy in zip(bank.history[i][history_from:], y.history[history_from:]):
+        trajectory = bank.trajectory(i)
+        assert len(trajectory) == len(y.history)
+        for hx, hy in zip(trajectory[history_from:], y.history[history_from:]):
             assert np.array_equal(hx[0], hy[0]) and np.array_equal(hx[1], hy[1])
             assert hx[2] == hy[2]
 
@@ -548,6 +549,26 @@ class TestStackedStepEquivalence:
         diags = step_both(stacked, reference, measurements, 14, poison=(6, poison))
         assert [d.frozen for d in diags[5:]] == [(1,)] * 9
         assert [[s for s, _ in d.pruned] for d in diags[8:10]] == [[2], [3]]
+
+    def test_snapshots_before_the_oldest_onset_hold_the_nominal_only(self):
+        stacked = random_walk_filter(capacity=3)
+        reference = PerBranchReference(random_walk_filter(capacity=3))
+        rng = np.random.default_rng(0)
+        measurements = {k: 0.01 * rng.standard_normal(1) + 0.1 * (k >= 10)
+                        for k in range(1, 41)}
+        # every live row's trajectory equals its reference branch's history
+        diags = step_both(stacked, reference, measurements, 40)
+        # the rows that took the jump at step 10 lead for a while, then go
+        assert [(d.k, s) for d in diags for s, _ in d.pruned if d.k - s > 2] == [
+            (19, 8), (33, 9)]
+        bank = stacked.bank
+        oldest = min(bank.s_index[1:])
+        assert oldest == 39
+        for t, (mean, var, scores, onsets) in enumerate(bank.snapshots):
+            if t < oldest:
+                assert (mean.shape, var.shape, len(scores), onsets) == ((1, 4), (1, 4), 1, (0,))
+            else:
+                assert {s for s in bank.s_index if s <= t} <= set(onsets)
 
     @pytest.mark.parametrize("stage, row, pruned, frozen", [
         ("predict", 3, 6, (3,)),  # a corrupted branch freezes; the spawn is pruned at birth
