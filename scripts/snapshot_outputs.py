@@ -14,7 +14,12 @@ configured ``r`` reaches.  The table configs share one shuttle reference
 key, so four more shuttle runs of ``table5_test22`` cover reference
 generation: ``oversample`` 1 and 3, an initial altitude 250 ft higher, and a
 run whose reference is read from ``OUT/reference.csv``, a file written by
-``save_reference_csv`` (``OUT/reference_*/``).  It then runs
+``save_reference_csv`` (``OUT/reference_*/``).  ``table3_test3`` runs on a
+gridded field read from ``OUT/field.csv``, a regular grid sampled from the
+default ``AnalyticField`` that covers the run (``OUT/gridded_field/``), and
+``table3_test3`` and ``table5_test22`` run with a bias that gives each
+channel its own coefficients (``OUT/per_channel_*/``): no shipped config
+reaches either path.  It then runs
 ``configs/shuttle_sa.json`` on two worker processes into ``OUT/sweeps/``,
 and ``skfnav report`` on that sweep directory into ``OUT/report/``, which
 rebuilds the records from ``records.csv`` before aggregating them.
@@ -28,12 +33,15 @@ import contextlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from skfnav import harness  # noqa: E402
 from skfnav.cli import main as skfnav_main  # noqa: E402
 from skfnav.configio import load_config  # noqa: E402
+from skfnav.scenarios.fields import AnalyticField  # noqa: E402
 from skfnav.scenarios.shuttle import (  # noqa: E402
     ShuttleConfig,
     generate_reference,
@@ -45,6 +53,16 @@ def run(data: dict, out: Path) -> None:
     record, filt, truth = harness.execute_case(data)
     harness.write_run_outputs(record, filt, out, truth=truth)
     print(f"{out.name}: {record.outcome}", flush=True)
+
+
+def write_field_csv(path: Path) -> None:
+    """Rows (lon, lat, t, u, v) of the default analytic field on a regular
+    grid around the balloon's start, over the first 6 hours."""
+    lon, lat, t = np.meshgrid(np.arange(-40.0, -29.5, 0.5), np.arange(20.0, 30.5, 0.5),
+                              np.arange(0.0, 6.5, 0.5), indexing="ij")
+    u, v = AnalyticField().eval(lon, lat, t)
+    rows = np.column_stack([a.ravel() for a in (lon, lat, t, u, v)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="lon,lat,t,u,v", comments="")
 
 
 def main(argv: list[str]) -> int:
@@ -70,6 +88,16 @@ def main(argv: list[str]) -> int:
     # a relative path keeps the output directory out of the config snapshot
     with contextlib.chdir(out):
         run({**base, "reference_path": "reference.csv"}, Path("reference_file"))
+
+    balloon = load_config(ROOT / "configs" / "table3_test3.json")
+    write_field_csv(out / "field.csv")
+    with contextlib.chdir(out):
+        run({**balloon, "field": {"kind": "gridded", "path": "field.csv"}},
+            Path("gridded_field"))
+    run({**balloon, "bias": {"kind": "quadratic", "A": [0.2, -0.1], "B": [0.05, 0.1],
+                             "C": 0.01, "cap": 0.3}}, out / "per_channel_balloon")
+    run({**base, "bias": {"kind": "linear", "A": [100.0, -50.0, 20.0],
+                          "B": [100.0, 0.0, -40.0], "cap": 1000.0}}, out / "per_channel_shuttle")
 
     grid = harness.sweep_from_dict(load_config(ROOT / "configs" / "shuttle_sa.json"))
     _, target = harness.run_sweep_to_dir(grid, out / "sweeps", threads=2)

@@ -90,36 +90,38 @@ def check_onset(switch_step: Optional[int], n_steps: int) -> None:
         raise ConfigError(f"switch index {switch_step} outside [0, {n_steps}]")
 
 
-def bias_eval(spec: BiasSpec, t_s: float, t_k: float) -> np.ndarray:
-    """Per-channel offset at time ``t_k`` for corruption begun at ``t_s``.
-
-    Static -> A; linear -> A + B tau; quadratic -> A + B tau + C tau^2 with
-    tau = t_k - t_s.  A cap clamps each channel's magnitude, sign preserved.
-    """
-    if t_k < t_s:
-        raise ValueError("bias_eval requires t_k >= t_s; gate on the switch time")
-    tau = t_k - t_s
-    theta = spec.theta
-    basis = np.array([1.0, tau, tau * tau][: theta.shape[1]])
-    offset = theta @ basis
-    if spec.cap is not None:
-        offset = np.clip(offset, -spec.cap, spec.cap)
-    return offset
+def check_channels(spec: BiasSpec, n_channels: int) -> None:
+    """Reject coefficient lists that fit neither one shared entry nor one
+    entry per channel of the scenario's ``n_channels`` observed channels
+    (only the coefficients that ``spec.kind`` uses are read)."""
+    for name in ("A", "B", "C")[: _N_PARAMS[spec.kind]]:
+        size = spec._arr(name).size
+        if size not in (1, n_channels):
+            raise ConfigError(
+                f"bias {name} has {size} entries; need 1 or one per channel ({n_channels})"
+            )
 
 
 def gated_offsets(spec: BiasSpec, switch_step: Optional[int], dt: float,
                   epochs: np.ndarray, n_channels: int) -> np.ndarray:
     """Offsets added to the fixes at steps ``epochs``, shape
-    ``(len(epochs), n_channels)``: zero through the onset time
-    ``switch_step * dt`` and ``bias_eval`` strictly after it, with times
-    ``step * dt``.  An onset of None never corrupts."""
+    ``(len(epochs), n_channels)``, with times ``step * dt``: zero through the
+    onset time ``t_s = switch_step * dt`` and, strictly after it, the
+    per-channel polynomial in ``tau = t_k - t_s`` (static A; linear A + B
+    tau; quadratic A + B tau + C tau^2), each channel's magnitude clamped to
+    the cap with its sign kept.  An onset of None never corrupts."""
     offsets = np.zeros((len(epochs), n_channels))
     if switch_step is None:
         return offsets
     t_s = switch_step * dt
+    theta = spec.theta
     for i, t_k in enumerate(np.asarray(epochs) * dt):
         if t_k > t_s:
-            offsets[i] = bias_eval(spec, t_s, t_k)
+            tau = t_k - t_s
+            offset = theta @ np.array([1.0, tau, tau * tau][: theta.shape[1]])
+            if spec.cap is not None:
+                offset = np.clip(offset, -spec.cap, spec.cap)
+            offsets[i] = offset
     return offsets
 
 

@@ -7,6 +7,14 @@ covariances ``(B, d, d)``): a stack takes one batched factorisation and one
 call of each map, and each slice goes through the same LAPACK/BLAS routine
 as a single belief, so the results are bit-for-bit the per-belief ones.
 Dynamics maps take ``(n, d)`` points (a stack's flattened row-wise).
+
+The Cholesky factorisations and the update's solves call the batched LAPACK
+gufuncs behind ``np.linalg.cholesky`` and ``np.linalg.solve`` directly, under
+the floating-point error state that ``numpy.linalg`` sets around them, so
+the factors and solutions are the same bits without its per-call wrapper,
+which costs about as much as the LAPACK work on the small stacks of a step.
+A failed factorisation or solve shows as the ``invalid`` flag, raised here as
+``FloatingPointError`` where ``numpy.linalg`` raises ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import (
     CovarianceError,
@@ -28,6 +37,12 @@ from .exceptions import (
 ALPHA, BETA, KAPPA = 0.1, 2.0, 0.0
 
 _EIG_FLOOR = -1e-9  # least eigenvalue that still counts as semi-definite
+
+
+def _lapack_errstate() -> np.errstate:
+    """The error state ``numpy.linalg`` sets around its gufuncs, with the
+    ``invalid`` flag of a failed factorisation or solve raised."""
+    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 
 def _T(mat: np.ndarray) -> np.ndarray:
@@ -67,8 +82,9 @@ def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
     still gets its own factor bit for bit.
     """
     try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+        with _lapack_errstate():
+            return _umath_linalg.cholesky_lo(cov, signature="d->d")
+    except FloatingPointError:
         pass
     if cov.ndim > 2:
         return np.stack([_sqrt_factor(c) for c in cov])
@@ -137,21 +153,31 @@ def linear_update(
     if y.size != mu.shape[-1] or not np.isfinite(y).all():
         raise InvalidMeasurementError(f"measurement {y}: need {mu.shape[-1]} finite entries")
     chol = _cholesky_innovation(D)
-    # K = cross D^{-1} via two triangular solves
-    gain = _T(np.linalg.solve(_T(chol), np.linalg.solve(chol, _T(cross))))
     resid = (y - mu)[..., None]
+    try:
+        with _lapack_errstate():
+            # K = cross D^{-1} via two solves with the factor, and the
+            # whitened residual
+            gain = _T(_solve(_T(chol), _solve(chol, _T(cross))))
+            white = _solve(chol, resid)
+    except FloatingPointError as exc:
+        raise SingularInnovationError("innovation covariance singular") from exc
     mean = mean + (gain @ resid)[..., 0]
     cov = cov - gain @ D @ _T(gain)
-    white = np.linalg.solve(chol, resid)
     log_det = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     log_lik = -log_det - (_T(white) @ white)[..., 0, 0]
     return mean, symmetrize(cov), log_lik
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def _cholesky_innovation(D: np.ndarray) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(D)
-    except np.linalg.LinAlgError as exc:
+        with _lapack_errstate():
+            chol = _umath_linalg.cholesky_lo(D, signature="d->d")
+    except FloatingPointError as exc:
         raise SingularInnovationError("innovation covariance singular") from exc
     diag = chol.diagonal(axis1=-2, axis2=-1)
     lo, hi = diag.min(axis=-1), diag.max(axis=-1)

@@ -3,8 +3,8 @@
 The state is (longitude, latitude) in degrees, advected through a velocity
 field by explicit Euler steps with additive process noise.  Position fixes
 arrive every ``delta`` steps, corrupted by the configured offset model
-strictly after the switch time, with one coefficient set shared by both
-channels.
+strictly after the switch time; the filter learns one coefficient set
+shared by both channels.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..biasmodels import BiasSpec, check_onset, gated_offsets
+from ..biasmodels import BiasSpec, check_channels, check_onset, gated_offsets
 from ..exceptions import ConfigError
 from ..switching import SwitchingFilter
 from .fields import AnalyticField
@@ -45,6 +45,7 @@ class BalloonConfig:
         if min(self.q_x, self.q_p, self.r) < 0:
             raise ConfigError("noise variances must be non-negative")
         check_onset(self.true_switch_step, self.n_steps)
+        check_channels(self.bias, 2)
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,15 @@ def simulate_balloon(cfg: BalloonConfig, field=None) -> BalloonTruth:
     n = cfg.n_steps
     times = np.arange(n + 1) * cfg.dt
     proc_noise = np.sqrt(cfg.q_x) * rng.standard_normal((n, 2))
-    states = np.empty((n + 1, 2))
-    states[0] = cfg.x0
-    for k in range(n):
-        u, v = field.eval(states[k, 0], states[k, 1], times[k])
-        states[k + 1] = states[k] + cfg.dt * np.array([float(u), float(v)]) + proc_noise[k]
+    # Python floats: numpy's IEEE results without its per-call cost
+    lon, lat = (float(c) for c in cfg.x0)
+    path = [(lon, lat)]
+    for t, (n_lon, n_lat) in zip(times[:-1].tolist(), proc_noise.tolist()):
+        u, v = field.eval(lon, lat, t)
+        lon = lon + cfg.dt * float(u) + n_lon
+        lat = lat + cfg.dt * float(v) + n_lat
+        path.append((lon, lat))
+    states = np.array(path)
 
     epochs = np.arange(cfg.delta, n + 1, cfg.delta)
     meas_noise = np.sqrt(cfg.r) * rng.standard_normal((epochs.size, 2))

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .. import kernels
-from ..biasmodels import BiasSpec, check_onset, gated_offsets
+from ..biasmodels import BiasSpec, check_channels, check_onset, gated_offsets
 from ..constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD
 from ..exceptions import ConfigError, GimbalLockError
 from ..switching import SwitchingFilter
@@ -85,6 +85,7 @@ class ShuttleConfig:
         if min(self.q_x, self.q_p, self.r) < 0:
             raise ConfigError("noise variances must be non-negative")
         check_onset(self.true_switch_step, self.n_steps)
+        check_channels(self.bias, 3)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from skfnav.biasmodels import (
     BiasSpec,
-    bias_eval,
+    gated_offsets,
     offset_columns,
     write_offset_basis,
 )
@@ -18,54 +20,93 @@ finite = st.floats(min_value=-10, max_value=10)
 times = st.floats(min_value=0, max_value=50)
 
 
+def offset_at(spec: BiasSpec, t_s: float, t_k: float, n_channels: int = 1) -> np.ndarray:
+    """The offset of a fix at time ``t_k`` for an onset at ``t_s``."""
+    return gated_offsets(spec, t_s, 1.0, np.array([t_k]), n_channels)[0]
+
+
 class TestBiasEval:
+    """The offset polynomial and its cap, one epoch at a time."""
+
     def test_quadratic_at_onset_is_static_part(self):
         spec = BiasSpec("quadratic", A=0.1, B=0.0, C=0.01)
-        assert bias_eval(spec, 2.0, 2.0) == pytest.approx([0.1])
+        assert offset_at(spec, 2.0, 2.0 + 1e-9) == pytest.approx([0.1])
 
     def test_zero_parameters_zero_offset(self):
         for kind in ("static", "linear", "quadratic"):
             spec = BiasSpec(kind)
-            assert bias_eval(spec, 0.0, 17.3) == pytest.approx([0.0])
+            assert offset_at(spec, 0.0, 17.3) == pytest.approx([0.0])
 
     def test_cap_clamps_quadratic(self):
         spec = BiasSpec("quadratic", A=0.0, B=0.0, C=1.0, cap=1000.0)
-        assert bias_eval(spec, 0.0, 40.0) == pytest.approx([1000.0])
+        assert offset_at(spec, 0.0, 40.0) == pytest.approx([1000.0])
 
     def test_cap_preserves_sign(self):
         spec = BiasSpec("quadratic", A=0.0, B=-300.0, C=0.0, cap=1000.0)
-        assert bias_eval(spec, 0.0, 10.0) == pytest.approx([-1000.0])
+        assert offset_at(spec, 0.0, 10.0) == pytest.approx([-1000.0])
 
-    def test_before_onset_rejected(self):
-        with pytest.raises(ValueError):
-            bias_eval(BiasSpec("static", A=1.0), 5.0, 4.0)
+    def test_before_onset_reads_zero(self):
+        spec = BiasSpec("static", A=1.0)
+        assert offset_at(spec, 5.0, 4.0).tolist() == [0.0]
+        assert offset_at(spec, 5.0, 5.0).tolist() == [0.0]
 
     def test_per_channel_coefficients(self):
         spec = BiasSpec("linear", A=[1.0, 2.0, 3.0], B=[0.0, 1.0, 0.0])
-        assert bias_eval(spec, 0.0, 2.0) == pytest.approx([1.0, 4.0, 3.0])
+        assert offset_at(spec, 0.0, 2.0, 3) == pytest.approx([1.0, 4.0, 3.0])
 
     @given(finite, finite, times)
     @settings(max_examples=60, deadline=None)
     def test_nesting_linear_in_quadratic(self, a, b, tau):
-        quad = bias_eval(BiasSpec("quadratic", A=a, B=b, C=0.0), 0.0, tau)
-        lin = bias_eval(BiasSpec("linear", A=a, B=b), 0.0, tau)
+        quad = offset_at(BiasSpec("quadratic", A=a, B=b, C=0.0), 0.0, tau)
+        lin = offset_at(BiasSpec("linear", A=a, B=b), 0.0, tau)
         assert quad.tolist() == lin.tolist()
 
     @given(finite, times)
     @settings(max_examples=60, deadline=None)
     def test_nesting_static_in_linear(self, a, tau):
-        lin = bias_eval(BiasSpec("linear", A=a, B=0.0), 0.0, tau)
-        stat = bias_eval(BiasSpec("static", A=a), 0.0, tau)
+        lin = offset_at(BiasSpec("linear", A=a, B=0.0), 0.0, tau)
+        stat = offset_at(BiasSpec("static", A=a), 0.0, tau)
         assert lin.tolist() == stat.tolist()
 
     @given(finite, finite, st.floats(min_value=0.01, max_value=10), times)
     @settings(max_examples=60, deadline=None)
     def test_cap_monotone(self, a, b, cap, tau):
-        capped = bias_eval(BiasSpec("quadratic", A=a, B=b, C=0.1, cap=cap), 0.0, tau)
-        free = bias_eval(BiasSpec("quadratic", A=a, B=b, C=0.1), 0.0, tau)
+        capped = offset_at(BiasSpec("quadratic", A=a, B=b, C=0.1, cap=cap), 0.0, tau)
+        free = offset_at(BiasSpec("quadratic", A=a, B=b, C=0.1), 0.0, tau)
         assert np.all(np.abs(capped) <= cap + 1e-12)
         if np.all(np.abs(free) < cap):
             assert capped.tolist() == free.tolist()
+
+
+def offsets_per_epoch(spec: BiasSpec, switch_step, dt: float, epochs, n_channels: int):
+    """The offsets with the coefficient matrix rebuilt at every epoch."""
+    offsets = np.zeros((len(epochs), n_channels))
+    t_s = switch_step * dt
+    for i, t_k in enumerate(np.asarray(epochs) * dt):
+        if t_k > t_s:
+            tau = t_k - t_s
+            theta = spec.theta
+            offset = theta @ np.array([1.0, tau, tau * tau][: theta.shape[1]])
+            if spec.cap is not None:
+                offset = np.clip(offset, -spec.cap, spec.cap)
+            offsets[i] = offset
+    return offsets
+
+
+@pytest.mark.parametrize("cap", [None, 0.4])
+@pytest.mark.parametrize("spec, n_channels", [
+    (BiasSpec("static", A=0.3), 2),
+    (BiasSpec("linear", A=0.1, B=-0.2), 2),
+    (BiasSpec("quadratic", A=0.1, B=0.2, C=0.3), 2),
+    (BiasSpec("static", A=[0.3, -0.5, 0.1]), 3),
+    (BiasSpec("linear", A=[0.1, -0.3], B=0.2), 2),
+    (BiasSpec("quadratic", A=0.1, B=[0.2, -0.1, 0.05], C=[0.3, 0.0, -0.7]), 3),
+], ids=["static", "linear", "quadratic", "static-lists", "linear-lists", "quadratic-lists"])
+def test_gated_offsets_match_per_epoch_offsets(spec, n_channels, cap):
+    spec = dataclasses.replace(spec, cap=cap)
+    epochs = np.arange(3, 501, 3)
+    assert np.array_equal(gated_offsets(spec, 37, 0.01, epochs, n_channels),
+                          offsets_per_epoch(spec, 37, 0.01, epochs, n_channels))
 
 
 class TestObserve:

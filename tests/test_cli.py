@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
 
+from skfnav import harness
 from skfnav.cli import build_parser, main
+from skfnav.configio import parse_single
+from skfnav.exceptions import ConfigError
 
 
 @pytest.fixture
@@ -143,6 +147,38 @@ def test_single_config_that_cannot_be_built_is_rejected(tmp_path, caplog):
         assert main(["--quiet", *command, "--config", str(path)]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["config error: switch index 50 outside [0, 20]"] * 2
+
+
+@pytest.mark.parametrize("scenario, bias, message", [
+    ("balloon", {"A": [0.1, 0.2, 0.3]}, "bias A has 3 entries; need 1 or one per channel (2)"),
+    ("balloon", {"A": [0.1, 0.2], "B": [0.1, 0.2, 0.3]},
+     "bias B has 3 entries; need 1 or one per channel (2)"),
+    ("shuttle", {"A": [1.0, 2.0]}, "bias A has 2 entries; need 1 or one per channel (3)"),
+], ids=["balloon-three-A", "balloon-three-B", "shuttle-two-A"])
+def test_bias_lists_that_do_not_fit_the_channels_are_rejected(tmp_path, caplog, scenario,
+                                                               bias, message):
+    data = {"scenario": scenario, "n_steps": 20, "true_switch_step": 10, "bias": bias}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_single(data)
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(data))
+    assert main(["--quiet", "validate-config", "--config", str(path)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"config error: {message}"]
+    sweep = {"scenario": scenario, "base": {"n_steps": 20, "true_switch_step": 10, "bias": bias},
+             "axes": {"r": [1e-6]}, "seeds": 1}
+    with pytest.raises(ConfigError, match="sweep cell r=1e-06: bias"):
+        harness.sweep_from_dict(sweep)
+
+
+def test_bias_list_with_one_entry_per_channel_runs():
+    base = {"n_steps": 30, "dt": 0.01, "true_switch_step": 10,
+            "bias": {"kind": "static", "A": [0.1, 0.2]}}
+    record = harness.execute_case({"scenario": "balloon", **base})[0]
+    assert record.status == "ok"
+    grid = harness.sweep_from_dict({"scenario": "balloon", "base": base,
+                                    "axes": {"r": [1e-6, 1e-4]}, "seeds": 1})
+    assert [r.status for r in harness.run_sweep(grid, threads=1)] == ["ok", "ok"]
 
 
 def test_validate_config_ok(sweep_cfg, capsys):

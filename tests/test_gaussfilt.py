@@ -10,7 +10,14 @@ from skfnav.exceptions import (
     InvalidMeasurementError,
     SingularInnovationError,
 )
-from skfnav.gaussfilt import linear_update, predict, sigma_points
+from skfnav.gaussfilt import (
+    _cholesky_innovation,
+    _sqrt_factor,
+    linear_update,
+    predict,
+    sigma_points,
+    symmetrize,
+)
 
 
 def belief(mean, cov):
@@ -299,6 +306,102 @@ class TestLinearUpdate:
             linear_update(*prior, H, np.array([np.nan, 0.0]), np.eye(2))
         with pytest.raises(InvalidMeasurementError):
             linear_update(*prior, H, np.zeros(3), np.eye(2))
+
+
+# (state columns, parameter-block width, observed columns) of each scenario
+SIZES = {"balloon": (2, 3, (0, 1)), "shuttle": (15, 9, (0, 1, 2))}
+
+
+def bank_update_case(size: str, seed: int):
+    """A ten-row bank's ``(mean, cov, H, y, R)`` at a scenario's sizes."""
+    d_x, d_theta, observed = SIZES[size]
+    rng = np.random.default_rng(seed)
+    mean, cov = stack(random_beliefs(rng, 10, d_x + d_theta))
+    H = observation_matrix(np.linspace(0.0, 4.5, 10), d_theta, d_x, observed)
+    H[0, :, d_x:] = 0.0
+    m = len(observed)
+    return mean, cov, H, rng.standard_normal(m), 0.1 * np.eye(m)
+
+
+def update_with_public_linalg(mean, cov, H, y, R):
+    """``linear_update``'s arithmetic through ``np.linalg.cholesky`` and
+    ``np.linalg.solve``."""
+    Ht = np.swapaxes(H, -1, -2)
+    mu = (H @ mean[..., None])[..., 0]
+    cross = cov @ Ht
+    D = symmetrize(H @ cross + R)
+    chol = np.linalg.cholesky(D)
+    cholT = np.swapaxes(chol, -1, -2)
+    gain = np.swapaxes(np.linalg.solve(cholT, np.linalg.solve(chol, np.swapaxes(cross, -1, -2))),
+                       -1, -2)
+    resid = (y - mu)[..., None]
+    mean = mean + (gain @ resid)[..., 0]
+    cov = cov - gain @ D @ np.swapaxes(gain, -1, -2)
+    white = np.linalg.solve(chol, resid)
+    log_det = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    return mean, symmetrize(cov), -log_det - (np.swapaxes(white, -1, -2) @ white)[..., 0, 0]
+
+
+def with_member(covs, i, bad):
+    covs = covs.copy()
+    covs[i] = bad
+    return covs
+
+
+@pytest.mark.parametrize("size", SIZES)
+class TestLapackGufuncs:
+    """``gaussfilt`` calls the LAPACK gufuncs behind ``np.linalg.cholesky``
+    and ``np.linalg.solve`` directly: the factors and solutions are the
+    public functions' bits, and a stack fails where theirs fails."""
+
+    def test_factors_match_public_cholesky(self, size):
+        _, cov, H, _, R = bank_update_case(size, 1)
+        D = symmetrize(H @ cov @ np.swapaxes(H, -1, -2) + R)
+        assert _sqrt_factor(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
+        assert _cholesky_innovation(D).tobytes() == np.linalg.cholesky(D).tobytes()
+
+    def test_update_matches_public_solves(self, size):
+        case = bank_update_case(size, 2)
+        for got, want in zip(linear_update(*case), update_with_public_linalg(*case)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_pd_member_fails_where_public_fails(self, size):
+        _, cov, *_ = bank_update_case(size, 3)
+        d = cov.shape[-1]
+        bad = with_member(cov, 4, -np.eye(d))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(bad)
+        with pytest.raises(SingularInnovationError):
+            _cholesky_innovation(bad)
+        with pytest.raises(CovarianceError):
+            _sqrt_factor(bad)
+        # a semi-definite member sends the stack one matrix at a time
+        semi = with_member(cov, 4, np.diag([1.0, 0.0] + [1.0] * (d - 2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(semi)
+        factor = _sqrt_factor(semi)
+        for i in set(range(10)) - {4}:
+            assert factor[i].tobytes() == np.linalg.cholesky(semi[i]).tobytes()
+        assert np.array_equal(factor[4] @ factor[4].T, semi[4])
+
+    def test_nan_member_gives_public_nan_factor(self, size):
+        _, cov, *_ = bank_update_case(size, 4)
+        nan = cov.copy()
+        nan[4, 1, 1] = np.nan
+        want = np.linalg.cholesky(nan)
+        assert np.isnan(want[4]).any() and np.isfinite(np.delete(want, 4, axis=0)).all()
+        assert _sqrt_factor(nan).tobytes() == want.tobytes()
+
+    def test_inf_off_diagonal_member_fails_where_public_fails(self, size):
+        _, cov, *_ = bank_update_case(size, 5)
+        inf = cov.copy()
+        inf[4, 0, 1] = inf[4, 1, 0] = np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(inf)
+        with pytest.raises(SingularInnovationError):
+            _cholesky_innovation(inf)
+        with np.errstate(invalid="ignore"), pytest.raises(CovarianceError):
+            _sqrt_factor(inf)
 
 
 def log_likelihood_increment(y, mu, D):

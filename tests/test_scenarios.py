@@ -142,6 +142,33 @@ class TestBalloonSim:
         assert filt.bank.mean.shape[-1] == 5
 
 
+def balloon_states_on_rows(cfg: BalloonConfig, field) -> np.ndarray:
+    """The truth loop stepped on array rows, one ``states[k]`` at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    proc_noise = np.sqrt(cfg.q_x) * rng.standard_normal((cfg.n_steps, 2))
+    states = np.empty((cfg.n_steps + 1, 2))
+    states[0] = cfg.x0
+    for k in range(cfg.n_steps):
+        u, v = field.eval(states[k, 0], states[k, 1], times[k])
+        states[k + 1] = states[k] + cfg.dt * np.array([float(u), float(v)]) + proc_noise[k]
+    return states
+
+
+def analytic_grid() -> GriddedField:
+    """The default analytic field sampled around the balloon's start."""
+    lons, lats = np.arange(-40.0, -29.5, 0.5), np.arange(20.0, 30.5, 0.5)
+    times = np.arange(0.0, 6.5, 0.5)
+    u, v = AnalyticField().eval(*np.meshgrid(lons, lats, times, indexing="ij"))
+    return GriddedField(lons=lons, lats=lats, times=times, u=u, v=v)
+
+
+@pytest.mark.parametrize("field", [AnalyticField(), analytic_grid()], ids=["analytic", "gridded"])
+def test_truth_on_floats_matches_rows(field):
+    cfg = BalloonConfig(q_x=1e-4, seed=7, x0=(-35, 25.25))
+    assert np.array_equal(simulate_balloon(cfg, field).states, balloon_states_on_rows(cfg, field))
+
+
 def noise_to_range_ratio(r: float, trajectory: np.ndarray) -> float:
     """Two measurement standard deviations as a percentage of the trajectory
     range, worst channel."""
