@@ -11,9 +11,11 @@ with ``"r": 0.0`` into ``OUT/r0_<config name>/``: an exact update without
 measurement noise leaves semi-definite covariances, so these runs factor
 stacks one matrix at a time, partly by ``eigh``, which no run at its
 configured ``r`` reaches.  The table configs share one shuttle reference
-key, so four more shuttle runs of ``table5_test22`` cover reference
-generation: ``oversample`` 1 and 3, an initial altitude 250 ft higher, and a
-run whose reference is read from ``OUT/reference.csv``, a file written by
+key, so five more shuttle runs of ``table5_test22`` cover reference
+generation: ``oversample`` 1 and 3, an initial altitude 250 ft higher, an
+initial yaw 0.02 rad short of pi, whose reference wraps the yaw past pi (no
+shipped config's reference leaves (-pi, pi]), and a run whose reference is
+read from ``OUT/reference.csv``, a file written by
 ``save_reference_csv`` (``OUT/reference_*/``).  ``table3_test3`` runs on a
 gridded field read from ``OUT/field.csv``, a regular grid sampled from the
 default ``AnalyticField`` that covers the run (``OUT/gridded_field/``), and
@@ -81,6 +83,7 @@ def main(argv: list[str]) -> int:
         "reference_oversample1": {"oversample": 1},
         "reference_oversample3": {"oversample": 3},
         "reference_h_plus_250": {"init_state": [h + 250.0, *rest]},
+        "reference_yaw_wrap": {"init_state": [h, *rest[:-1], np.pi - 0.02]},
     }
     for name, change in variants.items():
         run({**base, **change}, out / name)

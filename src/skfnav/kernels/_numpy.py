@@ -7,28 +7,75 @@ with axes North, East, down-positive; units are feet, seconds, radians.
 The compiled backend in ``_native.pyx`` agrees with ``strapdown_batch`` to a
 relative 1e-13; a parity test keeps the two in agreement.  The numpy kernel is
 one column body, ``strapdown_columns``, that runs unchanged on 1-D columns
-(one entry per state) and on Python floats (one state).
+(one entry per state) and on Python floats (one state); it takes its ufuncs
+from the argument's type (``_ufuncs``).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD, POLAR_COS_GUARD
 from ..exceptions import GimbalLockError, PolarSingularityError
 
+_TWO_PI = 2.0 * np.pi
+
+# The ufuncs of the float path: each entry calls the column path's numpy ufunc
+# and returns a Python float, so the arithmetic after it runs on Python floats
+# (not numpy scalars) with the bits the columns compute.  Not ``math``: numpy's
+# tan, arcsin and arctan2 differ from libm in the last bit on some inputs.  The
+# clip's min and max only compare, and it passes the value first, so the
+# builtins return numpy's result, a NaN value included.
+_FLOAT_UFUNCS = SimpleNamespace(
+    sin=lambda x: float(np.sin(x)),
+    cos=lambda x: float(np.cos(x)),
+    tan=lambda x: float(np.tan(x)),
+    sqrt=lambda x: float(np.sqrt(x)),
+    arcsin=lambda x: float(np.arcsin(x)),
+    arctan2=lambda y, x: float(np.arctan2(y, x)),
+    minimum=min,
+    maximum=max,
+)
+
+
+def _ufuncs(x):
+    """``np`` for columns, the float table for one state's floats."""
+    return np if isinstance(x, np.ndarray) else _FLOAT_UFUNCS
+
+
+def _anywhere(flag):
+    """Whether a guard's comparison holds anywhere: the scalar itself on
+    floats, where a numpy reduction would cost more than the comparison, and
+    ``.any()`` on columns."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
+
+
+def _everywhere(flag):
+    """Whether a comparison holds everywhere, as ``_anywhere``.  Not
+    ``_anywhere(~flag)``: on a Python bool ``~`` gives -1 or -2, both truthy."""
+    return flag.all() if isinstance(flag, np.ndarray) else flag
+
 
 def wrap_angle(angle):
     """Wrap to (-pi, pi]; ``angle`` is an array or a float.  ``%`` is
-    ``np.mod`` on arrays and the same floored remainder on floats."""
-    return np.pi - (np.pi - angle) % (2.0 * np.pi)
+    ``np.mod`` on arrays and the same floored remainder on floats.  The
+    remainder of ``d = pi - angle`` is ``d`` itself where ``d`` lies in
+    [0, 2pi), so the ``%`` runs only when some entry lies outside."""
+    d = np.pi - angle
+    if _everywhere((d >= 0.0) & (d < _TWO_PI)):
+        return np.pi - d
+    return np.pi - d % _TWO_PI
 
 
 def attitude_entries(phi, theta, psi):
     """Body-to-inertial rotation entries, row-major with rows (N, E, D).
 
-    The angles are columns or floats; each entry has their shape.
+    The angles are columns or floats; each entry has their shape, and is a
+    Python float on floats.
     """
-    return _rotation(np.sin(phi), np.cos(phi), np.sin(theta), np.cos(theta),
-                     np.sin(psi), np.cos(psi))
+    xp = _ufuncs(phi)
+    return _rotation(xp.sin(phi), xp.cos(phi), xp.sin(theta), xp.cos(theta),
+                     xp.sin(psi), xp.cos(psi))
 
 
 def _rotation(sp, cp, st, ct, sy, cy):
@@ -38,13 +85,6 @@ def _rotation(sp, cp, st, ct, sy, cy):
         sp * st * cy - cp * sy, sp * st * sy + cp * cy, sp * ct,
         cp * st * cy + sp * sy, cp * st * sy - sp * cy, cp * ct,
     )
-
-
-def _anywhere(flag):
-    """Whether a guard's comparison holds anywhere: the scalar itself on
-    floats, where a numpy reduction would cost more than the comparison, and
-    ``.any()`` on columns."""
-    return flag.any() if isinstance(flag, np.ndarray) else flag
 
 
 def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
@@ -57,6 +97,7 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     ``nav``.  Returns the nine new components.
     """
     h, L, lam, v, gamma, alpha, phi, theta, psi = nav
+    xp = _ufuncs(theta)
 
     # abs and % (in wrap_angle) dispatch to numpy on columns and stay Python
     # float operations on floats, with the same IEEE results either way
@@ -67,10 +108,10 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     w0 = omega_meas[0] - b_g[0]
     w1 = omega_meas[1] - b_g[1]
     w2 = omega_meas[2] - b_g[2]
-    sp, cp = np.sin(phi), np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    sy, cy = np.sin(psi), np.cos(psi)
-    tt = np.tan(theta)
+    sp, cp = xp.sin(phi), xp.cos(phi)
+    st, ct = xp.sin(theta), xp.cos(theta)
+    sy, cy = xp.sin(psi), xp.cos(psi)
+    tt = xp.tan(theta)
     phi_dot = w0 + sp * tt * w1 + cp * tt * w2
     theta_dot = cp * w1 - sp * w2
     psi_dot = (sp * w1 + cp * w2) / ct
@@ -93,10 +134,10 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     f_d = 0.5 * ((c[6] * f0 + c[8] * f2) + c[7] * f1)
 
     # Velocity update with gravity (down-positive).
-    cg = np.cos(gamma)
-    v_n = v * cg * np.cos(alpha)
-    v_e = v * cg * np.sin(alpha)
-    v_d = -v * np.sin(gamma)
+    cg = xp.cos(gamma)
+    v_n = v * cg * xp.cos(alpha)
+    v_e = v * cg * xp.sin(alpha)
+    v_d = -v * xp.sin(gamma)
     r_old = EARTH_RADIUS_FT + h
     g_d = GRAV_PARAM / (r_old * r_old)
     v_n_new = v_n + f_n * dt
@@ -104,21 +145,21 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     v_d_new = v_d + (f_d + g_d) * dt
 
     # Back to speed / flight-path angle / azimuth.
-    speed = np.sqrt(v_n_new * v_n_new + v_e_new * v_e_new + v_d_new * v_d_new)
+    speed = xp.sqrt(v_n_new * v_n_new + v_e_new * v_e_new + v_d_new * v_d_new)
     # +0.0 where the speed is not positive (zero, or NaN); the masked divide
     # allocates, so it runs only when some speed needs it
-    if _anywhere(~(speed > 0.0)):
-        ratio = np.divide(-v_d_new, speed, out=np.zeros_like(speed), where=speed > 0.0)
-    else:
+    if _everywhere(speed > 0.0):
         ratio = -v_d_new / speed
-    gamma_new = np.arcsin(np.minimum(np.maximum(ratio, -1.0), 1.0))
-    alpha_new = np.arctan2(v_e_new, v_n_new)
+    else:
+        ratio = np.divide(-v_d_new, speed, out=np.zeros_like(speed), where=speed > 0.0)
+    gamma_new = xp.arcsin(xp.minimum(xp.maximum(ratio, -1.0), 1.0))
+    alpha_new = xp.arctan2(v_e_new, v_n_new)
 
     # Trapezoidal position update.
     h_new = h - 0.5 * dt * (v_d + v_d_new)
     r_new = EARTH_RADIUS_FT + h_new
     L_new = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
-    cos_L, cos_L_new = np.cos(L), np.cos(L_new)
+    cos_L, cos_L_new = xp.cos(L), xp.cos(L_new)
     if _anywhere(abs(cos_L) < POLAR_COS_GUARD) or _anywhere(abs(cos_L_new) < POLAR_COS_GUARD):
         raise PolarSingularityError("position angle at polar singularity")
     lam_new = lam + 0.5 * dt * (v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new))
@@ -136,10 +177,9 @@ def strapdown_batch(states, f_meas, omega_meas, dt):
     """
     states = np.asarray(states, dtype=float)
     cols = states.T
-    out = np.empty_like(states)
+    out = states.copy()  # keeps the bias components
     out.T[:9] = strapdown_columns(
         cols[:9], cols[9:12], cols[12:15],
         np.asarray(f_meas, dtype=float), np.asarray(omega_meas, dtype=float), dt,
     )
-    out[:, 9:] = states[:, 9:]
     return out

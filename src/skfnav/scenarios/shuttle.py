@@ -149,6 +149,8 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
         raise ConfigError("invalid init_state: speed must be non-negative")
     if abs(nav[4]) > np.pi / 2 + 1e-12:
         raise ConfigError("invalid init_state: flight-path angle outside [-pi/2, pi/2]")
+    if EARTH_RADIUS_FT + nav[0] <= 0.0:
+        raise ConfigError("invalid init_state: altitude at or below the Earth's centre")
     if abs(nav[7]) >= PITCH_GUARD:
         raise GimbalLockError("pitch at Euler-rate singularity")
     b_a = b_g = [0.0, 0.0, 0.0]
@@ -156,13 +158,19 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     states[0, :9] = nav
     imu_true = np.empty((cfg.n_steps, 6))
     times = np.arange(cfg.n_steps * cfg.oversample) * dt_f
-    commands = zip(_command_accel(times), _command_rates(times).tolist())
+    commands = zip(_command_accel(times).tolist(), _command_rates(times).tolist())
+    # Python floats throughout; only the body-frame rotation stays a numpy
+    # product, whose summation order a Python dot product does not reproduce
     for k in range(cfg.n_steps):
         for sub in range(cfg.oversample):
-            accel, rates = next(commands)
+            (a_n, a_e, a_d), rates = next(commands)
             attitude = np.array(kernels.attitude_entries(*nav[6:9])).reshape(3, 3)
-            gravity = np.array([0.0, 0.0, GRAV_PARAM / (EARTH_RADIUS_FT + nav[0]) ** 2])
-            f_b = attitude.T @ (accel - gravity)
+            try:
+                gravity = GRAV_PARAM / (EARTH_RADIUS_FT + nav[0]) ** 2
+            except OverflowError:  # a float's square raises where numpy's is inf
+                gravity = 0.0
+            # the zero N and E gravity terms are left out: x - 0.0 is x
+            f_b = attitude.T @ np.array([a_n, a_e, a_d - gravity])
             imu = [*f_b.tolist(), *rates]
             if not all(map(math.isfinite, imu)):
                 raise ValueError("IMU sample must be finite")

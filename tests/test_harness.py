@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skfnav import configio, harness
 from skfnav.cli import main
+from skfnav.constants import EARTH_RADIUS_FT
 from skfnav.exceptions import ConfigError
 from skfnav.metrics import GREEN, RED, YELLOW, classify, relative_rmse
 from skfnav.switching import SwitchingFilter
@@ -293,6 +294,20 @@ class TestSweep:
         assert len(records) == 2
         assert [r.status for r in records] == ["error", "error"]
         assert all(r.error.startswith("ConfigError: ") for r in records)
+
+    @pytest.mark.parametrize("altitude", [-EARTH_RADIUS_FT, -EARTH_RADIUS_FT - 1e3])
+    def test_altitude_at_or_below_earth_centre_is_a_config_error(self, altitude):
+        # schema-valid, but the gravity of a radius at or below zero is
+        # undefined; at exactly -EARTH_RADIUS_FT it divided by zero
+        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1,
+                "init_state": [altitude, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]}
+        error = "ConfigError: invalid init_state: altitude at or below the Earth's centre"
+        assert harness.execute_case({"scenario": "shuttle", **base})[0].error == error
+        grid = harness.sweep_from_dict({
+            "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
+        })
+        records = harness.run_sweep(grid, threads=1)
+        assert [(r.status, r.error) for r in records] == [("error", error)] * 2
 
     @pytest.mark.parametrize("index, value, error", [
         (4, 2.0, "ConfigError: invalid init_state: flight-path angle outside [-pi/2, pi/2]"),

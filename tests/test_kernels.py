@@ -32,6 +32,66 @@ def test_wrap_angle_half_open_interval():
     assert wrapped[2] == np.pi  # -pi is the same angle as +pi
 
 
+WRAP_EDGES = [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0),
+              2 * np.pi, -2 * np.pi, 3 * np.pi, np.nan, np.inf, -np.inf]
+
+
+def test_wrap_angle_matches_floored_remainder_bit_for_bit():
+    # the shortcut that skips the remainder for in-range angles changes no bit
+    rng = np.random.default_rng(3)
+    angles = np.concatenate([WRAP_EDGES, rng.uniform(-10.0, 10.0, 200)])
+    with np.errstate(invalid="ignore"):
+        expect = np.pi - (np.pi - angles) % (2 * np.pi)
+        assert pure.wrap_angle(angles).tobytes() == expect.tobytes()
+        in_range = angles[np.abs(angles) < 3.0]  # every entry takes the shortcut
+        assert pure.wrap_angle(in_range).tobytes() == expect[np.abs(angles) < 3.0].tobytes()
+    for angle, want in zip(angles.tolist(), expect):
+        got = pure.wrap_angle(angle)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), angle
+
+
+def test_float_ufuncs_give_numpy_bits():
+    # libm's tan, asin and atan2 differ from numpy's in the last bit on some
+    # of these inputs, so an entry that calls ``math`` fails here
+    rng = np.random.default_rng(4)
+    angles, unit = rng.uniform(-1.5, 1.5, 5000), rng.uniform(-1.0, 1.0, 5000)
+    y, x = rng.standard_normal((2, 5000))
+    table = pure._FLOAT_UFUNCS
+    for name, args in [("sin", [angles]), ("cos", [angles]), ("tan", [angles]),
+                       ("sqrt", [np.abs(x)]), ("arcsin", [unit]), ("arctan2", [y, x])]:
+        got = [getattr(table, name)(*a) for a in zip(*(v.tolist() for v in args))]
+        assert all(type(g) is float for g in got), name
+        assert np.array(got).tobytes() == getattr(np, name)(*args).tobytes(), name
+    # the clip passes its value first and its bound second
+    values = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 1.0 + 2**-52, -0.5]
+    for bound in (-1.0, 1.0):
+        for value in values:
+            for name in ("minimum", "maximum"):
+                got, want = getattr(table, name)(value, bound), getattr(np, name)(value, bound)
+                assert np.float64(got).tobytes() == want.tobytes(), (name, value, bound)
+
+
+def test_empty_batch_keeps_its_shape():
+    out = pure.strapdown_batch(np.empty((0, 15)), np.zeros(3), np.zeros(3), 1.0)
+    assert out.shape == (0, 15)
+
+
+def test_float_path_returns_python_floats():
+    row = random_states(1, 7)[0]
+    f, w = [-5.0, 2.0, -31.0], [1e-3, -2e-3, 5e-4]
+    floats = pure.strapdown_columns(row[:9].tolist(), row[9:12].tolist(), row[12:].tolist(),
+                                    f, w, 1.4)
+    assert all(type(x) is float for x in floats)
+    assert all(type(x) is float for x in pure.attitude_entries(*row[6:9].tolist()))
+    # numpy scalars in give floats out (no 0-d arrays), with the same bits
+    scalars = pure.strapdown_columns(list(row[:9]), list(row[9:12]), list(row[12:]),
+                                     list(np.array(f)), list(np.array(w)), 1.4)
+    entries = pure.attitude_entries(*row[6:9])
+    assert all(isinstance(x, float) for x in (*scalars, *entries))
+    assert np.array(scalars).tobytes() == np.array(floats).tobytes()
+
+
 def test_batch_matches_scalar_composition():
     states = random_states(8, 0)
     f = np.array([-5.0, 2.0, -31.0])
@@ -92,6 +152,28 @@ def test_flight_path_angle_is_plus_zero_where_speed_is_not_positive():
             assert gamma == 0.0 and not np.signbit(gamma)
     for i in (0, 2, 3):
         assert floats[i].tobytes() == batch[i].tobytes(), i
+
+
+def test_float_path_takes_masked_divide_only_where_speed_is_not_positive(monkeypatch):
+    f = np.array([-5.0, 2.0, -31.0])
+    w = np.array([1e-3, -2e-3, 5e-4]) * 50
+    states = np.vstack([random_states(1, 8), edge_rows(f, w)[:1], random_states(1, 8)])
+    states[2, 3] = np.nan
+    calls = []
+    divide = np.divide
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divide", spy)
+    with np.errstate(invalid="ignore"):
+        for row, masked in zip(states, (False, True, True)):
+            calls.clear()
+            gamma = columns_on_floats(row, f, w, 1.4)[4]
+            assert len(calls) == int(masked)
+            if masked:
+                assert gamma == 0.0 and not np.signbit(gamma)
 
 
 @pytest.mark.parametrize("column, value, pitch_rate, error", [

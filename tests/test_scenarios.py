@@ -459,11 +459,14 @@ def reference_oracle(cfg: ShuttleConfig):
 DEFAULT_INIT = ShuttleConfig().init_state
 RAISED_INIT = (DEFAULT_INIT[0] + 250.0, *DEFAULT_INIT[1:])
 TURNED_INIT = (1.2e5, 0.5, -0.4, 9.0e3, 0.02, -2.5, -0.3, -0.6, 3.0)
+# yaw 0.02 rad short of pi: it passes pi within 60 steps, so wrap_angle takes
+# its remainder branch on floats (the other inits never leave (-pi, pi])
+WRAPPING_INIT = (*TURNED_INIT[:8], np.pi - 0.02)
 
 
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("oversample", [7, 1])
-    @pytest.mark.parametrize("init_state", [RAISED_INIT, TURNED_INIT])
+    @pytest.mark.parametrize("init_state", [RAISED_INIT, TURNED_INIT, WRAPPING_INIT])
     def test_generate_reference_matches_single_row_oracle(self, oversample, init_state):
         # generate_reference runs the numpy body under either backend, and so
         # does the oracle
@@ -473,6 +476,20 @@ class TestReferenceEquivalence:
         ref = generate_reference(cfg)
         assert np.array_equal(ref.states, states)
         assert np.array_equal(ref.imu_true, imu_true)
+        yaw_wraps = np.count_nonzero(np.abs(np.diff(ref.states[:, 8])) > np.pi)
+        assert yaw_wraps == (init_state is WRAPPING_INIT)
+
+    def test_reference_beyond_a_float_square_matches_oracle(self):
+        # the altitude passes 1.3e154 ft, where a Python float's square raises
+        # OverflowError and numpy's is inf, so the gravity is 0.0 on both paths
+        init = (1.5e5, 0.93, 0.32, 1e154, -1.0, 0.8, 0.6, 0.2, 0.65)
+        cfg = ShuttleConfig(n_steps=20, oversample=1, init_state=init, true_switch_step=None)
+        with np.errstate(over="ignore"):
+            states, imu_true = reference_oracle(cfg)
+        ref = generate_reference(cfg)
+        assert abs(ref.states[-1, 0]) > 1e155
+        assert ref.states.tobytes() == states.tobytes()
+        assert ref.imu_true.tobytes() == imu_true.tobytes()
 
     def test_command_profile_on_times_matches_calls_at_each_time(self):
         cfg = ShuttleConfig()
