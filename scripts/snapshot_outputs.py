@@ -21,10 +21,14 @@ gridded field read from ``OUT/field.csv``, a regular grid sampled from the
 default ``AnalyticField`` that covers the run (``OUT/gridded_field/``), and
 ``table3_test3`` and ``table5_test22`` run with a bias that gives each
 channel its own coefficients (``OUT/per_channel_*/``): no shipped config
-reaches either path.  It then runs
-``configs/shuttle_sa.json`` on two worker processes into ``OUT/sweeps/``,
-and ``skfnav report`` on that sweep directory into ``OUT/report/``, which
-rebuilds the records from ``records.csv`` before aggregating them.
+reaches either path.  It then runs ``configs/shuttle_sa.json`` on two
+worker processes into ``OUT/sweeps/`` and in one process into
+``OUT/sweeps_one_process/``; its bias cells at its first noise levels and
+seed 0, a single prefix family, on two worker processes into
+``OUT/sweeps_one_family/``; and ``skfnav report`` on the two-worker sweep
+directory into ``OUT/report/``, which rebuilds the records from
+``records.csv`` before aggregating them.  The three sweeps cover every way
+a sweep schedules its runs.
 The package is imported from the ``src/`` next to this script, so two
 checkouts can be compared with
 
@@ -102,9 +106,17 @@ def main(argv: list[str]) -> int:
     run({**base, "bias": {"kind": "linear", "A": [100.0, -50.0, 20.0],
                           "B": [100.0, 0.0, -40.0], "cap": 1000.0}}, out / "per_channel_shuttle")
 
-    grid = harness.sweep_from_dict(load_config(ROOT / "configs" / "shuttle_sa.json"))
+    sweep = load_config(ROOT / "configs" / "shuttle_sa.json")
+    grid = harness.sweep_from_dict(sweep)
     _, target = harness.run_sweep_to_dir(grid, out / "sweeps", threads=2)
     print(f"sweep: {target}")
+    harness.run_sweep_to_dir(grid, out / "sweeps_one_process", threads=1)
+    axes = sweep["axes"]
+    family = harness.sweep_from_dict({
+        **sweep, "seeds": [0], "axes": {k: axes[k] for k in ("A", "B", "C")},
+        "base": {**sweep["base"], "q_p": axes["q_p"][0], "r": axes["r"][0]},
+    })
+    harness.run_sweep_to_dir(family, out / "sweeps_one_family", threads=2)
     return skfnav_main(["--quiet", "report", "--records", str(target),
                         "--out", str(out / "report")])
 

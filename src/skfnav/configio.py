@@ -42,7 +42,7 @@ FIELD_SCHEMA = {
         "v0": {"type": "number"},
         "amp_u": {"type": "number"},
         "amp_v": {"type": "number"},
-        "wavelength": {"type": "number"},
+        "wavelength": {"type": "number", "exclusiveMinimum": 0},
         "omega": {"type": "number"},
     },
     "if": {"properties": {"kind": {"const": "gridded"}}, "required": ["kind"]},

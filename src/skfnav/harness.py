@@ -1,25 +1,31 @@
 """Experiment runner: single cases, parameter sweeps, aggregates, reports.
 
 Sweeps enumerate the Cartesian product of the configured axes in a canonical
-order and execute cells (optionally in parallel processes); the record list
-and every emitted file are deterministic functions of config plus seeds,
-independent of worker count.  Wall-clock timings are logged, never written
-into result files.
+order and execute their runs (optionally in parallel processes).  Runs that
+differ only in their bias form a prefix family: a head task steps the
+family's shared prefix and its own rest, and one tail task per other run
+resumes from the head's checkpoint on whichever worker is free.  The record
+list and every emitted file are deterministic functions of config plus
+seeds, independent of worker count.  Wall-clock timings are logged, never
+written into result files.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import logging
-import math
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from typing import Optional
 
 import numpy as np
@@ -184,7 +190,7 @@ def _prefix_key(snapshot: dict) -> Optional[str]:
 
 def _run_filter(filt, measurements: dict, cfg, prefix: Optional[list]) -> None:
     """Step ``filt`` through ``cfg.n_steps``.  ``prefix``, unless None, is the
-    checkpoint holder of the run's prefix family: the family's first run
+    checkpoint holder of the run's prefix family: while it is empty, a run
     steps to its onset and leaves ``(step, bank, fixes through the onset)``
     there, and every later run resumes from a copy of that bank.  Either way
     the bank ends the same, bit for bit."""
@@ -299,52 +305,104 @@ def resolve_threads() -> int:
 
 
 def _run_task(task) -> RunRecord:
+    """One sweep run, ``(data, seed, prefix)`` as ``execute_case`` takes them.
+    Every run of a sweep is exactly one call, made in the process that runs
+    it, so ``perfbench/run.py`` stands in for it to time each run."""
     data, seed, prefix = task
     return execute_case(data, seed=seed, prefix=prefix)[0]
 
 
-def _run_family(tasks: list) -> list[RunRecord]:
-    """The records of one prefix family's ``(data, seed)`` runs, in order.
-    The runs share one checkpoint holder (see ``_run_filter``), and each is
-    one ``_run_task`` call, which ``perfbench/run.py`` stands in for to time
-    each run."""
-    prefix = [] if len(tasks) > 1 else None
-    return [_run_task((data, seed, prefix)) for data, seed in tasks]
+@functools.lru_cache(maxsize=1)
+def _read_checkpoint(path: Path) -> tuple:
+    """The checkpoint in the file ``path``.  A worker reads it once for the
+    tails of one family that it runs in a row: they only copy from it (see
+    ``_run_filter``), and each sweep's files have paths of their own."""
+    return pickle.loads(path.read_bytes())
+
+
+def _pooled_task(data, seed, checkpoint: Optional[Path], head: bool):
+    """``_run_task`` in a worker process, for a run alone (``checkpoint``
+    None), a family's head or one of its tails.  The family's checkpoint
+    passes between workers through the file ``checkpoint``, which the head
+    writes after its run (its bank at its onset) and each tail reads, so
+    the parent process never holds one.  Returns the record and whether the
+    file holds a checkpoint."""
+    prefix = None
+    if checkpoint is not None:
+        prefix = [] if head else [_read_checkpoint(checkpoint)]
+    record = _run_task((data, seed, prefix))
+    if head and prefix:
+        checkpoint.write_bytes(pickle.dumps(prefix[0], pickle.HIGHEST_PROTOCOL))
+    return record, bool(prefix)
+
+
+def _run_pooled(runs: list, families: list, threads: int) -> dict:
+    """The records, by run index, of ``runs`` (``(data, seed)`` pairs) on
+    ``threads`` worker processes.  Every family's head is queued first, and
+    its tails when it completes; at most two tasks per worker are in
+    flight.  The checkpoint files live in a temporary directory for the
+    length of the sweep."""
+    with TemporaryDirectory(prefix="skfnav-sweep-") as tmp:
+        def head(family):
+            checkpoint = Path(tmp) / f"{family[0]}.pickle" if len(family) > 1 else None
+            return family[0], checkpoint, True, family[1:]
+
+        heads, tails = deque(map(head, families)), deque()
+        in_flight, records = {}, {}
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            while heads or tails or in_flight:
+                while (heads or tails) and len(in_flight) < 2 * threads:
+                    i, checkpoint, is_head, rest = (heads or tails).popleft()
+                    future = pool.submit(_pooled_task, *runs[i], checkpoint, is_head)
+                    in_flight[future] = i, checkpoint, rest
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i, checkpoint, rest = in_flight.pop(future)
+                    records[i], resumable = future.result()
+                    if resumable:
+                        tails.extend((j, checkpoint, False, []) for j in rest)
+                    elif rest:  # failed before its onset: the next run heads the family
+                        heads.appendleft(head(rest))
+    return records
 
 
 def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]:
     """All cells x seeds, cell-major (each cell's seeds together), in an order
     that does not depend on parallelism.
 
-    Each prefix family (the runs under one ``_prefix_key``) is one task, so
-    one process steps its shared prefix once.  With fewer families than
-    workers, families are split into tasks of at most ``ceil(runs /
-    workers)`` runs, so that every worker has one.  Individual cell failures
-    are captured in their records; the sweep always completes.
+    Each run is one task.  The runs under one ``_prefix_key`` form a prefix
+    family: its first run, the head task, steps the shared prefix once and
+    leaves the checkpoint that ``_run_filter`` describes, and each other run
+    is a tail task that resumes from it.  On a worker pool, the tails of any
+    family run on whichever worker is free once their head has completed.
+    A head that fails before its onset leaves no checkpoint, and the
+    family's next run heads it instead.  Individual run failures are
+    captured in their records; the sweep always completes.
     """
     threads = resolve_threads() if threads is None else max(1, int(threads))
     cells, seeds = grid.cell_configs(), grid.seeds
-    tasks = [(cell, seed) for cell in cells for seed in seeds]
+    runs = [(cell, seed) for cell in cells for seed in seeds]
     families = {}
-    for i, (cell, seed) in enumerate(tasks):
+    for i, (cell, seed) in enumerate(runs):
         key = _prefix_key(config_to_dict(*parse_single({**cell, "seed": seed})))
         families.setdefault(i if key is None else key, []).append(i)
     families = list(families.values())
     log.info("sweep: %d runs (%d cells x %d seeds) in %d prefix families, %d worker(s)",
-             len(tasks), len(cells), len(seeds), len(families), threads)
-    if len(families) < threads:
-        size = math.ceil(len(tasks) / threads)
-        families = [f[i:i + size] for f in families for i in range(0, len(f), size)]
-    family_tasks = [[tasks[i] for i in family] for family in families]
+             len(runs), len(cells), len(seeds), len(families), threads)
     start = time.perf_counter()
     if threads == 1:
-        results = [_run_family(family) for family in family_tasks]
+        records = {}
+        for family in families:
+            prefix = [] if len(family) > 1 else None
+            for i in family:
+                records[i] = _run_task((*runs[i], prefix))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_family, family_tasks))
-    log.info("sweep finished in %.1fs", time.perf_counter() - start)
-    records = dict(zip(itertools.chain(*families), itertools.chain(*results)))
-    return [records[i] for i in range(len(tasks))]
+        records = _run_pooled(runs, families, threads)
+    wall = time.perf_counter() - start
+    records = [records[i] for i in range(len(runs))]
+    log.info("sweep finished in %.1fs: %d tasks, busy fraction %.3f of %d worker(s)",
+             wall, len(runs), sum(r.runtime for r in records) / (wall * threads), threads)
+    return records
 
 
 def _is_success(record: RunRecord, include_yellow: bool) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 from .. import kernels
 from ..biasmodels import BiasSpec, check_channels, check_onset, gated_offsets
 from ..constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD
-from ..exceptions import ConfigError, GimbalLockError
+from ..exceptions import ConfigError, DynamicsDivergedError, GimbalLockError
 from ..switching import SwitchingFilter
 
 STATE_LABELS = ("h", "L", "lam", "v", "gamma", "alpha", "phi", "theta", "psi")
@@ -84,6 +84,11 @@ class ShuttleConfig:
             raise ConfigError("sampling period must be at least 1")
         if min(self.q_x, self.q_p, self.r) < 0:
             raise ConfigError("noise variances must be non-negative")
+        for name in ("imu_walk_accel", "imu_walk_gyro"):
+            try:
+                float(getattr(self, name)) ** 2  # the filter's process noise
+            except OverflowError:
+                raise ConfigError(f"{name} too large: its square overflows") from None
         check_onset(self.true_switch_step, self.n_steps)
         check_channels(self.bias, 3)
 
@@ -173,7 +178,7 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
             f_b = attitude.T @ np.array([a_n, a_e, a_d - gravity])
             imu = [*f_b.tolist(), *rates]
             if not all(map(math.isfinite, imu)):
-                raise ValueError("IMU sample must be finite")
+                raise DynamicsDivergedError("reference diverged: IMU sample must be finite")
             if sub == 0:
                 imu_true[k] = imu
             nav = kernels.strapdown_columns(nav, b_a, b_g, imu[:3], imu[3:], dt_f)
@@ -292,8 +297,8 @@ def build_shuttle_filter(
     q_vec, r_vec = scale_noise(cfg.q_x, cfg.r)
     Q_x = np.diag(np.concatenate([
         q_vec,
-        np.full(3, cfg.imu_walk_accel**2),
-        np.full(3, cfg.imu_walk_gyro**2),
+        np.full(3, float(cfg.imu_walk_accel) ** 2),
+        np.full(3, float(cfg.imu_walk_gyro) ** 2),
     ]))
     imu = truth.imu_meas
     dt = cfg.dt

@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import os
 
 import jsonschema
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from skfnav import configio, harness
 from skfnav.cli import main
 from skfnav.constants import EARTH_RADIUS_FT
-from skfnav.exceptions import ConfigError
+from skfnav.exceptions import ConfigError, FieldDomainError
 from skfnav.metrics import GREEN, RED, YELLOW, classify, relative_rmse
 from skfnav.switching import SwitchingFilter
 
@@ -309,6 +310,35 @@ class TestSweep:
         records = harness.run_sweep(grid, threads=1)
         assert [(r.status, r.error) for r in records] == [("error", error)] * 2
 
+    @pytest.mark.parametrize("scenario, base, error", [
+        ("balloon", {"field": {"kind": "analytic", "wavelength": 0.0}},
+         "0.0 is less than or equal to the minimum of 0"),
+        ("shuttle", {"imu_walk_accel": 1.5e154}, "imu_walk_accel too large"),
+        ("shuttle", {"imu_walk_gyro": 1.5e154}, "imu_walk_gyro too large"),
+    ], ids=["zero-wavelength", "accel-walk", "gyro-walk"])
+    def test_config_that_cannot_run_is_rejected_at_load(self, scenario, base, error):
+        # these once escaped execute_case as ZeroDivisionError or
+        # OverflowError and aborted a sweep
+        base = {"n_steps": 20, "true_switch_step": None, **base}
+        with pytest.raises(ConfigError, match=error):
+            harness.execute_case({"scenario": scenario, **base})
+        with pytest.raises(ConfigError, match=error):
+            harness.sweep_from_dict({
+                "scenario": scenario, "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
+            })
+
+    def test_diverging_reference_is_an_error_record(self):
+        # an initial speed of 3e154 drives the reference to NaN
+        init = [1.5e5, 0.93, 0.32, 3e154, -0.006, 0.8, 0.6, 0.2, 0.65]
+        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1, "init_state": init}
+        error = "DynamicsDivergedError: reference diverged: IMU sample must be finite"
+        assert harness.execute_case({"scenario": "shuttle", **base})[0].error == error
+        grid = harness.sweep_from_dict({
+            "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
+        })
+        records = harness.run_sweep(grid, threads=1)
+        assert [(r.status, r.error) for r in records] == [("error", error)] * 2
+
     @pytest.mark.parametrize("index, value, error", [
         (4, 2.0, "ConfigError: invalid init_state: flight-path angle outside [-pi/2, pi/2]"),
         (7, np.pi / 2, "GimbalLockError: pitch at Euler-rate singularity"),
@@ -412,10 +442,55 @@ class TestPrefixCheckpoint:
             blobs.append((target / "records.csv").read_bytes())
             counts.append(steps.value)
         assert blobs[0] == blobs[1]
-        # one family of four runs: one task in one process, two tasks of two
-        # runs on two workers, each stepping the prefix once
+        # one family of four runs: on any worker count, the head steps the
+        # prefix once and its three tails resume from its checkpoint
         n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
-        assert counts == [n + 3 * (n - onset), 2 * (n + (n - onset))]
+        assert counts == [n + 3 * (n - onset)] * 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_head_that_fails_before_its_onset_hands_on_the_family(
+            self, tmp_path, monkeypatch, threads):
+        # the truth of the family's first two runs (A = 0) fails, so neither
+        # leaves a checkpoint; the third run heads the family
+        simulate = harness.simulate_balloon
+
+        def failing(cfg, field):
+            if cfg.bias.A == 0.0:
+                raise FieldDomainError("longitude query outside grid hull")
+            return simulate(cfg, field)
+
+        monkeypatch.setattr(harness, "simulate_balloon", failing)
+        doc = {**self.GRIDS["balloon"], "name": "fails", "seeds": 1,
+               "axes": {"A": [0.0, 0.2], "B": [0.0, 2.0]}}
+        grid = harness.sweep_from_dict(doc)
+        cold = [harness.execute_case(cell, seed=seed)[0]
+                for cell in grid.cell_configs() for seed in grid.seeds]
+        assert [r.status for r in cold] == ["error", "error", "ok", "ok"]
+        harness.write_records_csv(tmp_path / "cold.csv", cold)
+        steps = self.count_sweep_steps(monkeypatch)
+        _, target = harness.run_sweep_to_dir(grid, tmp_path, threads=threads)
+        assert (target / "records.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
+        assert steps.value == n + (n - onset)
+
+    def test_every_run_is_one_task_call_in_a_worker(self, monkeypatch):
+        # a stand-in for _run_task, as perfbench/run.py installs one, sees
+        # every run exactly once, in a forked worker and never in this process
+        calls = multiprocessing.Value("l", 0)
+        parent, run_task = os.getpid(), harness._run_task
+
+        def counted(task):
+            with calls.get_lock():
+                calls.value += 1
+            record = run_task(task)
+            record.worker = os.getpid()
+            return record
+
+        monkeypatch.setattr(harness, "_run_task", counted)
+        grid = harness.sweep_from_dict(self.GRIDS["shuttle"])
+        records = harness.run_sweep(grid, threads=2)
+        assert calls.value == len(records) == 8
+        assert all(getattr(r, "worker", parent) != parent for r in records)
 
     @pytest.mark.parametrize("data, freezes", [
         (balloon_config(n_steps=60, true_switch_step=30), False),

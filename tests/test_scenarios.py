@@ -6,7 +6,7 @@ import pytest
 from skfnav import kernels
 from skfnav.biasmodels import BiasSpec
 from skfnav.constants import EARTH_RADIUS_FT, GRAV_PARAM
-from skfnav.exceptions import ConfigError, FieldDomainError
+from skfnav.exceptions import ConfigError, DynamicsDivergedError, FieldDomainError
 from skfnav.scenarios.balloon import (
     BalloonConfig,
     build_balloon_filter,
@@ -447,7 +447,7 @@ def reference_oracle(cfg: ShuttleConfig):
             f_b = C.T @ (_command_accel(t) - gravity)
             omega_b = _command_rates(t)
             if not (np.isfinite(f_b).all() and np.isfinite(omega_b).all()):
-                raise ValueError("IMU sample must be finite")
+                raise DynamicsDivergedError("reference diverged: IMU sample must be finite")
             if sub == 0:
                 imu_true[k, :3] = f_b
                 imu_true[k, 3:] = omega_b
@@ -509,11 +509,11 @@ class TestReferenceEquivalence:
                 expect[k][None, :], row[:3], row[3:], cfg.dt)[0]
         assert np.array_equal(integrate_imu(x0, ref.imu_true, cfg.dt), expect)
 
-    def test_non_finite_imu_input_raises_value_error(self):
+    def test_non_finite_imu_input_raises_dynamics_diverged(self):
         init = (float("nan"), *DEFAULT_INIT[1:])  # gravity, so the specific force, is NaN
         cfg = ShuttleConfig(n_steps=3, init_state=init, true_switch_step=None)
         for build in (reference_oracle, generate_reference):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(DynamicsDivergedError, match="finite"):
                 build(cfg)
 
 
@@ -525,6 +525,14 @@ class TestConfigValidation:
             BalloonConfig(delta=0)
         with pytest.raises(ConfigError):
             BalloonConfig(true_switch_step=501)
+
+    @pytest.mark.parametrize("name", ["imu_walk_accel", "imu_walk_gyro"])
+    def test_walk_whose_square_overflows_is_rejected(self, name):
+        # the filter's process noise is the walk's square, a Python float
+        ShuttleConfig(**{name: 1e154})
+        for walk in (1.5e154, 10**400):
+            with pytest.raises(ConfigError, match=f"{name} too large"):
+                ShuttleConfig(**{name: walk})
 
     def test_bad_shuttle_values(self):
         with pytest.raises(ConfigError):
