@@ -4,7 +4,8 @@ Sweeps enumerate the Cartesian product of the configured axes in a canonical
 order and execute their runs (optionally in parallel processes).  Runs that
 differ only in their bias form a prefix family: a head task steps the
 family's shared prefix and its own rest, and one tail task per other run
-resumes from the head's checkpoint on whichever worker is free.  The record
+resumes from the head's checkpoint on whichever worker is free (a worker
+that would idle while the head runs steps a tail from the start).  The record
 list and every emitted file are deterministic functions of config plus
 seeds, independent of worker count.  Wall-clock timings are logged, never
 written into result files.
@@ -13,7 +14,6 @@ written into result files.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import itertools
 import json
@@ -312,57 +312,82 @@ def _run_task(task) -> RunRecord:
     return execute_case(data, seed=seed, prefix=prefix)[0]
 
 
-@functools.lru_cache(maxsize=1)
-def _read_checkpoint(path: Path) -> tuple:
-    """The checkpoint in the file ``path``.  A worker reads it once for the
-    tails of one family that it runs in a row: they only copy from it (see
-    ``_run_filter``), and each sweep's files have paths of their own."""
-    return pickle.loads(path.read_bytes())
-
-
 def _pooled_task(data, seed, checkpoint: Optional[Path], head: bool):
-    """``_run_task`` in a worker process, for a run alone (``checkpoint``
-    None), a family's head or one of its tails.  The family's checkpoint
-    passes between workers through the file ``checkpoint``, which the head
-    writes after its run (its bank at its onset) and each tail reads, so
-    the parent process never holds one.  Returns the record and whether the
-    file holds a checkpoint."""
+    """``_run_task`` in a worker process, for a run that steps from the start
+    (``checkpoint`` None), a family's head or one of its tails.  The
+    family's checkpoint passes between workers through the file
+    ``checkpoint``, which the head writes after its run (its bank at its
+    onset) and each tail reads, so the parent process never holds one.
+    Returns the record and whether the file holds a checkpoint."""
     prefix = None
     if checkpoint is not None:
-        prefix = [] if head else [_read_checkpoint(checkpoint)]
+        prefix = [] if head else [pickle.loads(checkpoint.read_bytes())]
     record = _run_task((data, seed, prefix))
     if head and prefix:
         checkpoint.write_bytes(pickle.dumps(prefix[0], pickle.HIGHEST_PROTOCOL))
     return record, bool(prefix)
 
 
+class _Family:
+    """A prefix family's runs that wait for its head's checkpoint, and how
+    many of them have been run from the start on otherwise idle workers."""
+
+    def __init__(self, runs: list):
+        self.waiting = deque(runs)
+        self.cold = 0
+
+
 def _run_pooled(runs: list, families: list, threads: int) -> dict:
     """The records, by run index, of ``runs`` (``(data, seed)`` pairs) on
     ``threads`` worker processes.  Every family's head is queued first, and
-    its tails when it completes; at most two tasks per worker are in
-    flight.  The checkpoint files live in a temporary directory for the
-    length of the sweep."""
-    with TemporaryDirectory(prefix="skfnav-sweep-") as tmp:
-        def head(family):
-            checkpoint = Path(tmp) / f"{family[0]}.pickle" if len(family) > 1 else None
-            return family[0], checkpoint, True, family[1:]
+    its waiting runs as tails when it completes; at most two tasks per
+    worker are in flight.  While nothing is queued and a worker would sit
+    idle, it runs a waiting run of a family whose head is in flight from
+    the start instead, at most ``threads - 1`` per family.  The checkpoint
+    files live in a temporary directory for the length of the sweep."""
+    in_flight, records = {}, {}
+    heads, tails = deque(map(_Family, families)), deque()
+    with (TemporaryDirectory(prefix="skfnav-sweep-") as tmp,
+          ProcessPoolExecutor(max_workers=threads) as pool):
+        def submit(i, checkpoint=None, head=False, family=None):
+            future = pool.submit(_pooled_task, *runs[i], checkpoint, head)
+            in_flight[future] = i, checkpoint, family
 
-        heads, tails = deque(map(head, families)), deque()
-        in_flight, records = {}, {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            while heads or tails or in_flight:
-                while (heads or tails) and len(in_flight) < 2 * threads:
-                    i, checkpoint, is_head, rest = (heads or tails).popleft()
-                    future = pool.submit(_pooled_task, *runs[i], checkpoint, is_head)
-                    in_flight[future] = i, checkpoint, rest
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    i, checkpoint, rest = in_flight.pop(future)
-                    records[i], resumable = future.result()
-                    if resumable:
-                        tails.extend((j, checkpoint, False, []) for j in rest)
-                    elif rest:  # failed before its onset: the next run heads the family
-                        heads.appendleft(head(rest))
+        def cold_run():
+            """A waiting run for an idle worker to step from the start, or None."""
+            if len(in_flight) >= threads:
+                return None
+            spare = [f for _, _, f in in_flight.values()
+                     if f is not None and f.waiting and f.cold < threads - 1]
+            if not spare:
+                return None
+            family = max(spare, key=lambda f: len(f.waiting))
+            family.cold += 1
+            return family.waiting.popleft()
+
+        while heads or tails or in_flight:
+            while len(in_flight) < 2 * threads:
+                if heads:
+                    family = heads.popleft()
+                    i = family.waiting.popleft()
+                    checkpoint = Path(tmp) / f"{i}.pickle" if family.waiting else None
+                    submit(i, checkpoint, True, family)
+                elif tails:
+                    submit(*tails.popleft())
+                elif (i := cold_run()) is not None:
+                    submit(i)
+                else:
+                    break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, checkpoint, family = in_flight.pop(future)
+                records[i], resumable = future.result()
+                if family is not None and resumable:
+                    tails.extend((j, checkpoint) for j in family.waiting)
+                    family.waiting.clear()
+                elif family is not None and family.waiting:
+                    # failed before its onset: the next run heads the family
+                    heads.appendleft(family)
     return records
 
 
@@ -371,13 +396,14 @@ def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]
     that does not depend on parallelism.
 
     Each run is one task.  The runs under one ``_prefix_key`` form a prefix
-    family: its first run, the head task, steps the shared prefix once and
+    family: its first run, the head task, steps the shared prefix and
     leaves the checkpoint that ``_run_filter`` describes, and each other run
     is a tail task that resumes from it.  On a worker pool, the tails of any
-    family run on whichever worker is free once their head has completed.
-    A head that fails before its onset leaves no checkpoint, and the
-    family's next run heads it instead.  Individual run failures are
-    captured in their records; the sweep always completes.
+    family run on whichever worker is free once their head has completed,
+    and a worker that would sit idle meanwhile runs one of them from the
+    start (see ``_run_pooled``).  A head that fails before its onset leaves
+    no checkpoint, and the family's next run heads it instead.  Individual
+    run failures are captured in their records; the sweep always completes.
     """
     threads = resolve_threads() if threads is None else max(1, int(threads))
     cells, seeds = grid.cell_configs(), grid.seeds

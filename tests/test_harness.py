@@ -435,17 +435,20 @@ class TestPrefixCheckpoint:
         grid = harness.sweep_from_dict(doc)
         steps = self.count_sweep_steps(monkeypatch)
         blobs, counts = [], []
-        for threads in (1, 2):
+        for threads in (1, 2, 4):
             steps.value = 0
             _, target = harness.run_sweep_to_dir(grid, tmp_path / f"t{threads}",
                                                  threads=threads)
             blobs.append((target / "records.csv").read_bytes())
             counts.append(steps.value)
-        assert blobs[0] == blobs[1]
-        # one family of four runs: on any worker count, the head steps the
-        # prefix once and its three tails resume from its checkpoint
+        assert blobs[0] == blobs[1] == blobs[2]
+        # one family of four runs: in one process the head steps the prefix
+        # once and three tails resume from its checkpoint; on two workers the
+        # second worker, idle while the head runs, steps one run from the
+        # start, and the other two resume from the head's checkpoint; on four
+        # workers every run steps from the start
         n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
-        assert counts == [n + 3 * (n - onset)] * 2
+        assert counts == [n + 3 * (n - onset), 2 * (n + (n - onset)), 4 * n]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_head_that_fails_before_its_onset_hands_on_the_family(
