@@ -133,30 +133,6 @@ SWEEP_SCHEMA = {
     "additionalProperties": False,
 }
 
-PLOT_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "axis", "series"],
-    "properties": {
-        "kind": {"enum": ["success_rate", "rmse_scatter"]},
-        "axis": {"type": "string"},
-        "series": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["label", "x", "y"],
-                "properties": {
-                    "label": {"type": "string"},
-                    "x": {"type": "array", "items": {"type": "number"}},
-                    "y": {"type": "array", "items": {"type": "number"}},
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-
 _VALIDATORS: dict[int, jsonschema.protocols.Validator] = {}
 
 
@@ -194,7 +170,10 @@ def _validate(data: dict, schema: dict, label: str) -> None:
     try:
         validate_document(data, schema)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"{label}: {exc.message}") from exc
+        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                       for p in exc.absolute_path)
+        where = f"{path[1:]}: " if path else ""
+        raise ConfigError(f"{label}: {where}{exc.message}") from exc
     _check_finite(data, label)
 
 

@@ -4,11 +4,11 @@ Sweeps enumerate the Cartesian product of the configured axes in a canonical
 order and execute their runs (optionally in parallel processes).  Runs that
 differ only in their bias form a prefix family: a head task steps the
 family's shared prefix and its own rest, and one tail task per other run
-resumes from the head's checkpoint on whichever worker is free (a worker
-that would idle while the head runs steps a tail from the start).  The record
-list and every emitted file are deterministic functions of config plus
-seeds, independent of worker count.  Wall-clock timings are logged, never
-written into result files.
+resumes from the head's checkpoint.  A family of ``m`` runs of ``n`` steps
+with onset ``s`` thus steps its filter ``n + (m - 1)(n - s)`` times on any
+worker count.  The record list and every emitted file are deterministic
+functions of config plus seeds, independent of worker count.  Wall-clock
+timings are logged, never written into result files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import logging
 import os
 import pickle
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,13 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .configio import (
-    PLOT_SCHEMA,
-    config_to_dict,
-    parse_single,
-    validate_config,
-    validate_document,
-)
+from .configio import config_to_dict, parse_single, validate_config
 from .exceptions import ConfigError, SkfnavError
 from .metrics import GREEN, YELLOW, classify, relative_rmse
 from .scenarios.balloon import build_balloon_filter, simulate_balloon
@@ -312,82 +305,60 @@ def _run_task(task) -> RunRecord:
     return execute_case(data, seed=seed, prefix=prefix)[0]
 
 
-def _pooled_task(data, seed, checkpoint: Optional[Path], head: bool):
-    """``_run_task`` in a worker process, for a run that steps from the start
-    (``checkpoint`` None), a family's head or one of its tails.  The
-    family's checkpoint passes between workers through the file
-    ``checkpoint``, which the head writes after its run (its bank at its
-    onset) and each tail reads, so the parent process never holds one.
-    Returns the record and whether the file holds a checkpoint."""
-    prefix = None
-    if checkpoint is not None:
-        prefix = [] if head else [pickle.loads(checkpoint.read_bytes())]
+def _pooled_task(data, seed, checkpoint: Optional[Path]) -> RunRecord:
+    """``_run_task`` in a worker process.  A run of a family of one steps from
+    the start (``checkpoint`` None).  The runs of a larger family pass its
+    checkpoint between workers through the file ``checkpoint``, so the parent
+    process never holds one: a run that finds no file there is the family's
+    head and writes its bank at its onset there after its run, and every
+    other run is a tail that reads it and resumes."""
+    if checkpoint is None:
+        return _run_task((data, seed, None))
+    if checkpoint.exists():
+        return _run_task((data, seed, [pickle.loads(checkpoint.read_bytes())]))
+    prefix = []
     record = _run_task((data, seed, prefix))
-    if head and prefix:
+    if prefix:
         checkpoint.write_bytes(pickle.dumps(prefix[0], pickle.HIGHEST_PROTOCOL))
-    return record, bool(prefix)
-
-
-class _Family:
-    """A prefix family's runs that wait for its head's checkpoint, and how
-    many of them have been run from the start on otherwise idle workers."""
-
-    def __init__(self, runs: list):
-        self.waiting = deque(runs)
-        self.cold = 0
+    return record
 
 
 def _run_pooled(runs: list, families: list, threads: int) -> dict:
     """The records, by run index, of ``runs`` (``(data, seed)`` pairs) on
-    ``threads`` worker processes.  Every family's head is queued first, and
-    its waiting runs as tails when it completes; at most two tasks per
-    worker are in flight.  While nothing is queued and a worker would sit
-    idle, it runs a waiting run of a family whose head is in flight from
-    the start instead, at most ``threads - 1`` per family.  The checkpoint
-    files live in a temporary directory for the length of the sweep."""
+    ``threads`` worker processes.  Every family's head is queued at the
+    start, and all of its tails as soon as it completes; the pool runs its
+    queue in order.  A head that fails before its onset writes no
+    checkpoint, and the family's next run is queued as its head instead.  A
+    task that raises cancels every queued one and ends the sweep.  The
+    checkpoint files live in a temporary directory for the length of the
+    sweep."""
     in_flight, records = {}, {}
-    heads, tails = deque(map(_Family, families)), deque()
     with (TemporaryDirectory(prefix="skfnav-sweep-") as tmp,
           ProcessPoolExecutor(max_workers=threads) as pool):
-        def submit(i, checkpoint=None, head=False, family=None):
-            future = pool.submit(_pooled_task, *runs[i], checkpoint, head)
-            in_flight[future] = i, checkpoint, family
+        def submit(i, checkpoint, waiting=()):
+            future = pool.submit(_pooled_task, *runs[i], checkpoint)
+            in_flight[future] = i, checkpoint, waiting
 
-        def cold_run():
-            """A waiting run for an idle worker to step from the start, or None."""
-            if len(in_flight) >= threads:
-                return None
-            spare = [f for _, _, f in in_flight.values()
-                     if f is not None and f.waiting and f.cold < threads - 1]
-            if not spare:
-                return None
-            family = max(spare, key=lambda f: len(f.waiting))
-            family.cold += 1
-            return family.waiting.popleft()
+        def head(family):
+            first, *waiting = family
+            submit(first, Path(tmp) / f"{first}.pickle" if waiting else None, waiting)
 
-        while heads or tails or in_flight:
-            while len(in_flight) < 2 * threads:
-                if heads:
-                    family = heads.popleft()
-                    i = family.waiting.popleft()
-                    checkpoint = Path(tmp) / f"{i}.pickle" if family.waiting else None
-                    submit(i, checkpoint, True, family)
-                elif tails:
-                    submit(*tails.popleft())
-                elif (i := cold_run()) is not None:
-                    submit(i)
-                else:
-                    break
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                i, checkpoint, family = in_flight.pop(future)
-                records[i], resumable = future.result()
-                if family is not None and resumable:
-                    tails.extend((j, checkpoint) for j in family.waiting)
-                    family.waiting.clear()
-                elif family is not None and family.waiting:
-                    # failed before its onset: the next run heads the family
-                    heads.appendleft(family)
+        for family in families:
+            head(family)
+        try:
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i, checkpoint, waiting = in_flight.pop(future)
+                    records[i] = future.result()
+                    if waiting and checkpoint.exists():
+                        for j in waiting:
+                            submit(j, checkpoint)
+                    elif waiting:
+                        head(waiting)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return records
 
 
@@ -398,12 +369,13 @@ def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]
     Each run is one task.  The runs under one ``_prefix_key`` form a prefix
     family: its first run, the head task, steps the shared prefix and
     leaves the checkpoint that ``_run_filter`` describes, and each other run
-    is a tail task that resumes from it.  On a worker pool, the tails of any
-    family run on whichever worker is free once their head has completed,
-    and a worker that would sit idle meanwhile runs one of them from the
-    start (see ``_run_pooled``).  A head that fails before its onset leaves
-    no checkpoint, and the family's next run heads it instead.  Individual
-    run failures are captured in their records; the sweep always completes.
+    is a tail task that resumes from it.  On a worker pool, every head is
+    queued at the start and a family's tails when its head completes (see
+    ``_run_pooled``), so a sweep does the same work on any worker count.  A
+    head that fails before its onset leaves no checkpoint, and the family's
+    next run heads it instead.  A run's package error is captured in its
+    record; a program error, such as a family whose fixes differ, stops the
+    sweep.
     """
     threads = resolve_threads() if threads is None else max(1, int(threads))
     cells, seeds = grid.cell_configs(), grid.seeds
@@ -560,11 +532,6 @@ def write_aggregates_csv(path, rows: list[dict]) -> None:
             writer.writerow({k: fmt(v) for k, v in row.items()})
 
 
-def _validate_plot(doc: dict) -> dict:
-    validate_document(doc, PLOT_SCHEMA)
-    return doc
-
-
 def plot_documents(grid: SweepGrid, records: list[RunRecord]) -> dict[str, dict]:
     """Success-rate and RMSE-scatter series mirroring the aggregate tables."""
     docs = {}
@@ -579,9 +546,8 @@ def plot_documents(grid: SweepGrid, records: list[RunRecord]) -> dict[str, dict]
                 runs, wins = counts[i]
                 ys.append(wins / runs if runs else float("nan"))
             series.append({"label": f"q_p={q_p:g}", "x": xs, "y": ys})
-        docs[f"success_rate_{axis}"] = _validate_plot(
-            {"kind": "success_rate", "axis": axis, "series": series}
-        )
+        docs[f"success_rate_{axis}"] = {"kind": "success_rate", "axis": axis,
+                                        "series": series}
         scatter = []
         for name in state_names:
             xs, ys = [], []
@@ -591,9 +557,8 @@ def plot_documents(grid: SweepGrid, records: list[RunRecord]) -> dict[str, dict]
                     xs.append(float(_axis_value(rec, axis)))
                     ys.append(float(value))
             scatter.append({"label": name, "x": xs, "y": ys})
-        docs[f"rmse_scatter_{axis}"] = _validate_plot(
-            {"kind": "rmse_scatter", "axis": axis, "series": scatter}
-        )
+        docs[f"rmse_scatter_{axis}"] = {"kind": "rmse_scatter", "axis": axis,
+                                        "series": scatter}
     return docs
 
 

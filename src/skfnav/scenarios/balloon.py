@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..biasmodels import BiasSpec, check_channels, check_onset, gated_offsets
-from ..exceptions import ConfigError
+from ..exceptions import ConfigError, DynamicsDivergedError
 from ..switching import SwitchingFilter
 from .fields import AnalyticField
 
@@ -65,7 +65,9 @@ class BalloonTruth:
 
 
 def simulate_balloon(cfg: BalloonConfig, field=None) -> BalloonTruth:
-    """Generate truth states and corrupted fixes for one seeded run."""
+    """Generate truth states and corrupted fixes for one seeded run.  A state
+    that is not finite (a field that overflows) raises
+    ``DynamicsDivergedError``."""
     field = field if field is not None else AnalyticField()
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_steps
@@ -80,6 +82,8 @@ def simulate_balloon(cfg: BalloonConfig, field=None) -> BalloonTruth:
         lat = lat + cfg.dt * float(v) + n_lat
         path.append((lon, lat))
     states = np.array(path)
+    if not np.isfinite(states).all():
+        raise DynamicsDivergedError("truth diverged: balloon state must be finite")
 
     epochs = np.arange(cfg.delta, n + 1, cfg.delta)
     meas_noise = np.sqrt(cfg.r) * rng.standard_normal((epochs.size, 2))

@@ -124,7 +124,7 @@ def test_report_without_records(tmp_path):
 
 @pytest.mark.parametrize("sweep, message", [
     ({"base": {"n_steps": 20, "true_switch_step": 10}, "axes": {"r": [-1.0, 1e-6]}},
-     "sweep cell r=-1.0: shuttle config: -1.0 is less than the minimum of 0"),
+     "sweep cell r=-1.0: shuttle config: r: -1.0 is less than the minimum of 0"),
     ({"base": {"n_steps": 20, "true_switch_step": 50}, "axes": {"r": [1e-6]}},
      "sweep cell r=1e-06: switch index 50 outside [0, 20]"),
 ], ids=["negative-axis-value", "onset-past-the-run"])

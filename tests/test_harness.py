@@ -17,6 +17,30 @@ from skfnav.metrics import GREEN, RED, YELLOW, classify, relative_rmse
 from skfnav.switching import SwitchingFilter
 
 
+PLOT_SCHEMA = {
+    "type": "object",
+    "required": ["kind", "axis", "series"],
+    "properties": {
+        "kind": {"enum": ["success_rate", "rmse_scatter"]},
+        "axis": {"type": "string"},
+        "series": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["label", "x", "y"],
+                "properties": {
+                    "label": {"type": "string"},
+                    "x": {"type": "array", "items": {"type": "number"}},
+                    "y": {"type": "array", "items": {"type": "number"}},
+                },
+                "additionalProperties": False,
+            },
+        },
+    },
+    "additionalProperties": False,
+}
+
+
 def balloon_config(**overrides):
     data = {
         "scenario": "balloon", "n_steps": 100, "dt": 0.01, "q_x": 1e-4, "q_p": 1e-4,
@@ -34,7 +58,7 @@ class TestValidateDocument:
         ({"scenario": "balloon", "wind": 3}, configio.BALLOON_SCHEMA),
         ({"scenario": "balloon", "axes": {"D": [1.0]}}, configio.SWEEP_SCHEMA),
         ({"kind": "success_rate", "axis": "A", "series": [{"label": "x", "x": [1]}]},
-         configio.PLOT_SCHEMA),
+         PLOT_SCHEMA),
     ])
     def test_raises_what_jsonschema_validate_raises(self, doc, schema):
         for _ in range(2):  # first call builds the validator, the second reuses it
@@ -312,7 +336,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("scenario, base, error", [
         ("balloon", {"field": {"kind": "analytic", "wavelength": 0.0}},
-         "0.0 is less than or equal to the minimum of 0"),
+         "balloon config: field.wavelength: 0.0 is less than or equal to the minimum of 0"),
         ("shuttle", {"imu_walk_accel": 1.5e154}, "imu_walk_accel too large"),
         ("shuttle", {"imu_walk_gyro": 1.5e154}, "imu_walk_gyro too large"),
     ], ids=["zero-wavelength", "accel-walk", "gyro-walk"])
@@ -335,6 +359,21 @@ class TestSweep:
         assert harness.execute_case({"scenario": "shuttle", **base})[0].error == error
         grid = harness.sweep_from_dict({
             "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
+        })
+        records = harness.run_sweep(grid, threads=1)
+        assert [(r.status, r.error) for r in records] == [("error", error)] * 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_balloon_truth_is_an_error_record(self):
+        # a subnormal wavelength overflows the field's wavenumber to inf and
+        # the truth to NaN, which once came back green with a NaN RMSE
+        base = {"n_steps": 20, "true_switch_step": None,
+                "field": {"kind": "analytic", "wavelength": 1e-320}}
+        error = "DynamicsDivergedError: truth diverged: balloon state must be finite"
+        record = harness.execute_case({"scenario": "balloon", **base})[0]
+        assert (record.status, record.outcome, record.error) == ("error", RED, error)
+        grid = harness.sweep_from_dict({
+            "scenario": "balloon", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
         })
         records = harness.run_sweep(grid, threads=1)
         assert [(r.status, r.error) for r in records] == [("error", error)] * 2
@@ -411,7 +450,7 @@ class TestPrefixCheckpoint:
                     "axes": {"A": [0.0, 100.0], "C": [0.0, 10.0]}},
     }
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("scenario", ["balloon", "shuttle"])
     def test_sweep_writes_the_records_of_runs_without_a_checkpoint(
             self, tmp_path, monkeypatch, scenario, threads):
@@ -429,8 +468,9 @@ class TestPrefixCheckpoint:
         families = len(cold) // 4
         assert steps.value == families * (n + 3 * (n - onset))
 
-    def test_a_lone_family_is_split_over_the_workers(self, tmp_path, monkeypatch):
-        doc = {**self.GRIDS["balloon"], "name": "split", "seeds": 1,
+    def test_a_lone_family_steps_its_prefix_once_on_any_worker_count(
+            self, tmp_path, monkeypatch):
+        doc = {**self.GRIDS["balloon"], "name": "lone", "seeds": 1,
                "axes": {"A": [0.0, 0.2], "B": [0.0, 2.0]}}
         grid = harness.sweep_from_dict(doc)
         steps = self.count_sweep_steps(monkeypatch)
@@ -442,13 +482,10 @@ class TestPrefixCheckpoint:
             blobs.append((target / "records.csv").read_bytes())
             counts.append(steps.value)
         assert blobs[0] == blobs[1] == blobs[2]
-        # one family of four runs: in one process the head steps the prefix
-        # once and three tails resume from its checkpoint; on two workers the
-        # second worker, idle while the head runs, steps one run from the
-        # start, and the other two resume from the head's checkpoint; on four
-        # workers every run steps from the start
+        # one family of four runs: the head steps the prefix once and three
+        # tails resume from its checkpoint, however many workers are idle
         n, onset = grid.base["n_steps"], grid.base["true_switch_step"]
-        assert counts == [n + 3 * (n - onset), 2 * (n + (n - onset)), 4 * n]
+        assert counts == [n + 3 * (n - onset)] * 3
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_head_that_fails_before_its_onset_hands_on_the_family(
@@ -494,6 +531,29 @@ class TestPrefixCheckpoint:
         records = harness.run_sweep(grid, threads=2)
         assert calls.value == len(records) == 8
         assert all(getattr(r, "worker", parent) != parent for r in records)
+
+    def test_a_task_that_raises_stops_a_pooled_sweep(self, monkeypatch):
+        # every run of this grid heads a family of its own, so all of them are
+        # queued at the start; the first raises, as a fix mismatch does, and
+        # the sweep raises it without running the rest of the queue first
+        calls = multiprocessing.Value("l", 0)
+        run_task = harness._run_task
+        grid = harness.sweep_from_dict({
+            "scenario": "balloon", "seeds": 4, "base": {"n_steps": 100},
+            "axes": {"r": [1e-6, 1e-5, 1e-4, 1e-3]}})
+        first = grid.cell_configs()[0], grid.seeds[0]
+
+        def failing(task):
+            with calls.get_lock():
+                calls.value += 1
+            if task[:2] == first:
+                raise RuntimeError("runs of one prefix family differ in their fixes")
+            return run_task(task)
+
+        monkeypatch.setattr(harness, "_run_task", failing)
+        with pytest.raises(RuntimeError, match="differ in their fixes"):
+            harness.run_sweep(grid, threads=2)
+        assert calls.value < 16
 
     @pytest.mark.parametrize("data, freezes", [
         (balloon_config(n_steps=60, true_switch_step=30), False),
@@ -695,19 +755,25 @@ class TestPersistence:
         assert target2 == target
         assert (target / "records.csv").read_bytes() == first
 
-    def test_plot_documents_validate(self):
-        grid = harness.sweep_from_dict({
-            "scenario": "balloon",
-            "base": {"n_steps": 40, "dt": 0.01, "q_x": 1e-6, "q_p": 1e-6,
-                     "delta": 1, "true_switch_step": 20},
-            "axes": {"A": [0.0, 0.2]},
-            "seeds": 1,
-        })
+    @pytest.mark.parametrize("sweep", [
+        {"scenario": "balloon", "seeds": 1,
+         "base": {"n_steps": 40, "dt": 0.01, "q_x": 1e-6, "delta": 1,
+                  "true_switch_step": 20},
+         "axes": {"q_p": [1e-6, 1e-4], "A": [0.0, 0.2]}},
+        {"scenario": "shuttle", "seeds": 1,
+         "base": {"n_steps": 30, "oversample": 1, "true_switch_step": 15,
+                  "bias": {"kind": "quadratic", "cap": 1000.0}},
+         "axes": {"r": [1e-6, 1e-4], "A": [0.0, 100.0]}},
+    ], ids=["balloon", "shuttle"])
+    def test_plot_documents_validate(self, sweep):
+        grid = harness.sweep_from_dict(sweep)
         records = harness.run_sweep(grid, threads=1)
         docs = harness.plot_documents(grid, records)
-        assert "success_rate_A" in docs and "rmse_scatter_A" in docs
-        # json-serializable and schema-valid (validated inside plot_documents)
-        json.dumps(docs)
+        assert sorted(docs) == sorted(f"{kind}_{axis}" for axis in grid.axes
+                                      for kind in ("success_rate", "rmse_scatter"))
+        for doc in docs.values():
+            jsonschema.validate(doc, PLOT_SCHEMA)
+            json.dumps(doc)
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
