@@ -18,7 +18,8 @@ which a change with byte-identical outputs leaves empty.  ``W`` may be
 range ``A-B`` or a comma list.  The same comparison, with both commits, each
 side's backend and source digest, the CPU count, the Python and numpy
 versions and the seeds, is written to ``BENCH_<W>.json`` at the repository
-root (see ``bench_document``).  The exit code is 1 when any run failed an
+root (see ``bench_document``); the tree's commit is null when the working
+tree has uncommitted changes, and its source digest then identifies it.  The exit code is 1 when any run failed an
 output check or reported failed operations.
 """
 
@@ -52,6 +53,18 @@ def export(rev: str, target: Path) -> None:
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def commits_stamp(parent_rev: str) -> dict:
+    """The ``commits`` entry of a BENCH document: the parent commit, and the
+    working tree's commit, HEAD, or None when the tree has uncommitted
+    changes, since HEAD then is not what was measured."""
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return {
+        "parent": git("rev-parse", parent_rev),
+        "tree": None if dirty else git("rev-parse", "HEAD"),
+        "tree_has_uncommitted_changes": dirty,
+    }
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -200,12 +213,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     stamp_workload = (spec["workloads"][0]["name"] if args.workload == "all"
                       else args.workload)
-    commits = {
-        "parent": git("rev-parse", args.parent_rev),
-        "tree": git("rev-parse", "HEAD"),
-        "tree_has_uncommitted_changes": bool(git("status", "--porcelain",
-                                                 "--untracked-files=no")),
-    }
+    commits = commits_stamp(args.parent_rev)
 
     pairs = []
     ok = True

@@ -27,9 +27,9 @@ worker processes into ``OUT/sweeps/`` and in one process into
 seed 0, a single prefix family, on two worker processes into
 ``OUT/sweeps_one_family/``; and ``skfnav report`` on the two-worker sweep
 directory into ``OUT/report/``, which rebuilds the records from
-``records.csv`` before aggregating them.  A sweep schedules its runs in
-one of two ways, in one process or on a worker pool, and these sweeps cover
-both.
+``records.csv`` before aggregating them.  A sweep runs its prefix
+families in one process or on a worker pool, with one checkpoint file per
+family either way, and these sweeps cover both.
 The package is imported from the ``src/`` next to this script, so two
 checkouts can be compared with
 

@@ -2,13 +2,14 @@
 
 Sweeps enumerate the Cartesian product of the configured axes in a canonical
 order and execute their runs (optionally in parallel processes).  Runs that
-differ only in their bias form a prefix family: a head task steps the
-family's shared prefix and its own rest, and one tail task per other run
-resumes from the head's checkpoint.  A family of ``m`` runs of ``n`` steps
-with onset ``s`` thus steps its filter ``n + (m - 1)(n - s)`` times on any
-worker count.  The record list and every emitted file are deterministic
-functions of config plus seeds, independent of worker count.  Wall-clock
-timings are logged, never written into result files.
+differ only in their bias form a prefix family, which shares one checkpoint
+file: a head task steps the family's shared prefix, writes the file at its
+onset and steps its own rest, and one tail task per other run resumes from
+that file.  A family of ``m`` runs of ``n`` steps with onset ``s`` thus
+steps its filter ``n + (m - 1)(n - s)`` times on any worker count.  The
+record list and every emitted file are deterministic functions of config
+plus seeds, independent of worker count.  Wall-clock timings are logged,
+never written into result files.
 """
 
 from __future__ import annotations
@@ -96,17 +97,19 @@ class RunRecord:
     error: Optional[str] = None
 
 
-def execute_case(data: dict, seed: Optional[int] = None, prefix: Optional[list] = None):
+def execute_case(data: dict, seed: Optional[int] = None,
+                 checkpoint: Optional[Path] = None):
     """Execute one configured run end to end.  Returns ``(record, filter,
-    truth)``.  A config that fails validation or cannot build its dataclass
-    raises ``ConfigError``; a package error while simulating or filtering
-    (``SkfnavError``, a bad ``init_state`` included) is captured in the
-    record, and the filter and truth are then None.  The filter steps from
-    the start unless ``prefix`` holds a checkpoint (see ``_run_filter``)."""
-    validate_config(data)
-    data = dict(data)
+    truth)``.  A config that fails validation, with ``seed`` in place of its
+    own, or cannot build its dataclass raises ``ConfigError``; a package
+    error while simulating or filtering (``SkfnavError``, a bad
+    ``init_state`` included) is captured in the record, and the filter and
+    truth are then None.  The filter steps from the start unless
+    ``checkpoint`` names its prefix family's checkpoint file (see
+    ``_run_filter``)."""
     if seed is not None:
-        data["seed"] = int(seed)
+        data = {**data, "seed": int(seed)}
+    validate_config(data)
     scenario, cfg, extra = parse_single(data)
     snapshot = config_to_dict(scenario, cfg, extra)
     record = RunRecord(
@@ -119,7 +122,7 @@ def execute_case(data: dict, seed: Optional[int] = None, prefix: Optional[list] 
     start = time.perf_counter()
     filt = truth = None
     try:
-        filt, truth = _run(scenario, cfg, extra, record, prefix)
+        filt, truth = _run(scenario, cfg, extra, record, checkpoint)
     except SkfnavError as exc:
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
@@ -131,7 +134,8 @@ def execute_case(data: dict, seed: Optional[int] = None, prefix: Optional[list] 
     return record, filt, truth
 
 
-def _run(scenario: str, cfg, field_data, record: RunRecord, prefix: Optional[list]):
+def _run(scenario: str, cfg, field_data, record: RunRecord,
+         checkpoint: Optional[Path]):
     """Simulate and filter one case and fill in ``record``'s estimate,
     outcome, errors and weights; returns ``(filter, truth)``."""
     if scenario == "balloon":
@@ -143,7 +147,7 @@ def _run(scenario: str, cfg, field_data, record: RunRecord, prefix: Optional[lis
         truth = simulate_shuttle(cfg)
         filt = build_shuttle_filter(cfg, truth)
         truth_states = truth.inertial_states
-    _run_filter(filt, truth.measurement_map(), cfg, prefix)
+    _run_filter(filt, truth.measurement_map(), cfg, checkpoint)
     est = filt.estimate()
     record.no_corruption = reports_no_corruption(est, cfg.n_steps)
     record.est_switch_step = None if est.is_nominal else est.s_index
@@ -181,26 +185,27 @@ def _prefix_key(snapshot: dict) -> Optional[str]:
     return _canonical(snapshot, "bias")
 
 
-def _run_filter(filt, measurements: dict, cfg, prefix: Optional[list]) -> None:
-    """Step ``filt`` through ``cfg.n_steps``.  ``prefix``, unless None, is the
-    checkpoint holder of the run's prefix family: while it is empty, a run
-    steps to its onset and leaves ``(step, bank, fixes through the onset)``
-    there, and every later run resumes from a copy of that bank.  Either way
-    the bank ends the same, bit for bit."""
-    if prefix is None:
+def _run_filter(filt, measurements: dict, cfg, checkpoint: Optional[Path]) -> None:
+    """Step ``filt`` through ``cfg.n_steps``.  ``checkpoint``, unless None, is
+    the checkpoint file of the run's prefix family: a run that finds no file
+    there steps to its onset and pickles ``(step, bank, fixes through the
+    onset)`` to it, and a run that finds one unpickles it, checks that the
+    fixes are its own, and resumes from that bank.  Either way the bank ends
+    the same, bit for bit."""
+    if checkpoint is None:
         filt.run(measurements, cfg.n_steps)
         return
     onset = cfg.n_steps if cfg.true_switch_step is None else cfg.true_switch_step
     fixes = np.array([y for k, y in measurements.items() if k <= onset])
-    if prefix:
-        k, bank, family_fixes = prefix[0]
+    if checkpoint.exists():
+        filt.k, filt.bank, family_fixes = pickle.loads(checkpoint.read_bytes())
         if not np.array_equal(family_fixes, fixes):
             raise RuntimeError("runs of one prefix family differ in their fixes "
                                "through the onset")
-        filt.k, filt.bank = k, bank.copy()
     else:
         filt.run(measurements, onset)
-        prefix.append((filt.k, filt.bank.copy(), fixes))
+        checkpoint.write_bytes(pickle.dumps((filt.k, filt.bank, fixes),
+                                            pickle.HIGHEST_PROTOCOL))
     filt.run(measurements, cfg.n_steps)
 
 
@@ -227,6 +232,8 @@ class SweepGrid:
                 raise ConfigError(f"unknown sweep axis {axis!r}")
         if not self.seeds:
             raise ConfigError("sweep needs at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"sweep seeds must be non-negative, got {list(self.seeds)}")
         # every cell is checked and built here, so that no run starts on a
         # sweep whose cells would fail before simulating
         for values, cell in self._cells():
@@ -298,64 +305,45 @@ def resolve_threads() -> int:
 
 
 def _run_task(task) -> RunRecord:
-    """One sweep run, ``(data, seed, prefix)`` as ``execute_case`` takes them.
-    Every run of a sweep is exactly one call, made in the process that runs
-    it, so ``perfbench/run.py`` stands in for it to time each run."""
-    data, seed, prefix = task
-    return execute_case(data, seed=seed, prefix=prefix)[0]
+    """One sweep run, ``(data, seed, checkpoint)`` as ``execute_case`` takes
+    them.  Every run of a sweep is exactly one call, made in the process that
+    runs it, so ``perfbench/run.py`` stands in for it to time each run."""
+    data, seed, checkpoint = task
+    return execute_case(data, seed=seed, checkpoint=checkpoint)[0]
 
 
-def _pooled_task(data, seed, checkpoint: Optional[Path]) -> RunRecord:
-    """``_run_task`` in a worker process.  A run of a family of one steps from
-    the start (``checkpoint`` None).  The runs of a larger family pass its
-    checkpoint between workers through the file ``checkpoint``, so the parent
-    process never holds one: a run that finds no file there is the family's
-    head and writes its bank at its onset there after its run, and every
-    other run is a tail that reads it and resumes."""
-    if checkpoint is None:
-        return _run_task((data, seed, None))
-    if checkpoint.exists():
-        return _run_task((data, seed, [pickle.loads(checkpoint.read_bytes())]))
-    prefix = []
-    record = _run_task((data, seed, prefix))
-    if prefix:
-        checkpoint.write_bytes(pickle.dumps(prefix[0], pickle.HIGHEST_PROTOCOL))
-    return record
+def _pooled_task(task) -> RunRecord:
+    """``_run_task(task)`` in a worker process, looked up there, so that a
+    stand-in installed before the pool forks runs in its place (a stand-in
+    defined in a function cannot be pickled)."""
+    return _run_task(task)
 
 
-def _run_pooled(runs: list, families: list, threads: int) -> dict:
-    """The records, by run index, of ``runs`` (``(data, seed)`` pairs) on
-    ``threads`` worker processes.  Every family's head is queued at the
-    start, and all of its tails as soon as it completes; the pool runs its
-    queue in order.  A head that fails before its onset writes no
-    checkpoint, and the family's next run is queued as its head instead.  A
-    task that raises cancels every queued one and ends the sweep.  The
-    checkpoint files live in a temporary directory for the length of the
-    sweep."""
+def _run_pooled(tasks: list, families: list, threads: int) -> dict:
+    """The records, by run index, of ``tasks`` on ``threads`` worker
+    processes.  Every family's head is queued at the start, and all of its
+    tails as soon as it completes; the pool runs its queue in order.  A head
+    that fails before its onset writes no checkpoint, and the family's next
+    run is queued as its head instead.  A task that raises cancels every
+    queued one and ends the sweep."""
     in_flight, records = {}, {}
-    with (TemporaryDirectory(prefix="skfnav-sweep-") as tmp,
-          ProcessPoolExecutor(max_workers=threads) as pool):
-        def submit(i, checkpoint, waiting=()):
-            future = pool.submit(_pooled_task, *runs[i], checkpoint)
-            in_flight[future] = i, checkpoint, waiting
-
-        def head(family):
-            first, *waiting = family
-            submit(first, Path(tmp) / f"{first}.pickle" if waiting else None, waiting)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        def submit(i, *waiting):
+            in_flight[pool.submit(_pooled_task, tasks[i])] = i, waiting
 
         for family in families:
-            head(family)
+            submit(*family)
         try:
             while in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    i, checkpoint, waiting = in_flight.pop(future)
+                    i, waiting = in_flight.pop(future)
                     records[i] = future.result()
-                    if waiting and checkpoint.exists():
+                    if waiting and tasks[i][2].exists():
                         for j in waiting:
-                            submit(j, checkpoint)
+                            submit(j)
                     elif waiting:
-                        head(waiting)
+                        submit(*waiting)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -367,10 +355,13 @@ def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]
     that does not depend on parallelism.
 
     Each run is one task.  The runs under one ``_prefix_key`` form a prefix
-    family: its first run, the head task, steps the shared prefix and
-    leaves the checkpoint that ``_run_filter`` describes, and each other run
-    is a tail task that resumes from it.  On a worker pool, every head is
-    queued at the start and a family's tails when its head completes (see
+    family, and every run of a family of two or more is given the same
+    checkpoint file, in a temporary directory that lasts as long as the
+    sweep: its first run, the head task, steps the shared prefix and writes
+    the file as ``_run_filter`` describes, and each other run is a tail task
+    that resumes from it.  In one process the families run in order, each
+    head before its tails; on a worker pool, every head is queued at the
+    start and a family's tails when its head completes (see
     ``_run_pooled``), so a sweep does the same work on any worker count.  A
     head that fails before its onset leaves no checkpoint, and the family's
     next run heads it instead.  A run's package error is captured in its
@@ -388,14 +379,14 @@ def run_sweep(grid: SweepGrid, threads: Optional[int] = None) -> list[RunRecord]
     log.info("sweep: %d runs (%d cells x %d seeds) in %d prefix families, %d worker(s)",
              len(runs), len(cells), len(seeds), len(families), threads)
     start = time.perf_counter()
-    if threads == 1:
-        records = {}
-        for family in families:
-            prefix = [] if len(family) > 1 else None
-            for i in family:
-                records[i] = _run_task((*runs[i], prefix))
-    else:
-        records = _run_pooled(runs, families, threads)
+    with TemporaryDirectory(prefix="skfnav-sweep-") as tmp:
+        checkpoints = {i: Path(tmp) / f"{family[0]}.pickle"
+                       for family in families if len(family) > 1 for i in family}
+        tasks = [(*run, checkpoints.get(i)) for i, run in enumerate(runs)]
+        if threads == 1:
+            records = {i: _run_task(tasks[i]) for family in families for i in family}
+        else:
+            records = _run_pooled(tasks, families, threads)
     wall = time.perf_counter() - start
     records = [records[i] for i in range(len(runs))]
     log.info("sweep finished in %.1fs: %d tasks, busy fraction %.3f of %d worker(s)",

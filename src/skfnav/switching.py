@@ -60,18 +60,6 @@ class Bank:
     def _buffers(self):
         return self._mean, self._cov, self._log_lik
 
-    def copy(self) -> "Bank":
-        """A bank with the same rows that steps independently of this one:
-        the buffers and lists are copied, and the snapshots are shared, as
-        ``record`` replaces a list entry but never writes into one."""
-        new = object.__new__(Bank)
-        new._mean, new._cov, new._log_lik = (buf.copy() for buf in self._buffers())
-        new.s_index = list(self.s_index)
-        new.cause = list(self.cause)
-        new.snapshots = list(self.snapshots)
-        new._trimmed = self._trimmed
-        return new
-
     def live(self) -> list[int]:
         """The rows that no failure has frozen."""
         return [row for row, cause in enumerate(self.cause) if cause is None]
@@ -96,8 +84,7 @@ class Bank:
         """Append this step's snapshot of every row.  A snapshot older than
         every corrupted row's onset is read, by the rows in the bank and by
         any later spawn, for its nominal row only, so it is replaced by one
-        that holds that row alone: replaced, never written into, so that the
-        copies of a bank stay independent."""
+        that holds that row alone."""
         self.snapshots.append((self.mean.copy(), self.cov.diagonal(axis1=1, axis2=2).copy(),
                                self.log_lik.tolist(), tuple(self.s_index)))
         oldest = min(self.s_index[1:], default=len(self.snapshots))

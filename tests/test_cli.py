@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,14 @@ def test_simulate_happy_path(tmp_path, balloon_cfg):
     assert len(run_dirs) == 1
     assert (run_dirs[0] / "records.csv").exists()
     assert (run_dirs[0] / "summary.json").exists()
+
+
+def test_negative_seed_override_is_config_error(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "table3_test3.json"
+    rc = main(["--quiet", "simulate", "balloon", "--config", str(config),
+               "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_scenario_mismatch(tmp_path, balloon_cfg):

@@ -2,6 +2,8 @@ import csv
 import json
 import multiprocessing
 import os
+import pickle
+import tempfile
 
 import jsonschema
 import numpy as np
@@ -183,6 +185,10 @@ class TestRunCase:
         with pytest.raises(ConfigError):
             harness.execute_case({"scenario": "balloon", "n_steps": 0})
 
+    def test_seed_override_is_validated(self):
+        with pytest.raises(ConfigError, match="seed: -1 is less than the minimum of 0"):
+            harness.execute_case(balloon_config(), seed=-1)
+
     # json loads NaN and Infinity, and the schema takes them as numbers
     @pytest.mark.parametrize("data", [
         {"scenario": "shuttle", "n_steps": 5, "true_switch_step": None,
@@ -269,6 +275,12 @@ class TestSweep:
                                     and harness._axis_value(r, axis) == value]
                         empty += 1
         assert len(rates) == 6 and empty == 2
+
+    def test_negative_seed_is_a_config_error(self):
+        sweep = self.sweep_dict()
+        with pytest.raises(ConfigError, match="seeds must be non-negative"):
+            harness.SweepGrid(scenario="balloon", base=sweep["base"], axes=sweep["axes"],
+                              seeds=(0, -1))
 
     def test_non_finite_axis_value_is_a_config_error(self):
         with pytest.raises(ConfigError, match="must be finite"):
@@ -555,17 +567,46 @@ class TestPrefixCheckpoint:
             harness.run_sweep(grid, threads=2)
         assert calls.value < 16
 
+    @pytest.mark.parametrize("threads, raises", [(1, False), (2, False), (2, True)],
+                             ids=["1", "2", "2-raises"])
+    def test_a_sweep_leaves_no_checkpoint_behind(self, tmp_path, monkeypatch,
+                                                 threads, raises):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        resumed = multiprocessing.Value("l", 0)
+        run_task = harness._run_task
+
+        def counted(task):
+            checkpoint = task[2]
+            if checkpoint is not None and checkpoint.exists():
+                assert checkpoint.parent.parent == tmp_path
+                with resumed.get_lock():
+                    resumed.value += 1
+                if raises:
+                    raise RuntimeError("a tail raises")
+            return run_task(task)
+
+        monkeypatch.setattr(harness, "_run_task", counted)
+        grid = harness.sweep_from_dict(self.GRIDS["shuttle"])
+        if raises:
+            with pytest.raises(RuntimeError, match="a tail raises"):
+                harness.run_sweep(grid, threads=threads)
+        else:
+            assert len(harness.run_sweep(grid, threads=threads)) == 8
+        # tails found their head's file while the sweep ran
+        assert resumed.value >= 1 if raises else resumed.value == 6
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("data, freezes", [
         (balloon_config(n_steps=60, true_switch_step=30), False),
         (shuttle_config(), True),
     ], ids=["balloon", "shuttle"])
-    def test_resumed_bank_equals_a_fresh_runs(self, monkeypatch, assert_banks_equal,
-                                              data, freezes):
-        prefix = []
+    def test_resumed_bank_equals_a_fresh_runs(self, tmp_path, monkeypatch,
+                                              assert_banks_equal, data, freezes):
+        checkpoint = tmp_path / "family.pickle"
         harness.execute_case({**data, "bias": {"kind": "quadratic", "B": 3.0}},
-                             prefix=prefix)
+                             checkpoint=checkpoint)
         starts = self.count_steps(monkeypatch)
-        resumed_record, resumed, _ = harness.execute_case(data, prefix=prefix)
+        resumed_record, resumed, _ = harness.execute_case(data, checkpoint=checkpoint)
         onset, n = data["true_switch_step"], data["n_steps"]
         assert starts == list(range(onset, n))
         fresh_record, fresh, _ = harness.execute_case(data)
@@ -573,26 +614,19 @@ class TestPrefixCheckpoint:
         assert harness.record_row(resumed_record) == harness.record_row(fresh_record)
         assert any(cause is not None for cause in fresh.bank.cause) == freezes
 
-    def test_resumed_copies_leave_the_checkpoint_unchanged(self):
-        prefix = []
-        harness.execute_case(balloon_config(n_steps=60, true_switch_step=30), prefix=prefix)
-        _, bank, _ = prefix[0]
-        before = [[(mean.copy(), var.copy(), score) for mean, var, score in bank.trajectory(row)]
-                  for row in range(len(bank))]
-        snapshots = list(bank.snapshots)
-        _, resumed, _ = harness.execute_case(
-            balloon_config(n_steps=60, true_switch_step=30, bias={"kind": "static"}),
-            prefix=prefix)
-        # the resumed run trimmed snapshots that the checkpoint holds in full
-        assert any(len(ours[3]) < len(theirs[3])
-                   for ours, theirs in zip(resumed.bank.snapshots, snapshots))
-        assert all(ours is theirs for ours, theirs in zip(bank.snapshots, snapshots))
-        for row, entries in enumerate(before):
-            trajectory = bank.trajectory(row)
-            assert len(trajectory) == len(entries) == 31
-            for (mean, var, score), (mean_0, var_0, score_0) in zip(trajectory, entries):
-                assert np.array_equal(mean, mean_0) and np.array_equal(var, var_0)
-                assert score == score_0
+    def test_the_checkpoint_holds_the_onset_and_a_resumed_run_leaves_it(self, tmp_path):
+        checkpoint = tmp_path / "family.pickle"
+        data = balloon_config(n_steps=60, true_switch_step=30)
+        _, head, _ = harness.execute_case(data, checkpoint=checkpoint)
+        written = checkpoint.read_bytes()
+        k, bank, _ = pickle.loads(written)
+        # the head wrote its bank at the onset and then stepped on to its end
+        assert (k, head.k) == (30, 60)
+        assert all(len(bank.trajectory(row)) == 31 for row in range(len(bank)))
+        _, resumed, _ = harness.execute_case({**data, "bias": {"kind": "static"}},
+                                             checkpoint=checkpoint)
+        assert resumed.k == 60
+        assert checkpoint.read_bytes() == written
 
     def test_repeated_runs_step_in_full(self, monkeypatch):
         data = balloon_config(n_steps=60, true_switch_step=30)
@@ -613,14 +647,14 @@ class TestPrefixCheckpoint:
         harness.run_sweep_to_dir(grid, tmp_path, threads=1)
         assert starts == list(range(40)) * 2
 
-    def test_fix_mismatch_in_a_family_raises(self):
+    def test_fix_mismatch_in_a_family_raises(self, tmp_path):
         data = balloon_config(n_steps=60, true_switch_step=30)
-        prefix = []
-        harness.execute_case(data, prefix=prefix)
-        k, bank, fixes = prefix[0]
-        prefix[0] = (k, bank, fixes + 1e-3)
+        checkpoint = tmp_path / "family.pickle"
+        harness.execute_case(data, checkpoint=checkpoint)
+        k, bank, fixes = pickle.loads(checkpoint.read_bytes())
+        checkpoint.write_bytes(pickle.dumps((k, bank, fixes + 1e-3)))
         with pytest.raises(RuntimeError, match="differ in their fixes"):
-            harness.execute_case(data, prefix=prefix)
+            harness.execute_case(data, checkpoint=checkpoint)
 
     def test_rewritten_reference_file_is_read_again(self, tmp_path, monkeypatch):
         from skfnav.scenarios.shuttle import (

@@ -108,3 +108,14 @@ def test_bench_document_holds_the_commits_machine_seeds_and_each_verdict():
     assert doc["metrics"]["green_frac"]["verdict"] == "within bound"
     assert doc["green_frac_differs"] == [[1, "green_frac", 0.5, 0.75]]
     json.dumps(doc)  # the document is written as JSON
+
+
+@pytest.mark.parametrize("status, tree", [("", "b" * 40), (" M src/skfnav/harness.py", None)],
+                         ids=["clean", "uncommitted"])
+def test_the_tree_commit_is_null_when_the_tree_has_uncommitted_changes(
+        monkeypatch, status, tree):
+    answers = {("rev-parse", "HEAD~1"): "a" * 40, ("rev-parse", "HEAD"): "b" * 40,
+               ("status", "--porcelain", "--untracked-files=no"): status}
+    monkeypatch.setattr(perf_pairs, "git", lambda *args: answers[args])
+    assert perf_pairs.commits_stamp("HEAD~1") == {
+        "parent": "a" * 40, "tree": tree, "tree_has_uncommitted_changes": bool(status)}

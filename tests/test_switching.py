@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -235,13 +236,13 @@ class TestStepping:
         whole.run(measurements, 120)
         split = build_balloon_filter(cfg, field)
         first = split.run(measurements, 60)
-        checkpoint = split.bank.copy()
+        checkpoint = pickle.dumps(split.bank)
         rest = split.run(measurements, 120)
         assert [d.k for d in first + rest] == list(range(1, 121))
         assert_banks_equal(split.bank, whole.bank)
-        # the copy taken at step 60 is untouched by the steps after it
+        # the bank pickled at step 60 resumes as if it had never stopped
         resumed = build_balloon_filter(cfg, field)
-        resumed.k, resumed.bank = 60, checkpoint
+        resumed.k, resumed.bank = 60, pickle.loads(checkpoint)
         resumed.run(measurements, 120)
         assert_banks_equal(resumed.bank, whole.bank)
 
