@@ -58,8 +58,9 @@ def git(*args: str) -> str:
 def commits_stamp(parent_rev: str) -> dict:
     """The ``commits`` entry of a BENCH document: the parent commit, and the
     working tree's commit, HEAD, or None when the tree has uncommitted
-    changes, since HEAD then is not what was measured."""
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    changes, untracked files included, since HEAD then is not what was
+    measured."""
+    dirty = bool(git("status", "--porcelain"))
     return {
         "parent": git("rev-parse", parent_rev),
         "tree": None if dirty else git("rev-parse", "HEAD"),

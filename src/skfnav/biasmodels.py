@@ -16,7 +16,6 @@ import numpy as np
 
 from .exceptions import ConfigError
 
-KINDS = ("static", "linear", "quadratic")
 _N_PARAMS = {"static": 1, "linear": 2, "quadratic": 3}
 
 
@@ -26,7 +25,8 @@ class BiasSpec:
 
     ``A``, ``B``, ``C`` are scalars (one set shared by every observed channel)
     or sequences with one entry per channel.  ``static`` uses A only,
-    ``linear`` A and B, ``quadratic`` all three.
+    ``linear`` A and B, ``quadratic`` all three.  A plain record: the config
+    rules on it are checked in ``configio``.
     """
 
     kind: str
@@ -35,23 +35,19 @@ class BiasSpec:
     C: object = 0.0
     cap: Optional[float] = None
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown bias kind {self.kind!r}")
-        if self.cap is not None and not self.cap > 0.0:
-            raise ConfigError("bias cap must be positive")
-        if _N_PARAMS[self.kind] < 2 and np.any(self._arr("B")):
-            raise ConfigError(f"{self.kind} bias admits no linear coefficient")
-        if _N_PARAMS[self.kind] < 3 and np.any(self._arr("C")):
-            raise ConfigError(f"{self.kind} bias admits no quadratic coefficient")
-
-    def _arr(self, name: str) -> np.ndarray:
+    def coefficient(self, name: str) -> np.ndarray:
+        """Coefficient ``name`` (A, B or C) as a 1-D array."""
         return np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+
+    @property
+    def used(self) -> tuple:
+        """Names of the coefficients that ``kind`` reads."""
+        return ("A", "B", "C")[: _N_PARAMS[self.kind]]
 
     @property
     def theta(self) -> np.ndarray:
         """Coefficient matrix, shape (channels, n_params(kind))."""
-        cols = [self._arr(name) for name in ("A", "B", "C")[: _N_PARAMS[self.kind]]]
+        cols = [self.coefficient(name) for name in self.used]
         width = max(col.size for col in cols)
         return np.column_stack([np.broadcast_to(col, width) for col in cols])
 
@@ -60,13 +56,10 @@ class BiasSpec:
         return not np.any(self.theta)
 
     def to_dict(self) -> dict:
-        def scalar_or_list(value):
-            arr = np.atleast_1d(np.asarray(value, dtype=float))
-            return float(arr[0]) if arr.size == 1 else [float(v) for v in arr]
-
         out = {"kind": self.kind}
-        for name in ("A", "B", "C")[: _N_PARAMS[self.kind]]:
-            out[name] = scalar_or_list(getattr(self, name))
+        for name in self.used:
+            arr = self.coefficient(name)
+            out[name] = float(arr[0]) if arr.size == 1 else [float(v) for v in arr]
         if self.cap is not None:
             out["cap"] = float(self.cap)
         return out
@@ -81,25 +74,6 @@ class BiasSpec:
             C=data.get("C", 0.0),
             cap=data.get("cap"),
         )
-
-
-def check_onset(switch_step: Optional[int], n_steps: int) -> None:
-    """Reject an onset step outside ``[0, n_steps]``; 0 means corrupted from
-    the first step on, and None means never corrupted."""
-    if switch_step is not None and not 0 <= switch_step <= n_steps:
-        raise ConfigError(f"switch index {switch_step} outside [0, {n_steps}]")
-
-
-def check_channels(spec: BiasSpec, n_channels: int) -> None:
-    """Reject coefficient lists that fit neither one shared entry nor one
-    entry per channel of the scenario's ``n_channels`` observed channels
-    (only the coefficients that ``spec.kind`` uses are read)."""
-    for name in ("A", "B", "C")[: _N_PARAMS[spec.kind]]:
-        size = spec._arr(name).size
-        if size not in (1, n_channels):
-            raise ConfigError(
-                f"bias {name} has {size} entries; need 1 or one per channel ({n_channels})"
-            )
 
 
 def gated_offsets(spec: BiasSpec, switch_step: Optional[int], dt: float,

@@ -1,18 +1,27 @@
-"""Config-file loading, JSON-schema validation, and dataclass construction."""
+"""Config-file loading, validation, and dataclass construction: the one home
+of the config rules.  Bounds on one value are in the schemas, which
+``validate_config`` checks; rules between fields are in ``parse_single``.
+The config dataclasses and ``BiasSpec`` check nothing."""
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from .biasmodels import BiasSpec
+from .constants import EARTH_RADIUS_FT
 from .exceptions import ConfigError
 from .scenarios.balloon import BalloonConfig
 from .scenarios.shuttle import ShuttleConfig
+
+_MAX_WALK = math.sqrt(sys.float_info.max)  # its square, the filter's noise, is finite
+_MAX_GAMMA = math.pi / 2 + 1e-12  # flight-path angle, with a rounding margin
 
 _NUMBER_OR_LIST = {
     "anyOf": [
@@ -72,7 +81,10 @@ BALLOON_SCHEMA = {
         "scenario": {"const": "balloon"},
         "x0": {
             "type": "array",
-            "items": {"type": "number"},
+            "prefixItems": [  # lon, lat (deg); a gridded field may use either lon convention
+                {"type": "number", "minimum": -360, "maximum": 360},
+                {"type": "number", "minimum": -90, "maximum": 90},
+            ],
             "minItems": 2,
             "maxItems": 2,
         },
@@ -90,14 +102,21 @@ SHUTTLE_SCHEMA = {
         "oversample": {"type": "integer", "minimum": 1},
         "init_state": {
             "type": "array",
+            "prefixItems": [  # h above the Earth's centre, L, lambda, v, gamma
+                {"type": "number", "exclusiveMinimum": -EARTH_RADIUS_FT},
+                {"type": "number"},
+                {"type": "number"},
+                {"type": "number", "minimum": 0},
+                {"type": "number", "minimum": -_MAX_GAMMA, "maximum": _MAX_GAMMA},
+            ],
             "items": {"type": "number"},
             "minItems": 9,
             "maxItems": 9,
         },
         "imu_noise_accel": {"type": "number", "minimum": 0},
         "imu_noise_gyro": {"type": "number", "minimum": 0},
-        "imu_walk_accel": {"type": "number", "minimum": 0},
-        "imu_walk_gyro": {"type": "number", "minimum": 0},
+        "imu_walk_accel": {"type": "number", "minimum": 0, "maximum": _MAX_WALK},
+        "imu_walk_gyro": {"type": "number", "minimum": 0, "maximum": _MAX_WALK},
         "init_pos_var": {"type": "number", "exclusiveMinimum": 0},
         "reference_path": {"type": ["string", "null"]},
         **_COMMON,
@@ -209,23 +228,43 @@ def load_config(path) -> dict:
     return data
 
 
+# each scenario's config dataclass and number of observed channels
+_SCENARIOS = {"balloon": (BalloonConfig, 2), "shuttle": (ShuttleConfig, 3)}
+
+
 def parse_single(data: dict):
-    """Build (scenario name, config dataclass, extras) from a validated dict;
+    """Build (scenario name, config dataclass, extras) from a schema-valid
+    dict and check the rules between its fields (``_check_cross_fields``);
     a balloon's extras are its ``field`` entry (None for the default field),
     which ``field_from_dict`` loads."""
     scenario = data["scenario"]
-    kwargs = {k: v for k, v in data.items() if k not in ("scenario", "field", "bias", "x0", "init_state", "expect_outcome")}
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()
+              if k not in ("scenario", "field", "bias", "expect_outcome")}
     if "bias" in data:
         kwargs["bias"] = BiasSpec.from_dict(data["bias"])
-    if scenario == "balloon":
-        if "x0" in data:
-            kwargs["x0"] = tuple(data["x0"])
-        cfg = BalloonConfig(**kwargs)
-        return scenario, cfg, data.get("field")
-    if "init_state" in data:
-        kwargs["init_state"] = tuple(data["init_state"])
-    cfg = ShuttleConfig(**kwargs)
-    return scenario, cfg, None
+    config_class, n_channels = _SCENARIOS[scenario]
+    cfg = config_class(**kwargs)
+    _check_cross_fields(cfg, n_channels)
+    return scenario, cfg, data.get("field")
+
+
+def _check_cross_fields(cfg, n_channels: int) -> None:
+    """The rules between fields of ``cfg``, whose defaults are filled in: the
+    bias kind admits its coefficients, the onset lies in ``[0, n_steps]``,
+    and each coefficient that the kind reads fits the channel count."""
+    bias = cfg.bias
+    for name, order in (("B", "linear"), ("C", "quadratic")):
+        if name not in bias.used and np.any(bias.coefficient(name)):
+            raise ConfigError(f"{bias.kind} bias admits no {order} coefficient")
+    onset, n_steps = cfg.true_switch_step, cfg.n_steps
+    if onset is not None and not 0 <= onset <= n_steps:
+        raise ConfigError(f"switch index {onset} outside [0, {n_steps}]")
+    for name in bias.used:
+        size = bias.coefficient(name).size
+        if size not in (1, n_channels):
+            raise ConfigError(
+                f"bias {name} has {size} entries; need 1 or one per channel ({n_channels})"
+            )
 
 
 def config_to_dict(scenario: str, cfg, field=None) -> dict:

@@ -100,11 +100,10 @@ class RunRecord:
 def execute_case(data: dict, seed: Optional[int] = None,
                  checkpoint: Optional[Path] = None):
     """Execute one configured run end to end.  Returns ``(record, filter,
-    truth)``.  A config that fails validation, with ``seed`` in place of its
-    own, or cannot build its dataclass raises ``ConfigError``; a package
-    error while simulating or filtering (``SkfnavError``, a bad
-    ``init_state`` included) is captured in the record, and the filter and
-    truth are then None.  The filter steps from the start unless
+    truth)``.  A config that breaks a rule of ``configio``, with ``seed`` in
+    place of its own, raises ``ConfigError``; a package error while
+    simulating or filtering (``SkfnavError``) is captured in the record, and
+    the filter and truth are then None.  The filter steps from the start unless
     ``checkpoint`` names its prefix family's checkpoint file (see
     ``_run_filter``)."""
     if seed is not None:
@@ -199,7 +198,7 @@ def _run_filter(filt, measurements: dict, cfg, checkpoint: Optional[Path]) -> No
     fixes = np.array([y for k, y in measurements.items() if k <= onset])
     if checkpoint.exists():
         filt.k, filt.bank, family_fixes = pickle.loads(checkpoint.read_bytes())
-        if not np.array_equal(family_fixes, fixes):
+        if not np.array_equal(family_fixes, fixes, equal_nan=True):
             raise RuntimeError("runs of one prefix family differ in their fixes "
                                "through the onset")
     else:

@@ -15,14 +15,16 @@ from typing import Optional
 
 import numpy as np
 
-from ..biasmodels import BiasSpec, check_channels, check_onset, gated_offsets
-from ..exceptions import ConfigError, DynamicsDivergedError
+from ..biasmodels import BiasSpec, gated_offsets
+from ..exceptions import DynamicsDivergedError
 from ..switching import SwitchingFilter
 from .fields import AnalyticField
 
 
 @dataclass(frozen=True)
 class BalloonConfig:
+    """Parameters of one balloon run; ``configio`` checks a config's values."""
+
     x0: tuple = (-35.0, 25.0)
     n_steps: int = 500
     dt: float = 0.01  # hours
@@ -34,18 +36,6 @@ class BalloonConfig:
     true_switch_step: Optional[int] = None
     seed: int = 0
     capacity: int = 10
-
-    def __post_init__(self):
-        if self.n_steps <= 0:
-            raise ConfigError("n_steps must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.delta < 1:
-            raise ConfigError("sampling period must be at least 1")
-        if min(self.q_x, self.q_p, self.r) < 0:
-            raise ConfigError("noise variances must be non-negative")
-        check_onset(self.true_switch_step, self.n_steps)
-        check_channels(self.bias, 2)
 
 
 @dataclass(frozen=True)

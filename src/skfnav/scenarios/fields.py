@@ -124,10 +124,6 @@ def field_from_dict(data: dict | None):
     """Build a field from its config-JSON form (default: analytic field)."""
     if data is None:
         return AnalyticField()
-    kind = data.get("kind", "analytic")
-    if kind == "analytic":
-        params = {k: v for k, v in data.items() if k != "kind"}
-        return AnalyticField(**params)
-    if kind == "gridded":
+    if data.get("kind") == "gridded":
         return load_field_csv(data["path"])
-    raise ConfigError(f"unknown field kind {kind!r}")
+    return AnalyticField(**{k: v for k, v in data.items() if k != "kind"})

@@ -175,16 +175,6 @@ class TestAugment:
 
 
 class TestSpecValidation:
-    def test_kind_restricts_coefficients(self):
-        with pytest.raises(ConfigError):
-            BiasSpec("static", A=1.0, B=2.0)
-        with pytest.raises(ConfigError):
-            BiasSpec("linear", A=1.0, C=2.0)
-
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            BiasSpec("static", A=1.0, cap=0.0)
-
     def test_json_round_trip(self):
         spec = BiasSpec("quadratic", A=0.1, B=0.0, C=0.01, cap=1000.0)
         again = BiasSpec.from_dict(spec.to_dict())
@@ -195,14 +185,6 @@ class TestSpecValidation:
         assert BiasSpec("static", A=1.0).theta.shape == (1, 1)
         assert BiasSpec("linear", A=1.0, B=2.0).theta.shape == (1, 2)
         assert BiasSpec("quadratic", A=[1, 2, 3], B=0.0, C=0.0).theta.shape == (3, 3)
-
-    def test_switch_spec_validation(self):
-        for config in (BalloonConfig, ShuttleConfig):
-            n_steps = config().n_steps
-            config(true_switch_step=0)
-            config(true_switch_step=n_steps)
-            with pytest.raises(ConfigError, match="outside"):
-                config(true_switch_step=n_steps + 1)
 
 
 def offset_matrix(tau, n_channels, d_theta):

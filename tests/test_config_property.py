@@ -2,11 +2,15 @@
 aborts a run or a sweep.
 
 Configs are drawn from ``BALLOON_SCHEMA`` and ``SHUTTLE_SCHEMA`` themselves,
-with short runs and floats that include 0, subnormals and +-1e308.
+with short runs and floats that include 0, subnormals, +-1e308 and each
+schema bound, and every draw is schema-valid.
 """
 
+import math
 import warnings
 
+import jsonschema
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,20 +32,46 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-8, 1.0,
                1e308, -1e308)
 
 
-def _numbers(schema: dict):
+# the keywords that from_schema honours: any other raises, so that a new
+# bound cannot silently narrow what it draws to configs that fail validation
+KEYWORDS = {"type", "const", "enum", "anyOf", "minimum", "exclusiveMinimum", "maximum",
+            "exclusiveMaximum", "prefixItems", "items", "minItems", "maxItems",
+            "properties", "required", "additionalProperties", "if", "then", "else"}
+
+
+def _bounds(schema: dict):
+    """(low, exclude low, high, exclude high) of a number's schema."""
     low = schema.get("minimum", schema.get("exclusiveMinimum"))
-    exclusive = "exclusiveMinimum" in schema
-    edges = [x for x in EDGE_FLOATS
-             if low is None or x > low or (x == low and not exclusive)]
+    high = schema.get("maximum", schema.get("exclusiveMaximum"))
+    return low, "exclusiveMinimum" in schema, high, "exclusiveMaximum" in schema
+
+
+def _numbers(schema: dict):
+    low, exclude_low, high, exclude_high = _bounds(schema)
+    # the bounds themselves, or the floats just inside them, are edges too
+    inner = [b if not exclude else math.nextafter(b, toward)
+             for b, exclude, toward in ((low, exclude_low, math.inf),
+                                        (high, exclude_high, -math.inf)) if b is not None]
+    edges = [x for x in (*EDGE_FLOATS, *inner)
+             if (low is None or x > low or (x == low and not exclude_low))
+             and (high is None or x < high or (x == high and not exclude_high))]
     return st.one_of(st.sampled_from(edges),
-                     st.floats(min_value=low, exclude_min=exclusive and low is not None,
+                     st.floats(min_value=low, max_value=high,
+                               exclude_min=exclude_low and low is not None,
+                               exclude_max=exclude_high and high is not None,
                                allow_nan=False, allow_infinity=False))
 
 
 def from_schema(schema: dict, name: str = ""):
     """Values of ``schema`` (the subset of JSON Schema that the config schemas
     use); an object draws its required properties and those in ``ALWAYS``,
-    and draws each other property or leaves it out."""
+    and draws each other property or leaves it out.  An object's
+    ``additionalProperties: false`` holds as only its properties are drawn,
+    and its ``if``/``then``/``else`` by keeping only the draws that the
+    schema admits."""
+    unknown = set(schema) - KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"from_schema does not honour {sorted(unknown) or schema}")
     if "const" in schema:
         return st.just(schema["const"])
     if "enum" in schema:
@@ -55,15 +85,22 @@ def from_schema(schema: dict, name: str = ""):
             options.append(st.none())
         elif kind == "integer":
             low, high = SHORT.get(name, (0, 10))
-            options.append(st.integers(max(low, schema.get("minimum", low)), high))
+            if "exclusiveMinimum" in schema or "exclusiveMaximum" in schema:
+                raise ValueError(f"from_schema draws no integer with an exclusive bound ({name})")
+            options.append(st.integers(max(low, schema.get("minimum", low)),
+                                       min(high, schema.get("maximum", high))))
         elif kind == "number":
             options.append(_numbers(schema))
         elif kind == "string":
             options.append(st.text(max_size=4))
         elif kind == "array":
-            options.append(st.lists(from_schema(schema["items"], name),
-                                    min_size=schema.get("minItems", 0),
-                                    max_size=schema.get("maxItems", 3)))
+            head = st.tuples(*(from_schema(item, name) for item in schema.get("prefixItems", ())))
+            size = len(schema.get("prefixItems", ()))
+            tail = (st.lists(from_schema(schema["items"], name),
+                             min_size=max(0, schema.get("minItems", 0) - size),
+                             max_size=schema.get("maxItems", size + 3) - size)
+                    if "items" in schema else st.just([]))
+            options.append(st.builds(lambda h, t: [*h, *t], head, tail))
         elif kind == "object":
             properties = schema["properties"]
             drawn = set(schema.get("required", ())) | (ALWAYS & set(properties))
@@ -71,10 +108,20 @@ def from_schema(schema: dict, name: str = ""):
                 {key: from_schema(properties[key], key) for key in drawn},
                 optional={key: from_schema(value, key) for key, value in properties.items()
                           if key not in drawn}))
-    return st.one_of(options)
+    values = st.one_of(options)
+    if "if" in schema:
+        values = values.filter(jsonschema.Draft202012Validator(schema).is_valid)
+    return values
 
 
 configs = st.one_of(from_schema(BALLOON_SCHEMA), from_schema(SHUTTLE_SCHEMA))
+
+
+def test_from_schema_refuses_a_keyword_it_does_not_honour():
+    with pytest.raises(ValueError, match="multipleOf"):
+        from_schema({"type": "number", "minimum": 0, "multipleOf": 2})
+    with pytest.raises(ValueError):
+        from_schema({"type": "object", "properties": {}, "additionalProperties": True})
 
 
 def _check_record(record) -> None:

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import tempfile
 
 import jsonschema
@@ -196,8 +197,8 @@ class TestRunCase:
         {"scenario": "shuttle", "n_steps": 5, "true_switch_step": None,
          "dt": float("nan")},
         balloon_config(q_x=float("nan")),
-        balloon_config(x0=[float("inf"), 25.0]),
-    ], ids=["shuttle-init-state-nan", "shuttle-dt-nan", "balloon-q-x-nan", "balloon-x0-inf"])
+        balloon_config(r=float("inf")),
+    ], ids=["shuttle-init-state-nan", "shuttle-dt-nan", "balloon-q-x-nan", "balloon-r-inf"])
     def test_non_finite_number_is_a_config_error(self, data):
         with pytest.raises(ConfigError, match="must be finite"):
             harness.execute_case(data)
@@ -316,29 +317,68 @@ class TestSweep:
         assert records[0].status == "error"
         assert "Polar" in records[0].error
 
-    def test_negative_speed_is_a_config_error_not_a_crash(self):
-        # schema-valid, but generate_reference rejects a negative speed
-        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1,
-                "init_state": [1.5e5, 0.93, 0.32, -1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]}
-        record = harness.execute_case({"scenario": "shuttle", **base})[0]
-        assert record.status == "error"
-        assert record.error.startswith("ConfigError: ")
-        assert "speed must be non-negative" in record.error
-        grid = harness.sweep_from_dict({
-            "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
-        })
-        records = harness.run_sweep(grid, threads=1)
-        assert len(records) == 2
-        assert [r.status for r in records] == ["error", "error"]
-        assert all(r.error.startswith("ConfigError: ") for r in records)
+    @staticmethod
+    def assert_rejected_at_load(scenario, base, message, tmp_path):
+        """``base`` is a config error before any run: ``execute_case`` and
+        ``sweep_from_dict`` raise, and ``skfnav simulate`` exits 2."""
+        data = {"scenario": scenario, "n_steps": 20, "true_switch_step": None, **base}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.execute_case(data)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.sweep_from_dict({
+                "scenario": scenario, "base": {k: v for k, v in data.items() if k != "scenario"},
+                "axes": {"A": [0.0, 10.0]}, "seeds": 1,
+            })
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["--quiet", "simulate", scenario, "--config", str(path),
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_speed_is_a_config_error_not_a_crash(self, tmp_path):
+        init = [1.5e5, 0.93, 0.32, -1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]
+        self.assert_rejected_at_load(
+            "shuttle", {"oversample": 1, "init_state": init},
+            "shuttle config: init_state[3]: -14000.0 is less than the minimum of 0", tmp_path)
 
     @pytest.mark.parametrize("altitude", [-EARTH_RADIUS_FT, -EARTH_RADIUS_FT - 1e3])
-    def test_altitude_at_or_below_earth_centre_is_a_config_error(self, altitude):
-        # schema-valid, but the gravity of a radius at or below zero is
-        # undefined; at exactly -EARTH_RADIUS_FT it divided by zero
-        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1,
-                "init_state": [altitude, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]}
-        error = "ConfigError: invalid init_state: altitude at or below the Earth's centre"
+    def test_altitude_at_or_below_earth_centre_is_a_config_error(self, altitude, tmp_path):
+        # the gravity of a radius at or below zero is undefined; at exactly
+        # -EARTH_RADIUS_FT it divided by zero
+        init = [altitude, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]
+        self.assert_rejected_at_load(
+            "shuttle", {"oversample": 1, "init_state": init},
+            f"shuttle config: init_state[0]: {altitude!r} is less than or equal to the "
+            f"minimum of {-EARTH_RADIUS_FT!r}", tmp_path)
+
+    @pytest.mark.parametrize("scenario, base, error", [
+        ("balloon", {"field": {"kind": "analytic", "wavelength": 0.0}},
+         "balloon config: field.wavelength: 0.0 is less than or equal to the minimum of 0"),
+        ("shuttle", {"imu_walk_accel": 1.5e154},
+         "shuttle config: imu_walk_accel: 1.5e+154 is greater than the maximum of "
+         "1.3407807929942596e+154"),
+        ("shuttle", {"imu_walk_gyro": 1.5e154},
+         "shuttle config: imu_walk_gyro: 1.5e+154 is greater than the maximum of "
+         "1.3407807929942596e+154"),
+        ("shuttle", {"init_state": [1.5e5, 0.93, 0.32, 1.4e4, 2.0, 0.8, 0.6, 0.2, 0.65]},
+         "shuttle config: init_state[4]: 2.0 is greater than the maximum of 1.5707963267958966"),
+        # a latitude of 1e167 degrees once ran to a green record
+        ("balloon", {"x0": [0.0, 1.0245718301761099e167]},
+         "balloon config: x0[1]: 1.0245718301761099e+167 is greater than the maximum of 90"),
+        ("balloon", {"x0": [-360.5, 25.0]},
+         "balloon config: x0[0]: -360.5 is less than the minimum of -360"),
+    ], ids=["zero-wavelength", "accel-walk", "gyro-walk", "flight-path-angle",
+            "latitude", "longitude"])
+    def test_config_that_cannot_run_is_rejected_at_load(self, scenario, base, error, tmp_path):
+        # the first three once escaped execute_case as ZeroDivisionError or
+        # OverflowError and aborted a sweep
+        self.assert_rejected_at_load(scenario, base, error, tmp_path)
+
+    def test_diverging_reference_is_an_error_record(self):
+        # an initial speed of 3e154 drives the reference to NaN
+        init = [1.5e5, 0.93, 0.32, 3e154, -0.006, 0.8, 0.6, 0.2, 0.65]
+        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1, "init_state": init}
+        error = "DynamicsDivergedError: reference diverged: IMU sample must be finite"
         assert harness.execute_case({"scenario": "shuttle", **base})[0].error == error
         grid = harness.sweep_from_dict({
             "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
@@ -346,28 +386,15 @@ class TestSweep:
         records = harness.run_sweep(grid, threads=1)
         assert [(r.status, r.error) for r in records] == [("error", error)] * 2
 
-    @pytest.mark.parametrize("scenario, base, error", [
-        ("balloon", {"field": {"kind": "analytic", "wavelength": 0.0}},
-         "balloon config: field.wavelength: 0.0 is less than or equal to the minimum of 0"),
-        ("shuttle", {"imu_walk_accel": 1.5e154}, "imu_walk_accel too large"),
-        ("shuttle", {"imu_walk_gyro": 1.5e154}, "imu_walk_gyro too large"),
-    ], ids=["zero-wavelength", "accel-walk", "gyro-walk"])
-    def test_config_that_cannot_run_is_rejected_at_load(self, scenario, base, error):
-        # these once escaped execute_case as ZeroDivisionError or
-        # OverflowError and aborted a sweep
-        base = {"n_steps": 20, "true_switch_step": None, **base}
-        with pytest.raises(ConfigError, match=error):
-            harness.execute_case({"scenario": scenario, **base})
-        with pytest.raises(ConfigError, match=error):
-            harness.sweep_from_dict({
-                "scenario": scenario, "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
-            })
-
-    def test_diverging_reference_is_an_error_record(self):
-        # an initial speed of 3e154 drives the reference to NaN
-        init = [1.5e5, 0.93, 0.32, 3e154, -0.006, 0.8, 0.6, 0.2, 0.65]
-        base = {"n_steps": 20, "true_switch_step": None, "oversample": 1, "init_state": init}
-        error = "DynamicsDivergedError: reference diverged: IMU sample must be finite"
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_inertial_state_is_an_error_record(self):
+        # a speed of 2e307 over a 1.8e8 s step overflows the position while
+        # every IMU sample stays finite; it once ran to a green record with
+        # NaN fixes, and a sweep over it aborted on them
+        init = [0.0, 0.0, 0.0, 2.1017494651598519e307, 0.0, 0.0, 0.0, 0.0, 0.0]
+        base = {"n_steps": 1, "true_switch_step": None, "oversample": 1,
+                "dt": 178789149.0, "init_state": init}
+        error = "DynamicsDivergedError: reference diverged: inertial state must be finite"
         assert harness.execute_case({"scenario": "shuttle", **base})[0].error == error
         grid = harness.sweep_from_dict({
             "scenario": "shuttle", "base": base, "axes": {"A": [0.0, 10.0]}, "seeds": 1,
@@ -391,9 +418,8 @@ class TestSweep:
         assert [(r.status, r.error) for r in records] == [("error", error)] * 2
 
     @pytest.mark.parametrize("index, value, error", [
-        (4, 2.0, "ConfigError: invalid init_state: flight-path angle outside [-pi/2, pi/2]"),
         (7, np.pi / 2, "GimbalLockError: pitch at Euler-rate singularity"),
-    ], ids=["flight-path-angle", "pitch"])
+    ], ids=["pitch"])
     def test_bad_init_state_is_an_error_record(self, index, value, error):
         init = [1.5e5, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 0.2, 0.65]
         init[index] = value
@@ -655,6 +681,24 @@ class TestPrefixCheckpoint:
         checkpoint.write_bytes(pickle.dumps((k, bank, fixes + 1e-3)))
         with pytest.raises(RuntimeError, match="differ in their fixes"):
             harness.execute_case(data, checkpoint=checkpoint)
+
+    def test_a_nan_fix_in_a_family_matches_itself(self, tmp_path, monkeypatch):
+        # the filter skips a non-finite fix, and the same NaN in two runs of
+        # one family is no mismatch
+        simulate = harness.simulate_balloon
+
+        def with_nan_fix(cfg, field):
+            truth = simulate(cfg, field)
+            truth.measurements[5] = np.nan
+            return truth
+
+        monkeypatch.setattr(harness, "simulate_balloon", with_nan_fix)
+        data = balloon_config(n_steps=60, true_switch_step=30)
+        checkpoint = tmp_path / "family.pickle"
+        head = harness.execute_case(data, checkpoint=checkpoint)[0]
+        tail = harness.execute_case(data, checkpoint=checkpoint)[0]
+        assert tail.status == "ok"
+        assert harness.record_row(tail) == harness.record_row(head)
 
     def test_rewritten_reference_file_is_read_again(self, tmp_path, monkeypatch):
         from skfnav.scenarios.shuttle import (

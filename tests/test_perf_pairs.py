@@ -110,12 +110,14 @@ def test_bench_document_holds_the_commits_machine_seeds_and_each_verdict():
     json.dumps(doc)  # the document is written as JSON
 
 
-@pytest.mark.parametrize("status, tree", [("", "b" * 40), (" M src/skfnav/harness.py", None)],
-                         ids=["clean", "uncommitted"])
+@pytest.mark.parametrize("status, tree", [
+    ("", "b" * 40), (" M src/skfnav/harness.py", None), ("?? src/skfnav/new.py", None),
+], ids=["clean", "uncommitted", "untracked"])
 def test_the_tree_commit_is_null_when_the_tree_has_uncommitted_changes(
         monkeypatch, status, tree):
+    # an untracked source file changes what is measured as much as an edit
     answers = {("rev-parse", "HEAD~1"): "a" * 40, ("rev-parse", "HEAD"): "b" * 40,
-               ("status", "--porcelain", "--untracked-files=no"): status}
+               ("status", "--porcelain"): status}
     monkeypatch.setattr(perf_pairs, "git", lambda *args: answers[args])
     assert perf_pairs.commits_stamp("HEAD~1") == {
         "parent": "a" * 40, "tree": tree, "tree_has_uncommitted_changes": bool(status)}

@@ -586,3 +586,36 @@ class TestStackedStepEquivalence:
         assert [s for s, _ in diags[5].pruned] == ([] if pruned is None else [pruned])
         assert diags[5].frozen == frozen
         assert len(stacked.bank) == 4
+
+
+class TestOnsetLeadUnderParameterNoise:
+    """A static jump's true-onset row loses its lead over the nominal when
+    the coefficients random-walk (``q_p > 0``): a corrupted row reads them
+    through (1, tau, tau^2), so its predicted innovation variance grows with
+    tau^4 while the nominal's does not.  With ``q_p = 0`` the lead holds.
+    These are the figures of today's filter, not a target."""
+
+    @staticmethod
+    def lead(q_p):
+        """The onset-200 row's score minus the nominal's after each step of
+        ``table3_test3`` (a 0.2 jump at step 200, r = 1e-6)."""
+        from skfnav import harness
+
+        data = {**load_config(CONFIGS / "table3_test3.json"), "q_p": q_p}
+        bank = harness.execute_case(data)[1].bank
+        onset_row = [entry[2] for entry in bank.trajectory(bank.s_index.index(200))]
+        nominal = [entry[2] for entry in bank.trajectory(0)]
+        return np.subtract(onset_row, nominal)
+
+    def test_lead_decays_when_the_coefficients_random_walk(self):
+        lead = self.lead(1e-4)
+        assert lead[200] == 0.0  # the row shares the nominal's scores through its onset
+        assert lead[201] == pytest.approx(774.4, abs=0.1)
+        assert lead[300] == pytest.approx(704.1, abs=0.1)
+        assert lead[500] == pytest.approx(144.3, abs=0.1)
+        assert np.all(np.diff(lead[201::50]) < 0)  # step by step, noise may lift it
+
+    def test_lead_holds_when_the_coefficients_are_fixed(self):
+        lead = self.lead(0.0)
+        assert lead[201] == pytest.approx(774.4, abs=0.1)
+        assert 760.0 < lead[201:].min() and lead[201:].max() < 775.0
