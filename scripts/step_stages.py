@@ -12,7 +12,11 @@ median microseconds per step of each stage: ``predict`` (the sigma points,
 the scenario dynamics and the moments), ``update`` (the scored update),
 ``history`` (``Bank.record``), ``drop/prune/spawn`` and ``glue`` (the rest
 of ``SwitchingFilter.step``), with the pairs in which the whole step was
-faster.  Only the filter loop is timed: no truth, reference or output.
+faster.  Only the filter loop is timed: no truth, reference or output.  The
+``reference`` case then times the shuttle's noiseless run on its own:
+``generate_reference`` and ``integrate_imu`` on ``table5_test1``'s config
+(600 steps, oversample 7), ``--rounds`` alternating pairs, in median
+milliseconds per call.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ class Side:
         btruth = balloon.simulate_balloon(bcfg, field)
         _, scfg, _ = parse(load_config(ROOT / "configs" / "table5_test1.json"))
         struth = shuttle.simulate_shuttle(scfg)
+        self.shuttle, self.scfg = shuttle, scfg
         self.cases = {
             "balloon": (lambda: balloon.build_balloon_filter(bcfg, field),
                         btruth.measurement_map(), bcfg.n_steps),
@@ -89,6 +94,17 @@ class Side:
         row["step"] = step
         return row
 
+    def run_reference(self) -> dict[str, float]:
+        """Milliseconds of one reference and one re-integration of it."""
+        shuttle, cfg = self.shuttle, self.scfg
+        start = time.perf_counter()
+        ref = shuttle.generate_reference(cfg)
+        middle = time.perf_counter()
+        shuttle.integrate_imu(ref.states[0], ref.imu_true, cfg.dt)
+        end = time.perf_counter()
+        return {"generate_reference": 1e3 * (middle - start),
+                "integrate_imu": 1e3 * (end - middle), "step": 1e3 * (end - start)}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -99,20 +115,25 @@ def main(argv=None) -> int:
         export(args.parent_rev, Path(tmp))
         sides = {"parent": Side(load(Path(tmp) / "src")), "tree": Side(load(ROOT / "src"))}
         for case, rounds in (("balloon", args.rounds), ("shuttle", max(args.rounds // 2, 1))):
-            report(case, sides, rounds)
+            report(case, sides, rounds, lambda side, case=case: side.run(case))
+        report("reference", sides, args.rounds, Side.run_reference,
+               unit="ms per call", whole="reference plus re-integration")
     return 0
 
 
-def report(case: str, sides: dict, rounds: int) -> None:
+def report(case: str, sides: dict, rounds: int, run, unit: str = "us per step",
+           whole: str = "step") -> None:
+    """Time ``run(side)``, a dict of stage times with the whole in
+    ``"step"``, in ``rounds`` pairs, and print each stage's medians."""
     runs: dict[str, list] = {label: [] for label in sides}
     for side in sides.values():
-        side.run(case)  # warm-up
+        run(side)  # warm-up
     for i in range(rounds):
         for label in (("parent", "tree") if i % 2 == 0 else ("tree", "parent")):
-            runs[label].append(sides[label].run(case))
+            runs[label].append(run(sides[label]))
     won = sum(t["step"] < p["step"] for p, t in zip(runs["parent"], runs["tree"]))
-    print(f"{case}: {rounds} pairs, the working tree's step faster in {won}/{rounds}; "
-          "median us per step, parent -> working tree")
+    print(f"{case}: {rounds} pairs, the working tree's {whole} faster in {won}/{rounds}; "
+          f"median {unit}, parent -> working tree")
     for stage in runs["parent"][0]:
         old = statistics.median(r[stage] for r in runs["parent"])
         new = statistics.median(r[stage] for r in runs["tree"])

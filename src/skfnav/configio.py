@@ -228,21 +228,51 @@ def load_config(path) -> dict:
     return data
 
 
-# each scenario's config dataclass and number of observed channels
-_SCENARIOS = {"balloon": (BalloonConfig, 2), "shuttle": (ShuttleConfig, 3)}
+# each scenario's schema, config dataclass and number of observed channels
+_SCENARIOS = {"balloon": (BALLOON_SCHEMA, BalloonConfig, 2),
+              "shuttle": (SHUTTLE_SCHEMA, ShuttleConfig, 3)}
+
+
+def _as_floats(value, schema: dict, path: str = ""):
+    """``value`` with each number that ``schema`` types ``number`` made a
+    float.  JSON allows an integer there, which numpy may refuse (the square
+    root of ``10**400``) or overflow on; one that no float holds raises
+    ``ConfigError`` naming its ``path``."""
+    if "anyOf" in schema:  # a number or a list of numbers
+        schema = next(option for option in schema["anyOf"]
+                      if (option["type"] == "array") == isinstance(value, list))
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return {key: _as_floats(item, properties.get(key, {}), f"{path}.{key}" if path else key)
+                for key, item in value.items()}
+    if isinstance(value, list):
+        prefix = schema.get("prefixItems", [])
+        return [_as_floats(item, prefix[i] if i < len(prefix) else schema.get("items", {}),
+                           f"{path}[{i}]") for i, item in enumerate(value)]
+    if type(value) is int and "number" in schema.get("type", ()):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") from None
+    return value
 
 
 def parse_single(data: dict):
     """Build (scenario name, config dataclass, extras) from a schema-valid
     dict and check the rules between its fields (``_check_cross_fields``);
-    a balloon's extras are its ``field`` entry (None for the default field),
-    which ``field_from_dict`` loads."""
+    every ``number`` of the schema, a balloon's ``field`` entry included,
+    becomes a float (``_as_floats``).  A balloon's extras are its ``field``
+    entry (None for the default field), which ``field_from_dict`` loads."""
     scenario = data["scenario"]
+    schema, config_class, n_channels = _SCENARIOS[scenario]
+    try:
+        data = _as_floats(data, schema)
+    except ConfigError as exc:
+        raise ConfigError(f"{scenario} config: {exc}") from None
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()
               if k not in ("scenario", "field", "bias", "expect_outcome")}
     if "bias" in data:
         kwargs["bias"] = BiasSpec.from_dict(data["bias"])
-    config_class, n_channels = _SCENARIOS[scenario]
     cfg = config_class(**kwargs)
     _check_cross_fields(cfg, n_channels)
     return scenario, cfg, data.get("field")

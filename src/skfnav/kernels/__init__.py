@@ -3,7 +3,7 @@
 Set ``SKFNAV_PURE=1`` to force the numpy backend (useful for benchmarking and
 debugging).  ``BACKEND`` reports which implementation serves
 ``strapdown_batch``; ``strapdown_columns``, the numpy body on columns or
-floats, is the same under either backend.
+floats, and its two halves are the same under either backend.
 """
 
 import os
@@ -24,8 +24,12 @@ else:
 
 strapdown_batch = _impl.strapdown_batch
 strapdown_columns = numpy_backend.strapdown_columns
-attitude_entries = numpy_backend.attitude_entries
+attitude_half = numpy_backend.attitude_half
+translation_half = numpy_backend.translation_half
+angle_trig = numpy_backend.angle_trig
+rotation_entries = numpy_backend.rotation_entries
 
 __all__ = [
-    "BACKEND", "strapdown_batch", "strapdown_columns", "attitude_entries", "numpy_backend",
+    "BACKEND", "strapdown_batch", "strapdown_columns", "attitude_half", "translation_half",
+    "angle_trig", "rotation_entries", "numpy_backend",
 ]

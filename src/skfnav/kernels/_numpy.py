@@ -8,7 +8,10 @@ The compiled backend in ``_native.pyx`` agrees with ``strapdown_batch`` to a
 relative 1e-13; a parity test keeps the two in agreement.  The numpy kernel is
 one column body, ``strapdown_columns``, that runs unchanged on 1-D columns
 (one entry per state) and on Python floats (one state); it takes its ufuncs
-from the argument's type (``_ufuncs``).
+from the argument's type (``_ufuncs``).  The body is two halves in a row,
+``attitude_half`` and ``translation_half``, which a caller that steps one
+state through many substeps runs apart: the attitude does not depend on the
+translation, and each half hands on the sines and cosines it computed.
 """
 
 from types import SimpleNamespace
@@ -67,19 +70,17 @@ def wrap_angle(angle):
     return np.pi - d % _TWO_PI
 
 
-def attitude_entries(phi, theta, psi):
-    """Body-to-inertial rotation entries, row-major with rows (N, E, D).
-
-    The angles are columns or floats; each entry has their shape, and is a
-    Python float on floats.
-    """
-    xp = _ufuncs(phi)
-    return _rotation(xp.sin(phi), xp.cos(phi), xp.sin(theta), xp.cos(theta),
-                     xp.sin(psi), xp.cos(psi))
+def angle_trig(phi, theta, psi):
+    """The sines and cosines ``(sin phi, cos phi, sin theta, cos theta,
+    sin psi, cos psi)`` of roll, pitch and yaw, columns or floats."""
+    xp = _ufuncs(theta)
+    return xp.sin(phi), xp.cos(phi), xp.sin(theta), xp.cos(theta), xp.sin(psi), xp.cos(psi)
 
 
-def _rotation(sp, cp, st, ct, sy, cy):
-    """``attitude_entries`` from the sines and cosines of roll, pitch, yaw."""
+def rotation_entries(sp, cp, st, ct, sy, cy):
+    """Body-to-inertial rotation entries, row-major with rows (N, E, D), from
+    ``angle_trig``'s sines and cosines.  Each entry has their shape, and is a
+    Python float on floats."""
     return (
         ct * cy, ct * sy, -st,
         sp * st * cy - cp * sy, sp * st * sy + cp * cy, sp * ct,
@@ -87,30 +88,25 @@ def _rotation(sp, cp, st, ct, sy, cy):
     )
 
 
-def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
-    """One inertial-navigation step on columns or on floats.
+def attitude_half(angles, trig, b_g, omega_meas, dt):
+    """The attitude half of a strapdown step: forward Euler on the
+    Euler-angle kinematics, on columns or on floats.
 
-    ``nav`` holds the nine navigation components: altitude, two position
-    angles, speed, flight-path angle, azimuth, roll, pitch, yaw.  ``b_a`` and
-    ``b_g`` are the accel and gyro bias triples, and ``f_meas``/``omega_meas``
-    the IMU triples, whose entries are floats or columns like those of
-    ``nav``.  Returns the nine new components.
+    ``angles`` is (roll, pitch, yaw) and ``trig`` their ``angle_trig``;
+    ``b_g`` and ``omega_meas`` are the gyro bias and rate triples.  Returns
+    the new angles and their ``angle_trig``.  Neither depends on position,
+    speed or gravity.
     """
-    h, L, lam, v, gamma, alpha, phi, theta, psi = nav
+    phi, theta, psi = angles
     xp = _ufuncs(theta)
-
     # abs and % (in wrap_angle) dispatch to numpy on columns and stay Python
     # float operations on floats, with the same IEEE results either way
     if _anywhere(abs(theta) >= PITCH_GUARD):
         raise GimbalLockError("pitch at Euler-rate singularity")
-
-    # Attitude update (forward Euler on the Euler-angle kinematics).
+    sp, cp, st, ct, sy, cy = trig
     w0 = omega_meas[0] - b_g[0]
     w1 = omega_meas[1] - b_g[1]
     w2 = omega_meas[2] - b_g[2]
-    sp, cp = xp.sin(phi), xp.cos(phi)
-    st, ct = xp.sin(theta), xp.cos(theta)
-    sy, cy = xp.sin(psi), xp.cos(psi)
     tt = xp.tan(theta)
     phi_dot = w0 + sp * tt * w1 + cp * tt * w2
     theta_dot = cp * w1 - sp * w2
@@ -120,12 +116,24 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     psi_new = wrap_angle(psi + psi_dot * dt)
     if _anywhere(abs(theta_new) >= PITCH_GUARD):
         raise GimbalLockError("pitch at Euler-rate singularity after update")
+    return (phi_new, theta_new, psi_new), angle_trig(phi_new, theta_new, psi_new)
+
+
+def translation_half(nav, c, cos_L, b_a, f_meas, dt):
+    """The translation half of a strapdown step, on columns or on floats.
+
+    ``nav`` holds altitude, two position angles, speed, flight-path angle and
+    azimuth; ``c`` the nine sums of the old and the new attitude's
+    ``rotation_entries``; ``cos_L`` the cosine of the first position angle;
+    ``b_a`` and ``f_meas`` the accel bias and specific-force triples.
+    Returns the six new components and the new ``cos_L``.
+    """
+    h, L, lam, v, gamma, alpha = nav
+    xp = _ufuncs(h)
 
     # Specific force to the inertial frame, trapezoidal attitude average.  Each
     # row sums as (x0 + x2) + x1, the order of numpy's (n,3,3) einsum, so
     # floats and columns give the bits that batched outputs were recorded with.
-    c = [a + b for a, b in zip(_rotation(sp, cp, st, ct, sy, cy),
-                               attitude_entries(phi_new, theta_new, psi_new))]
     f0 = f_meas[0] - b_a[0]
     f1 = f_meas[1] - b_a[1]
     f2 = f_meas[2] - b_a[2]
@@ -159,12 +167,31 @@ def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
     h_new = h - 0.5 * dt * (v_d + v_d_new)
     r_new = EARTH_RADIUS_FT + h_new
     L_new = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
-    cos_L, cos_L_new = xp.cos(L), xp.cos(L_new)
+    cos_L_new = xp.cos(L_new)
     if _anywhere(abs(cos_L) < POLAR_COS_GUARD) or _anywhere(abs(cos_L_new) < POLAR_COS_GUARD):
         raise PolarSingularityError("position angle at polar singularity")
     lam_new = lam + 0.5 * dt * (v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new))
 
-    return (h_new, L_new, lam_new, speed, gamma_new, alpha_new, phi_new, theta_new, psi_new)
+    return (h_new, L_new, lam_new, speed, gamma_new, alpha_new), cos_L_new
+
+
+def strapdown_columns(nav, b_a, b_g, f_meas, omega_meas, dt):
+    """One inertial-navigation step on columns or on floats: the attitude
+    half, then the translation half.
+
+    ``nav`` holds the nine navigation components: altitude, two position
+    angles, speed, flight-path angle, azimuth, roll, pitch, yaw.  ``b_a`` and
+    ``b_g`` are the accel and gyro bias triples, and ``f_meas``/``omega_meas``
+    the IMU triples, whose entries are floats or columns like those of
+    ``nav``.  Returns the nine new components.
+    """
+    h, L, lam, v, gamma, alpha, phi, theta, psi = nav
+    trig = angle_trig(phi, theta, psi)
+    angles, trig_new = attitude_half((phi, theta, psi), trig, b_g, omega_meas, dt)
+    c = [a + b for a, b in zip(rotation_entries(*trig), rotation_entries(*trig_new))]
+    position, _ = translation_half((h, L, lam, v, gamma, alpha), c, _ufuncs(L).cos(L),
+                                   b_a, f_meas, dt)
+    return (*position, *angles)
 
 
 def strapdown_batch(states, f_meas, omega_meas, dt):

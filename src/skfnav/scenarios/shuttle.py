@@ -50,6 +50,10 @@ _VERTICAL_PERIOD_S = 400.0
 _RATE_AMPS = np.array([1.0e-3, 0.8e-3, 1.2e-3])
 _RATE_PERIODS = np.array([300.0, 400.0, 500.0])
 
+# Substeps per chunk of the reference and its re-integration, which hold a
+# chunk's attitudes, rotation entries and commands at a time.
+_CHUNK = 512
+
 # Prior variances of the filter's accelerometer (ft^2/s^4) and gyro
 # (rad^2/s^2) bias states.
 _INIT_ACCEL_BIAS_VAR = 1e-6
@@ -122,6 +126,36 @@ def _command_rates(t) -> np.ndarray:
     return _RATE_AMPS * np.sin(2.0 * np.pi * np.asarray(t)[..., None] / _RATE_PERIODS)
 
 
+def _chunk_attitudes(angles, b_g, rates, dt):
+    """The attitude passes over one chunk of substeps, from roll, pitch and
+    yaw ``angles`` under the gyro ``rates`` (one triple per substep) less the
+    bias ``b_g``.
+
+    The first pass runs ``kernels.attitude_half`` on floats, substep by
+    substep: the attitude does not depend on the translation, and each
+    substep's new sines and cosines are the next one's old.  The second
+    computes the rotation entries of every attitude in one call on columns,
+    elementwise, so with the bits of the float products.  Returns the
+    attitude at the start of each substep and after the last, the sums of
+    each substep's old and new entries, the rotation matrices at the start
+    of each substep, and the pitch-guard failure that stopped the first
+    pass at substep ``m = len(sums)`` (None if it ran through): the caller
+    raises it there, after the checks of that substep that come before the
+    attitude half.
+    """
+    trig = kernels.angle_trig(*angles)
+    path, trigs, failure = [angles], [trig], None
+    try:
+        for w in rates:
+            angles, trig = kernels.attitude_half(angles, trig, b_g, w, dt)
+            path.append(angles)
+            trigs.append(trig)
+    except GimbalLockError as exc:
+        failure = exc
+    entries = np.stack(kernels.rotation_entries(*np.array(trigs).T), axis=-1)
+    return path, (entries[:-1] + entries[1:]).tolist(), entries.reshape(-1, 3, 3), failure
+
+
 def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     """Integrate the navigation equations under the smooth command profile.
 
@@ -131,39 +165,48 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     hold of the first-substep input: re-integrating it at the filter rate
     reproduces the trajectory only when ``oversample`` is 1.  Reported errors
     are measured against that coarse re-integration (``integrate_imu``), not
-    against these states.  The command profile is evaluated once over all
-    substep times; elementwise, so each entry has the bits of a call at
+    against these states.  The substeps run in chunks of ``_CHUNK``: the
+    attitude passes (``_chunk_attitudes``), then the translation half one
+    substep at a time.  The command profile is evaluated once per chunk over
+    its substep times, elementwise, so each entry has the bits of a call at
     that one time.
     """
     dt_f = cfg.dt / cfg.oversample
     nav = [float(x) for x in cfg.init_state]
     if abs(nav[7]) >= PITCH_GUARD:
         raise GimbalLockError("pitch at Euler-rate singularity")
-    b_a = b_g = [0.0, 0.0, 0.0]
-    states = np.zeros((cfg.n_steps + 1, 15))  # the zero biases pass through every step
+    zeros = [0.0, 0.0, 0.0]  # the biases, which pass through every step
+    states = np.zeros((cfg.n_steps + 1, 15))
     states[0, :9] = nav
     imu_true = np.empty((cfg.n_steps, 6))
-    times = np.arange(cfg.n_steps * cfg.oversample) * dt_f
-    commands = zip(_command_accel(times).tolist(), _command_rates(times).tolist())
-    # Python floats throughout; only the body-frame rotation stays a numpy
-    # product, whose summation order a Python dot product does not reproduce
-    for k in range(cfg.n_steps):
-        for sub in range(cfg.oversample):
-            (a_n, a_e, a_d), rates = next(commands)
-            attitude = np.array(kernels.attitude_entries(*nav[6:9])).reshape(3, 3)
+    position, angles, cos_L = nav[:6], nav[6:], float(np.cos(nav[1]))
+    n_sub = cfg.n_steps * cfg.oversample
+    for start in range(0, n_sub, _CHUNK):
+        times = np.arange(start, min(start + _CHUNK, n_sub)) * dt_f
+        rates = _command_rates(times).tolist()
+        path, sums, attitudes, failure = _chunk_attitudes(angles, zeros, rates, dt_f)
+        # Python floats throughout; only the body-frame rotation stays a numpy
+        # product, whose summation order a Python dot product does not reproduce
+        for i, (a_n, a_e, a_d) in enumerate(_command_accel(times).tolist()):
             try:
-                gravity = GRAV_PARAM / (EARTH_RADIUS_FT + nav[0]) ** 2
+                gravity = GRAV_PARAM / (EARTH_RADIUS_FT + position[0]) ** 2
             except OverflowError:  # a float's square raises where numpy's is inf
                 gravity = 0.0
             # the zero N and E gravity terms are left out: x - 0.0 is x
-            f_b = attitude.T @ np.array([a_n, a_e, a_d - gravity])
-            imu = [*f_b.tolist(), *rates]
+            f_b = attitudes[i].T @ np.array([a_n, a_e, a_d - gravity])
+            imu = [*f_b.tolist(), *rates[i]]
             if not all(map(math.isfinite, imu)):
                 raise DynamicsDivergedError("reference diverged: IMU sample must be finite")
+            if i == len(sums):
+                raise failure
+            k, sub = divmod(start + i, cfg.oversample)
             if sub == 0:
                 imu_true[k] = imu
-            nav = kernels.strapdown_columns(nav, b_a, b_g, imu[:3], imu[3:], dt_f)
-        states[k + 1, :9] = nav
+            position, cos_L = kernels.translation_half(position, sums[i], cos_L, zeros,
+                                                       imu[:3], dt_f)
+            if sub == cfg.oversample - 1:
+                states[k + 1, :9] = [*position, *path[i + 1]]
+        angles = path[-1]
     return ReferenceTrajectory(
         times=np.arange(cfg.n_steps + 1) * cfg.dt,
         states=states,
@@ -172,15 +215,24 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
 
 
 def integrate_imu(x0: np.ndarray, imu: np.ndarray, dt: float) -> np.ndarray:
-    """Propagate a 15-state trajectory from an IMU stream (no noise model)."""
+    """Propagate a 15-state trajectory from an IMU stream (no noise model),
+    in chunks of ``_CHUNK`` steps as ``generate_reference`` does."""
     x0 = np.asarray(x0, dtype=float)
     imu = np.asarray(imu, dtype=float)
     out = np.empty((imu.shape[0] + 1, 15))
     out[:] = x0  # the bias components pass through every step
     nav, b_a, b_g = x0[:9].tolist(), x0[9:12].tolist(), x0[12:].tolist()
-    for k, row in enumerate(imu.tolist(), start=1):
-        nav = kernels.strapdown_columns(nav, b_a, b_g, row[:3], row[3:], dt)
-        out[k, :9] = nav
+    position, angles, cos_L = nav[:6], nav[6:], float(np.cos(nav[1]))
+    for start in range(0, imu.shape[0], _CHUNK):
+        rows = imu[start : start + _CHUNK].tolist()
+        path, sums, _, failure = _chunk_attitudes(angles, b_g, [row[3:] for row in rows], dt)
+        for i, row in enumerate(rows):
+            if i == len(sums):
+                raise failure
+            position, cos_L = kernels.translation_half(position, sums[i], cos_L, b_a,
+                                                       row[:3], dt)
+            out[start + i + 1, :9] = [*position, *path[i + 1]]
+        angles = path[-1]
     return out
 
 

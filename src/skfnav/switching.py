@@ -13,7 +13,10 @@ The filter keeps its branches as one ``Bank`` of stacked rows between steps,
 so that prediction makes one factorisation and one dynamics call, and the
 measurement update, exact because the observation map is linear in the
 augmented state, is one scored update.  A branch whose numerics fail freezes
-alone: when the stack raises, that stage is re-run one row at a time.
+alone: when the stack raises, that stage is re-run one row at a time.  A
+branch spawned at an epoch is a copy of the nominal until the next epoch's
+update, so it is not predicted: it takes the nominal's prediction
+(``Bank.twin``).
 """
 
 from __future__ import annotations
@@ -63,6 +66,25 @@ class Bank:
     def live(self) -> list[int]:
         """The rows that no failure has frozen."""
         return [row for row, cause in enumerate(self.cause) if cause is None]
+
+    def twin(self, since: int) -> bool:
+        """Whether the last row is a corrupted row spawned at step ``since``
+        or later, live like row 0.  A spawn copies row 0 after its update, so
+        until the spawned row's own first update it holds row 0's bits and
+        its prediction is row 0's: the filter asks before predicting step
+        ``k``, with ``since = k - delta``, predicts the other rows and copies
+        row 0's result into it.  Only the last row can qualify, as each
+        epoch spawns at most one row."""
+        n = len(self.s_index)
+        return (n > 1 and self.s_index[n - 1] >= since
+                and self.cause[0] is None and self.cause[n - 1] is None)
+
+    def copy_to_twin(self) -> None:
+        """Copy row 0's belief and cause into the last row, its twin: a row 0
+        that froze in the predict freezes its twin too."""
+        n = len(self.s_index)
+        self._mean[n - 1], self._cov[n - 1] = self._mean[0], self._cov[0]
+        self.cause[n - 1] = self.cause[0]
 
     def spawn(self, s_index: int) -> None:
         """Append a copy of row 0, which must be live, with onset ``s_index``."""
@@ -136,17 +158,18 @@ class StepDiagnostics:
     frozen_causes: tuple = ()
 
 
-def _run_live(bank: Bank, stage: Callable) -> None:
+def _run_live(bank: Bank, stage: Callable, n: int) -> None:
     """Run ``stage(rows)``, which writes its results into ``bank``'s rows, on
-    all live rows as one stack (``rows`` is ``slice(None)`` when none is
-    frozen, so that no row is copied, and a list of rows otherwise).  When it
-    raises for the stack, it is re-run one row at a time, and a row that
-    fails alone freezes, keeping the type of its exception."""
-    live = bank.live() if any(bank.cause) else range(len(bank))
+    the live rows among the first ``n`` as one stack (``rows`` is
+    ``slice(n)`` when none of them is frozen, so that no row is copied, and a
+    list of rows otherwise).  When it raises for the stack, it is re-run one
+    row at a time, and a row that fails alone freezes, keeping the type of
+    its exception."""
+    live = [row for row in bank.live() if row < n] if any(bank.cause) else range(n)
     if not live:
         return
     try:
-        stage(slice(None) if len(live) == len(bank) else live)
+        stage(slice(n) if len(live) == n else live)
         return
     except SkfnavError:
         pass
@@ -288,7 +311,10 @@ class SwitchingFilter:
             bank.mean[rows], bank.cov[rows] = predict(
                 bank.mean[rows], bank.cov[rows], dynamics, self.Q_aug)
 
-        _run_live(bank, predict_rows)
+        twin = bank.twin(k - self.delta)
+        _run_live(bank, predict_rows, len(bank) - twin)
+        if twin:
+            bank.copy_to_twin()
 
         spawned_s = None
         pruned_info: tuple = ()
@@ -303,7 +329,7 @@ class SwitchingFilter:
                     bank.mean[rows], bank.cov[rows], self._H[:n][rows], y, self.R)
                 bank.log_lik[rows] += log_lik
 
-            _run_live(bank, update_rows)
+            _run_live(bank, update_rows, n)
             if bank.cause[0] is None:
                 # the spawn's observation map at s == k adds no offset, so its
                 # update is the nominal branch's; a nominal that is frozen,

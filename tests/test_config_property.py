@@ -2,8 +2,9 @@
 aborts a run or a sweep.
 
 Configs are drawn from ``BALLOON_SCHEMA`` and ``SHUTTLE_SCHEMA`` themselves,
-with short runs and floats that include 0, subnormals, +-1e308 and each
-schema bound, and every draw is schema-valid.
+with short runs, floats that include 0, subnormals, +-1e308 and each
+schema bound, and integers for numbers, huge ones included; every draw is
+schema-valid.
 """
 
 import math
@@ -30,6 +31,10 @@ SHORT = {"n_steps": (1, 12), "true_switch_step": (0, 12), "oversample": (1, 3),
 ALWAYS = {"n_steps", "true_switch_step"}
 EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-8, 1.0,
                1e308, -1e308)
+# JSON allows an integer wherever the schema says number: these are exact as
+# floats, rounded (2**53 + 1), or too large for any float (10**309 and up)
+EDGE_INTEGERS = (0, 1, -1, 2**53 + 1, 2**64, -(2**64), 10**308, 10**309, -(10**309),
+                 10**400, -(10**400))
 
 
 # the keywords that from_schema honours: any other raises, so that a new
@@ -46,16 +51,32 @@ def _bounds(schema: dict):
     return low, "exclusiveMinimum" in schema, high, "exclusiveMaximum" in schema
 
 
+def _admits(x, schema: dict) -> bool:
+    """Whether ``x`` (an int compares with a float bound exactly) lies within
+    the bounds of a number's ``schema``."""
+    low, exclude_low, high, exclude_high = _bounds(schema)
+    return ((low is None or x > low or (x == low and not exclude_low))
+            and (high is None or x < high or (x == high and not exclude_high)))
+
+
+def _integers(schema: dict):
+    """Integers within a number's bounds: the admitted ``EDGE_INTEGERS`` and
+    integers of the range, which is unbounded on a side with no bound."""
+    low, exclude_low, high, exclude_high = _bounds(schema)
+    least = None if low is None else math.floor(low) + 1 if exclude_low else math.ceil(low)
+    most = None if high is None else math.ceil(high) - 1 if exclude_high else math.floor(high)
+    return st.one_of(st.sampled_from([x for x in EDGE_INTEGERS if _admits(x, schema)]),
+                     st.integers(min_value=least, max_value=most))
+
+
 def _numbers(schema: dict):
     low, exclude_low, high, exclude_high = _bounds(schema)
     # the bounds themselves, or the floats just inside them, are edges too
     inner = [b if not exclude else math.nextafter(b, toward)
              for b, exclude, toward in ((low, exclude_low, math.inf),
                                         (high, exclude_high, -math.inf)) if b is not None]
-    edges = [x for x in (*EDGE_FLOATS, *inner)
-             if (low is None or x > low or (x == low and not exclude_low))
-             and (high is None or x < high or (x == high and not exclude_high))]
-    return st.one_of(st.sampled_from(edges),
+    edges = [x for x in (*EDGE_FLOATS, *inner) if _admits(x, schema)]
+    return st.one_of(st.sampled_from(edges), _integers(schema),
                      st.floats(min_value=low, max_value=high,
                                exclude_min=exclude_low and low is not None,
                                exclude_max=exclude_high and high is not None,

@@ -2,6 +2,7 @@
 the schemas, the rules between fields in ``parse_single``, and the shipped
 configs, which every rule admits."""
 
+import hashlib
 import importlib.util
 import math
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from skfnav import harness
-from skfnav.configio import load_config, parse_single, validate_config
+from skfnav.configio import config_to_dict, load_config, parse_single, validate_config
 from skfnav.constants import EARTH_RADIUS_FT
 from skfnav.exceptions import ConfigError
 
@@ -145,6 +146,20 @@ def test_shipped_config_loads_and_builds(path):
     else:
         scenario, cfg, _ = parse_single(data)
         assert scenario == data["scenario"] and cfg.n_steps == data["n_steps"]
+
+
+def test_shipped_config_hashes_are_unchanged():
+    # parse_single makes every number a float, which changes the hash of a
+    # config that writes one as an integer: no shipped config does.  This is
+    # the digest of every shipped config's and sweep cell's hash from before.
+    lines = []
+    for path in CONFIGS:
+        data = load_config(path)
+        cells = harness.sweep_from_dict(data).cell_configs() if "axes" in data else [data]
+        lines += [f"{path.stem} {harness.config_hash(config_to_dict(*parse_single(cell)))}"
+                  for cell in cells]
+    assert len(lines) == 320
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "8116d3eb3a6d38e2"
 
 
 def test_make_configs_reproduces_the_shipped_configs(tmp_path, monkeypatch):

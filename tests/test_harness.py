@@ -374,6 +374,30 @@ class TestSweep:
         # OverflowError and aborted a sweep
         self.assert_rejected_at_load(scenario, base, error, tmp_path)
 
+    @pytest.mark.parametrize("scenario, base, error", [
+        ("balloon", {"q_x": 10**400}, "balloon config: q_x: integer too large for a float"),
+        ("shuttle", {"init_state": [1.5e5, 0.93, 0.32, 10**400, -0.006, 0.8, 0.6, 0.2, 0.65]},
+         "shuttle config: init_state[3]: integer too large for a float"),
+    ], ids=["q_x", "speed"])
+    def test_integer_too_large_for_a_float_is_rejected_at_load(self, scenario, base, error,
+                                                              tmp_path):
+        # JSON allows an integer where the schema says number; these escaped
+        # execute_case as TypeError (numpy's sqrt of a Python int) and
+        # OverflowError (float(x))
+        self.assert_rejected_at_load(scenario, base, error, tmp_path)
+
+    def test_integer_number_runs_as_its_float(self):
+        # dt 2**64 escaped execute_case as OverflowError in np.arange(n + 1) * dt
+        base = {"n_steps": 5, "true_switch_step": None}
+        record = harness.execute_case({"scenario": "balloon", **base, "dt": 2**64})[0]
+        as_float = harness.execute_case({"scenario": "balloon", **base, "dt": 2.0**64})[0]
+        assert record.config["dt"] == 2.0**64 and type(record.config["dt"]) is float
+        assert harness.record_row(record) == harness.record_row(as_float)
+        grid = harness.sweep_from_dict({"scenario": "balloon", "base": {**base, "dt": 2**64},
+                                        "axes": {"A": [0.0, 10.0]}, "seeds": 1})
+        records = harness.run_sweep(grid, threads=1)
+        assert [(r.status, r.config["dt"]) for r in records] == [("ok", 2.0**64)] * 2
+
     def test_diverging_reference_is_an_error_record(self):
         # an initial speed of 3e154 drives the reference to NaN
         init = [1.5e5, 0.93, 0.32, 3e154, -0.006, 0.8, 0.6, 0.2, 0.65]

@@ -27,7 +27,7 @@ def step(state, f_b, omega_b, dt):
 
 def rotation(phi, theta, psi):
     """The kernel's body-to-inertial rotation matrix."""
-    return np.array(kernels.attitude_entries(phi, theta, psi)).reshape(3, 3)
+    return np.array(kernels.rotation_entries(*kernels.angle_trig(phi, theta, psi))).reshape(3, 3)
 
 
 def kernel_attitude(state, omega_meas, dt):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,11 +85,12 @@ def test_float_path_returns_python_floats():
     floats = pure.strapdown_columns(row[:9].tolist(), row[9:12].tolist(), row[12:].tolist(),
                                     f, w, 1.4)
     assert all(type(x) is float for x in floats)
-    assert all(type(x) is float for x in pure.attitude_entries(*row[6:9].tolist()))
+    trig = pure.angle_trig(*row[6:9].tolist())
+    assert all(type(x) is float for x in (*trig, *pure.rotation_entries(*trig)))
     # numpy scalars in give floats out (no 0-d arrays), with the same bits
     scalars = pure.strapdown_columns(list(row[:9]), list(row[9:12]), list(row[12:]),
                                      list(np.array(f)), list(np.array(w)), 1.4)
-    entries = pure.attitude_entries(*row[6:9])
+    entries = pure.rotation_entries(*pure.angle_trig(*row[6:9]))
     assert all(isinstance(x, float) for x in (*scalars, *entries))
     assert np.array(scalars).tobytes() == np.array(floats).tobytes()
 
@@ -135,6 +138,60 @@ def test_columns_on_floats_match_batch_rows(n):
     assert batch[n, 3] == 0.0  # the motionless row stays motionless
     for i in range(len(states)):
         assert columns_on_floats(states[i], f, w, 1.4).tobytes() == batch[i].tobytes(), i
+
+
+def halves_rows(n):
+    """``test_columns_on_floats_match_batch_rows``'s rows at ``n`` random
+    states, with its IMU sample."""
+    states = random_states(n, 5)
+    states[::7, 8] = np.pi - 1e-4  # some yaws wrap past pi
+    f = np.array([-5.0, 2.0, -31.0])
+    w = np.array([1e-3, -2e-3, 5e-4]) * 50
+    return np.vstack([states, edge_rows(f, w)]), f, w
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_each_half_on_floats_matches_a_column_row():
+    states, f, w = halves_rows(49)
+    cols = states.T
+    trig = pure.angle_trig(*cols[6:9])
+    angles, trig_new = pure.attitude_half(cols[6:9], trig, cols[12:15], w, 1.4)
+    c = [a + b for a, b in zip(pure.rotation_entries(*trig), pure.rotation_entries(*trig_new))]
+    position, cos_L = pure.translation_half(cols[:6], c, np.cos(cols[1]), cols[9:12], f, 1.4)
+    assert np.signbit(states[-1, 8])  # the -0.0 yaw, with +-pi and +-2pi before it
+    for i, row in enumerate(states.tolist()):
+        row_trig = pure.angle_trig(*row[6:9])
+        assert bits(row_trig) == bits([x[i] for x in trig]), i
+        row_angles, row_trig_new = pure.attitude_half(row[6:9], row_trig, row[12:15],
+                                                      w.tolist(), 1.4)
+        assert all(type(x) is float for x in (*row_angles, *row_trig_new))
+        assert bits(row_angles) == bits([x[i] for x in angles]), i
+        assert bits(row_trig_new) == bits([x[i] for x in trig_new]), i
+        row_position, row_cos_L = pure.translation_half(
+            row[:6], np.array(c)[:, i].tolist(), float(np.cos(row[1])), row[9:12], f.tolist(),
+            1.4)
+        assert all(type(x) is float for x in (*row_position, row_cos_L))
+        assert bits(row_position) == bits([x[i] for x in position]), i
+        assert bits([row_cos_L]) == bits([cos_L[i]]), i
+
+
+def test_halves_in_a_row_keep_the_kernel_bits():
+    # the digest of strapdown_batch on these rows when the body was one
+    # function, before it was split into its halves
+    states, f, w = halves_rows(490)
+    batch = pure.strapdown_batch(states, f, w, 1.4)
+    assert hashlib.sha256(batch.tobytes()).hexdigest()[:16] == "eeb059e855158846"
+    for i, row in enumerate(states.tolist()):
+        trig = pure.angle_trig(*row[6:9])
+        angles, trig_new = pure.attitude_half(row[6:9], trig, row[12:15], w.tolist(), 1.4)
+        c = [a + b for a, b in zip(pure.rotation_entries(*trig),
+                                   pure.rotation_entries(*trig_new))]
+        position, _ = pure.translation_half(row[:6], c, float(np.cos(row[1])), row[9:12],
+                                            f.tolist(), 1.4)
+        assert bits([*position, *angles]) == batch[i, :9].tobytes(), i
 
 
 def test_flight_path_angle_is_plus_zero_where_speed_is_not_positive():

@@ -1,11 +1,13 @@
+import hashlib
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from skfnav import kernels
+from skfnav import harness, kernels
 from skfnav.biasmodels import BiasSpec
-from skfnav.constants import EARTH_RADIUS_FT, GRAV_PARAM
+from skfnav.constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD
 from skfnav.exceptions import (
     ConfigError,
     DynamicsDivergedError,
@@ -23,7 +25,9 @@ from skfnav.scenarios.fields import (
     load_field_csv,
 )
 from skfnav.scenarios.shuttle import (
+    _CHUNK,
     SCALING_FACTORS,
+    ReferenceTrajectory,
     ShuttleConfig,
     ShuttleTruth,
     _command_accel,
@@ -447,7 +451,7 @@ def reference_oracle(cfg: ShuttleConfig):
     for k in range(cfg.n_steps):
         for sub in range(cfg.oversample):
             t = (k * cfg.oversample + sub) * dt_f
-            C = np.array(kernels.attitude_entries(*state[6:9])).reshape(3, 3)
+            C = np.array(kernels.rotation_entries(*kernels.angle_trig(*state[6:9]))).reshape(3, 3)
             gravity = np.array([0.0, 0.0, GRAV_PARAM / (EARTH_RADIUS_FT + state[0]) ** 2])
             f_b = C.T @ (_command_accel(t) - gravity)
             omega_b = _command_rates(t)
@@ -520,3 +524,109 @@ class TestReferenceEquivalence:
         for build in (reference_oracle, generate_reference):
             with pytest.raises(DynamicsDivergedError, match="finite"):
                 build(cfg)
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()[:16]
+
+
+def with_init(**entries) -> list:
+    """The default ``init_state`` with entries replaced by index (``i7=...``)."""
+    init = list(DEFAULT_INIT)
+    for key, value in entries.items():
+        init[int(key[1:])] = value
+    return init
+
+
+NEAR_GUARD = dict(i6=0.0, i7=PITCH_GUARD - 1e-5)  # level roll, pitch 1e-5 short of the guard
+
+
+class TestReferenceChunks:
+    """The reference and its re-integration run in chunks of substeps, with
+    the attitude passes ahead of the translation; the arrays and the errors
+    are those of one kernel call per substep."""
+
+    # sha256 prefixes of (times, states, imu_true) and of the re-integration,
+    # taken when every substep called the whole kernel
+    @pytest.mark.parametrize("overrides, reference, inertial", [
+        (dict(n_steps=80, oversample=1), "08bdc523b9830ba2", "a1ce9b20fc11c621"),
+        (dict(n_steps=80, oversample=3), "e9985de825f2ae21", "6d354d16c1bad80a"),
+        # 560 substeps: a chunk and a part
+        (dict(n_steps=80, oversample=7), "85b5e5cf9d477cab", "4e5bb35f7d36c0de"),
+        (dict(n_steps=512, oversample=1), "6e6be99686217777", "52ea64a06d00d1a9"),
+        (dict(n_steps=1100, oversample=1), "9b57e57199332cf9", "00cb8f0003b30b54"),
+        (dict(), "cb18bed1866a2cd4", "6e56f3e422b0af17"),
+        (dict(n_steps=60, oversample=7, init_state=WRAPPING_INIT),
+         "cea5ec271c8c12fb", "ea0f2e691787b873"),
+    ], ids=["oversample-1", "oversample-3", "oversample-7", "one-chunk", "three-chunks",
+            "default", "yaw-wraps"])
+    def test_arrays_keep_their_digests(self, overrides, reference, inertial):
+        assert _CHUNK == 512
+        cfg = ShuttleConfig(true_switch_step=None, **overrides)
+        ref = generate_reference(cfg)
+        assert digest(ref.times, ref.states, ref.imu_true) == reference
+        assert digest(integrate_imu(ref.states[0], ref.imu_true, cfg.dt)) == inertial
+
+    PITCH = "GimbalLockError: pitch at Euler-rate singularity"
+    PITCH_AFTER = "GimbalLockError: pitch at Euler-rate singularity after update"
+    POLAR = "PolarSingularityError: position angle at polar singularity"
+    IMU = "DynamicsDivergedError: reference diverged: IMU sample must be finite"
+    INERTIAL = "DynamicsDivergedError: reference diverged: inertial state must be finite"
+
+    # (init_state, error through the generated reference, error through a
+    # file that starts at init_state), each taken when every substep called
+    # the whole kernel
+    @pytest.mark.parametrize("init, generated, from_file", [
+        (with_init(i7=np.pi / 2), PITCH, PITCH),
+        (with_init(**NEAR_GUARD), PITCH_AFTER, PITCH_AFTER),
+        (with_init(i1=np.pi / 2), POLAR, POLAR),
+        (with_init(i1=np.pi / 2, **NEAR_GUARD), POLAR, POLAR),
+        (with_init(i3=3e154), IMU, INERTIAL),
+    ], ids=["pitch-at-start", "pitch-after-update", "pole", "pole-then-pitch", "imu"])
+    def test_guard_errors_keep_their_text(self, init, generated, from_file, tmp_path):
+        base = {"scenario": "shuttle", "n_steps": 120, "true_switch_step": None}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for oversample in (1, 7):
+                data = {**base, "oversample": oversample, "init_state": init}
+                assert harness.execute_case(data)[0].error == generated, oversample
+            ref = generate_reference(ShuttleConfig(n_steps=120, true_switch_step=None))
+            states = ref.states.copy()
+            states[0, :9] = init
+            path = tmp_path / "reference.csv"
+            save_reference_csv(path, ReferenceTrajectory(ref.times, states, ref.imu_true))
+            data = {**base, "reference_path": str(path)}
+            assert harness.execute_case(data)[0].error == from_file
+
+    def test_pitch_guard_trips_before_a_later_non_finite_imu_sample(self):
+        # the pitch trips at step 2 and the IMU sample turns NaN at step 3
+        data = {"scenario": "shuttle", "n_steps": 20, "oversample": 1,
+                "true_switch_step": None, "init_state": with_init(i3=3e154, **NEAR_GUARD)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert harness.execute_case(data)[0].error == self.PITCH_AFTER
+
+    def test_pitch_guard_trips_in_a_later_chunk_after_nan_specific_force(self, tmp_path):
+        # a level roll under a pure pitch rate turns the pitch linearly onto
+        # the guard at step 701, in the second chunk; a NaN specific force from
+        # step 300 on raises nothing before it
+        n, dt = 1100, 1.4
+        states = np.zeros((n + 1, 15))
+        states[0, :9] = with_init(i6=0.0)
+        imu = np.zeros((n, 6))
+        imu[:, 2] = -32.0
+        imu[:, 4] = (PITCH_GUARD - DEFAULT_INIT[7]) / (700.5 * dt)
+        integrate_imu(states[0], imu[:700], dt)  # no guard trips in the first 700 steps
+        with pytest.raises(GimbalLockError, match="after update"):
+            integrate_imu(states[0], imu, dt)
+        imu[300:, 0] = np.nan
+        path = tmp_path / "reference.csv"
+        save_reference_csv(path, ReferenceTrajectory(np.arange(n + 1) * dt, states, imu))
+        data = {"scenario": "shuttle", "n_steps": n, "true_switch_step": None,
+                "reference_path": str(path)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert harness.execute_case(data)[0].error == self.PITCH_AFTER

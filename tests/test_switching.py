@@ -9,6 +9,7 @@ from skfnav.configio import load_config, parse_single
 from skfnav.exceptions import (
     ConfigError,
     CovarianceError,
+    DynamicsDivergedError,
     SingularInnovationError,
     SkfnavError,
 )
@@ -268,12 +269,98 @@ class TestStepping:
         )
         for y in ([0.31, -0.19], [0.33, -0.18], [0.36, -0.17]):
             filt.step(np.array(y))
-        assert calls[::2] == [(11, 2), (22, 2), (33, 2)]
+        # the row spawned at the step before takes row 0's prediction
+        assert calls[::2] == [(11, 2), (11, 2), (22, 2)]
         for rows, out in propagated:
             assert np.array_equal(out[:, :2], rows[:, :2] + 0.1 * np.sin(rows[:, :2]))
             assert np.array_equal(out[:, 2:], rows[:, 2:])
         # including a centre row whose theta has moved off the zero prior mean
-        assert np.abs(propagated[-1][0].reshape(3, 11, 5)[1, 0, 2:]).min() > 0.0
+        assert np.abs(propagated[-1][0].reshape(2, 11, 5)[1, 0, 2:]).min() > 0.0
+
+    @staticmethod
+    def twin_filter(calls, delta=1):
+        def dynamics(pts, k):
+            calls.append((k, len(pts)))
+            return pts + 0.1 * np.sin(pts)
+
+        return SwitchingFilter(
+            dynamics=dynamics, observed=np.array([0, 1]), d_theta=3,
+            Q_x=1e-4 * np.eye(2), q_p=1e-4, R=1e-4 * np.eye(2),
+            x0=np.array([0.3, -0.2]), C0=0.1 * np.eye(2), dt=0.1, delta=delta,
+        )
+
+    def test_a_fresh_branch_takes_the_nominal_prediction(self):
+        # fixes every second step: the row spawned at an epoch holds row 0's
+        # bytes through the next epoch's predict and is left out of the
+        # predicts of both steps
+        calls = []
+        filt = self.twin_filter(calls, delta=2)
+        twins = []
+        for k in range(1, 8):
+            filt.step(None if k % 2 else np.array([0.3 + 0.01 * k, -0.2]))
+            bank = filt.bank
+            twins.append([bank.s_index[row] for row in range(1, len(bank))
+                          if bank.mean[row].tobytes() == bank.mean[0].tobytes()
+                          and bank.cov[row].tobytes() == bank.cov[0].tobytes()])
+        assert twins == [[], [2], [2], [4], [4], [6], [6]]
+        assert filt.bank.s_index == [0, 2, 4, 6]
+        # 11 sigma points a row
+        assert [n // 11 for _, n in calls] == [1, 1, 1, 1, 2, 2, 3]
+
+    def test_a_skipped_epoch_predicts_the_fresh_branch_in_the_stack(self):
+        # a NaN fix at step 2 leaves the row spawned at step 1 un-updated, and
+        # so still row 0's bytes, but it no longer counts as a twin: it is
+        # predicted with row 0, to the same bytes
+        calls = []
+        filt = self.twin_filter(calls)
+        for y in ([0.31, -0.19], [np.nan, 0.0], None):
+            filt.step(None if y is None else np.array(y))
+        bank = filt.bank
+        assert bank.s_index == [0, 1]
+        assert bank.mean[1].tobytes() == bank.mean[0].tobytes()
+        assert bank.cov[1].tobytes() == bank.cov[0].tobytes()
+        assert [n // 11 for _, n in calls] == [1, 1, 2]
+
+    def test_twin_prediction_equals_predicting_the_row(self, monkeypatch):
+        import skfnav.switching as switching
+
+        runs = []
+        for twin in (switching.Bank.twin, lambda bank, since: False):
+            monkeypatch.setattr(switching.Bank, "twin", twin)
+            filt = self.twin_filter([])
+            rng = np.random.default_rng(2)
+            for _ in range(12):
+                filt.step(0.3 + 0.01 * rng.standard_normal(2))
+            runs.append(filt.bank)
+        ours, stacked = runs
+        assert ours.s_index == stacked.s_index and len(ours) == 10
+        for name in ("mean", "cov", "log_lik"):
+            assert getattr(ours, name).tobytes() == getattr(stacked, name).tobytes(), name
+        for mine, theirs in zip(ours.snapshots, stacked.snapshots):
+            assert pickle.dumps(mine) == pickle.dumps(theirs)
+
+    def test_the_twin_of_a_nominal_that_freezes_freezes_with_its_cause(self):
+        calls = []
+
+        def dynamics(pts, k):
+            calls.append((k, len(pts)))
+            return pts * np.nan if k == 2 else pts
+
+        filt = SwitchingFilter(
+            dynamics=dynamics, observed=np.array([0]), d_theta=3,
+            Q_x=1e-4 * np.eye(1), q_p=1e-4, R=np.array([[1e-4]]),
+            x0=np.array([0.0]), C0=np.eye(1), dt=0.1,
+        )
+        filt.step(np.array([0.0]))  # spawns onset 1
+        diag = filt.step(np.array([0.0]))
+        bank = filt.bank
+        assert bank.s_index == [0, 1]
+        assert bank.cause == [DynamicsDivergedError] * 2
+        assert diag.frozen == (0, 1) and diag.frozen_causes == (DynamicsDivergedError,) * 2
+        assert bank.mean[1].tobytes() == bank.mean[0].tobytes()
+        assert bank.cov[1].tobytes() == bank.cov[0].tobytes()
+        # row 0 as the stack, then row 0 alone: the twin is never predicted
+        assert [n for k, n in calls if k == 2] == [9, 9]
 
     def test_non_finite_fix_is_a_skipped_epoch(self):
         filt = random_walk_filter()
