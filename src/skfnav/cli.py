@@ -82,9 +82,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     data = load_config(args.config)
-    if "axes" not in data:
-        raise ConfigError("sweep command needs a sweep config (with axes)")
-    if args.capacity is not None:
+    # a single config is left as it is, for sweep_from_dict to reject
+    if args.capacity is not None and "axes" in data:
         data.setdefault("base", {})["capacity"] = args.capacity
     grid = harness.sweep_from_dict(data)
     records, target = harness.run_sweep_to_dir(grid, args.out, threads=args.threads)

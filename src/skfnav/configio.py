@@ -1,7 +1,9 @@
 """Config-file loading, validation, and dataclass construction: the one home
 of the config rules.  Bounds on one value are in the schemas, which
-``validate_config`` checks; rules between fields are in ``parse_single``.
-The config dataclasses and ``BiasSpec`` check nothing."""
+``validate_config`` checks; rules between fields are in ``parse_single``,
+and the sweep's one rule between its own fields in ``validate_config``.
+The config dataclasses, ``BiasSpec`` and ``harness.SweepGrid`` check
+nothing."""
 
 from __future__ import annotations
 
@@ -205,6 +207,8 @@ def validate_config(data: dict) -> str:
         base = dict(data.get("base", {}))
         base["scenario"] = data["scenario"]
         validate_config(base)
+        if data.get("q_x_over_r") is not None and "r" not in base and "r" not in data["axes"]:
+            raise ConfigError("q_x_over_r needs a measurement-noise value (axis or base)")
         return "sweep"
     scenario = data.get("scenario")
     if scenario == "balloon":

@@ -213,7 +213,8 @@ def _run_filter(filt, measurements: dict, cfg, checkpoint: Optional[Path]) -> No
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian sweep over noise/corruption axes, replicated over seeds."""
+    """Cartesian sweep over noise/corruption axes, replicated over seeds: a
+    plain record, checked by ``sweep_from_dict``, which builds it."""
 
     scenario: str
     base: dict
@@ -222,25 +223,6 @@ class SweepGrid:
     q_x_over_r: Optional[float] = None
     success_includes_yellow: bool = False
     name: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ConfigError("sweep needs at least one axis")
-        for axis in self.axes:
-            if axis not in AXIS_ORDER:
-                raise ConfigError(f"unknown sweep axis {axis!r}")
-        if not self.seeds:
-            raise ConfigError("sweep needs at least one seed")
-        if any(seed < 0 for seed in self.seeds):
-            raise ConfigError(f"sweep seeds must be non-negative, got {list(self.seeds)}")
-        # every cell is checked and built here, so that no run starts on a
-        # sweep whose cells would fail before simulating
-        for values, cell in self._cells():
-            try:
-                validate_config(cell)
-                parse_single(cell)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep cell {values}: {exc}") from exc
 
     def cell_configs(self) -> list[dict]:
         return [cell for _, cell in self._cells()]
@@ -261,15 +243,14 @@ class SweepGrid:
             if any(a in names for a in ("A", "B", "C")):
                 data["bias"] = bias
             if self.q_x_over_r is not None:
-                if "r" not in data:
-                    raise ConfigError(
-                        "q_x_over_r needs a measurement-noise value (axis or base)"
-                    )
                 data["q_x"] = data["r"] / self.q_x_over_r
             yield ", ".join(f"{a}={v!r}" for a, v in zip(names, combo)), data
 
 
 def sweep_from_dict(data: dict) -> SweepGrid:
+    """The sweep of a sweep config dict.  Every cell is checked and built
+    here, so that no run starts on a sweep whose cells would fail before
+    simulating; a cell's error names its axis values."""
     validate_config(data)
     if "axes" not in data:
         raise ConfigError("not a sweep config (no axes)")
@@ -278,7 +259,7 @@ def sweep_from_dict(data: dict) -> SweepGrid:
         seeds = tuple(range(seeds))
     else:
         seeds = tuple(int(s) for s in seeds)
-    return SweepGrid(
+    grid = SweepGrid(
         scenario=data["scenario"],
         base=dict(data.get("base", {})),
         axes={k: list(v) for k, v in data["axes"].items()},
@@ -287,6 +268,13 @@ def sweep_from_dict(data: dict) -> SweepGrid:
         success_includes_yellow=data.get("success_includes_yellow", False),
         name=data.get("name"),
     )
+    for values, cell in grid._cells():
+        try:
+            validate_config(cell)
+            parse_single(cell)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep cell {values}: {exc}") from exc
+    return grid
 
 
 def resolve_threads() -> int:
@@ -495,16 +483,21 @@ def record_row(record: RunRecord) -> dict:
     return row
 
 
+def _write_table(path, fields: list[str], rows) -> None:
+    """Write ``rows`` (dicts) under the header ``fields``, each cell as its
+    ``fmt`` text; a row's keys outside ``fields`` are left out."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows({k: fmt(v) for k, v in row.items()} for row in rows)
+
+
 def write_records_csv(path, records: list[RunRecord]) -> None:
     if not records:
         raise ConfigError("no records to write")
     state_names = RMSE_STATES[records[0].scenario]
     fields = _CSV_FIELDS + [f"rmse_{s}" for s in state_names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for record in records:
-            writer.writerow({k: fmt(v) for k, v in record_row(record).items()})
+    _write_table(path, fields, map(record_row, records))
 
 
 def read_records_csv(path) -> list[dict]:
@@ -515,11 +508,7 @@ def read_records_csv(path) -> list[dict]:
 def write_aggregates_csv(path, rows: list[dict]) -> None:
     if not rows:
         raise ConfigError("no aggregate rows to write")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: fmt(v) for k, v in row.items()})
+    _write_table(path, list(rows[0]), rows)
 
 
 def plot_documents(grid: SweepGrid, records: list[RunRecord]) -> dict[str, dict]:
@@ -598,16 +587,8 @@ _TABLE_FIELDS = [
 
 def write_summary_table(path, rows: list[dict]) -> None:
     """Per-test table: one row per record, setup columns then results."""
-    if not rows:
-        raise ConfigError("no records selected for the summary table")
-    fields = _TABLE_FIELDS + [
-        key for key in rows[0] if key.startswith("rmse_")
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for i, row in enumerate(rows, start=1):
-            writer.writerow({"test": i, **{k: fmt(v) for k, v in row.items()}})
+    fields = _TABLE_FIELDS + [key for key in rows[0] if key.startswith("rmse_")]
+    _write_table(path, fields, ({"test": i, **row} for i, row in enumerate(rows, start=1)))
 
 
 def _parse_cell(text: str):

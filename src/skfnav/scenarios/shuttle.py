@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import kernels
 from ..biasmodels import BiasSpec, gated_offsets
-from ..constants import EARTH_RADIUS_FT, GRAV_PARAM, PITCH_GUARD
+from ..constants import EARTH_RADIUS_FT, GRAV_PARAM
 from ..exceptions import ConfigError, DynamicsDivergedError, GimbalLockError
 from ..switching import SwitchingFilter
 
@@ -173,8 +173,6 @@ def generate_reference(cfg: ShuttleConfig) -> ReferenceTrajectory:
     """
     dt_f = cfg.dt / cfg.oversample
     nav = [float(x) for x in cfg.init_state]
-    if abs(nav[7]) >= PITCH_GUARD:
-        raise GimbalLockError("pitch at Euler-rate singularity")
     zeros = [0.0, 0.0, 0.0]  # the biases, which pass through every step
     states = np.zeros((cfg.n_steps + 1, 15))
     states[0, :9] = nav

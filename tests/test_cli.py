@@ -136,10 +136,16 @@ def test_report_without_records(tmp_path):
      "sweep cell r=-1.0: shuttle config: r: -1.0 is less than the minimum of 0"),
     ({"base": {"n_steps": 20, "true_switch_step": 50}, "axes": {"r": [1e-6]}},
      "sweep cell r=1e-06: switch index 50 outside [0, 20]"),
-], ids=["negative-axis-value", "onset-past-the-run"])
+    ({"base": {"n_steps": 20, "true_switch_step": 10}, "axes": {"A": [0.0, 1.0]},
+      "q_x_over_r": 100.0},
+     "q_x_over_r needs a measurement-noise value (axis or base)"),
+], ids=["negative-axis-value", "onset-past-the-run", "q-x-over-r-without-r"])
 def test_sweep_with_a_bad_cell_is_rejected_before_any_run(tmp_path, caplog, sweep, message):
+    sweep = {"scenario": "shuttle", "seeds": 1, **sweep}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        harness.sweep_from_dict(sweep)
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"scenario": "shuttle", "seeds": 1, **sweep}))
+    path.write_text(json.dumps(sweep))
     out = tmp_path / "runs"
     assert main(["--quiet", "validate-config", "--config", str(path)]) == 2
     assert main(["--quiet", "sweep", "--config", str(path), "--out", str(out),
@@ -147,6 +153,16 @@ def test_sweep_with_a_bad_cell_is_rejected_before_any_run(tmp_path, caplog, swee
     assert not out.exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"config error: {message}"] * 2
+
+
+@pytest.mark.parametrize("options", [[], ["--branches", "4"]], ids=["plain", "branches"])
+def test_sweep_of_a_single_config_is_rejected(tmp_path, caplog, balloon_cfg, options):
+    out = tmp_path / "runs"
+    assert main(["--quiet", "sweep", "--config", str(balloon_cfg), "--out", str(out),
+                 *options]) == 2
+    assert not out.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["config error: not a sweep config (no axes)"]
 
 
 def test_single_config_that_cannot_be_built_is_rejected(tmp_path, caplog):

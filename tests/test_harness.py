@@ -237,6 +237,12 @@ class TestSweep:
         for cell in grid.cell_configs():
             assert cell["q_x"] == pytest.approx(cell["r"] / 100.0)
 
+    def test_q_x_link_to_an_r_in_the_base(self):
+        sweep = self.sweep_dict(axes={"A": [0.0, 0.2]}, q_x_over_r=100.0)
+        sweep["base"]["r"] = 1e-4
+        cells = harness.sweep_from_dict(sweep).cell_configs()
+        assert [cell["q_x"] for cell in cells] == [1e-4 / 100.0] * 2
+
     def test_aggregate_matches_bruteforce(self):
         grid = harness.sweep_from_dict(self.sweep_dict())
         records = harness.run_sweep(grid, threads=1)
@@ -277,11 +283,48 @@ class TestSweep:
                         empty += 1
         assert len(rates) == 6 and empty == 2
 
-    def test_negative_seed_is_a_config_error(self):
-        sweep = self.sweep_dict()
-        with pytest.raises(ConfigError, match="seeds must be non-negative"):
-            harness.SweepGrid(scenario="balloon", base=sweep["base"], axes=sweep["axes"],
-                              seeds=(0, -1))
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seeds": [0, -1]}, "sweep config: seeds[1]: -1 is less than the minimum of 0"),
+        ({"axes": {}}, "sweep config: axes: {} should be non-empty"),
+        ({"axes": {"D": [1.0]}},
+         "sweep config: axes: Additional properties are not allowed ('D' was unexpected)"),
+        ({"seeds": []}, "sweep config: seeds: [] should be non-empty"),
+        ({"seeds": 0}, "sweep config: seeds: 0 is less than the minimum of 1"),
+    ], ids=["negative-seed", "no-axes", "unknown-axis", "empty-seed-list", "zero-seeds"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, overrides, message):
+        # the sweep schema's bounds, which SweepGrid, a plain record, does not check
+        sweep = self.sweep_dict(**overrides)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.sweep_from_dict(sweep)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        out = tmp_path / "runs"
+        assert main(["--quiet", "sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_success_includes_yellow_counts_a_yellow_record(self, tmp_path, monkeypatch):
+        base = self.sweep_dict()["base"]
+        outcomes = {0.0: (GREEN, YELLOW), 0.2: (RED, YELLOW)}
+        records = [
+            harness.RunRecord(scenario="balloon", config_hash="cell", seed=seed,
+                              config={**base, "scenario": "balloon", "r": 1e-6,
+                                      "bias": {"kind": "quadratic", "A": value}},
+                              outcome=outcome, rmse={"lon": 0.1, "lat": 0.2})
+            for value, pair in outcomes.items() for seed, outcome in enumerate(pair)
+        ]
+        # per A value: its one q_p level, then pooled over levels
+        for include, wins in ((False, [1, 1, 0, 0]), (True, [2, 2, 1, 1])):
+            grid = harness.sweep_from_dict(self.sweep_dict(
+                axes={"A": list(outcomes)}, success_includes_yellow=include))
+            assert [row["successes"] for row in harness.aggregate(grid, records)] == wins
+            series = harness.plot_documents(grid, records)["success_rate_A"]["series"]
+            assert [s["y"] for s in series] == [[wins[0] / 2, wins[2] / 2]]
+        monkeypatch.setattr(harness, "run_sweep", lambda grid, threads=None: records)
+        _, target = harness.run_sweep_to_dir(grid, tmp_path)
+        echo = json.loads((target / "sweep_config.json").read_text())
+        assert echo["success_includes_yellow"] is True
+        with open(target / "aggregates.csv", newline="") as fh:
+            assert [row["successes"] for row in csv.DictReader(fh)] == ["2", "2", "1", "1"]
 
     def test_non_finite_axis_value_is_a_config_error(self):
         with pytest.raises(ConfigError, match="must be finite"):
