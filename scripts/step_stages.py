@@ -8,11 +8,19 @@ working tree's side by side in one process, and runs the filter loop of
 ``table3_test3`` (balloon, 500 steps) and of ``table5_test1`` (shuttle, 600
 steps) on each, in pairs whose first side alternates (``--rounds`` balloon
 pairs, half as many shuttle pairs).  It prints, parent -> working tree, the
-median microseconds per step of each stage: ``predict`` (the sigma points,
-the scenario dynamics and the moments), ``update`` (the scored update),
-``history`` (``Bank.record``), ``drop/prune/spawn`` and ``glue`` (the rest
+median microseconds per step of each stage's own time, that of the stages
+it calls excluded: ``predict`` (the sigma points, the scenario dynamics and
+the moments), ``update`` (the scored update), ``basis`` (the epoch's
+observation maps: ``SwitchingFilter._observation_maps`` where it exists,
+and ``write_offset_basis``), ``dispatch`` (``_run_live`` and the row
+closures through which it calls ``predict`` and ``update``), ``history`` (``Bank.record``), ``drop/prune/spawn``,
+``diagnostics`` (building the ``StepDiagnostics``) and ``glue`` (the rest
 of ``SwitchingFilter.step``), with the pairs in which the whole step was
-faster.  Only the filter loop is timed: no truth, reference or output.  The
+faster.  A stage whose function a revision lacks reads 0 there, and code
+that a revision's step runs inline counts in its ``glue`` (a step that
+computes its taus before calling ``write_offset_basis`` has that part of
+``basis`` there).  Only the filter loop is timed: no truth, reference or
+output.  The
 ``reference`` case then times the shuttle's noiseless run on its own:
 ``generate_reference`` and ``integrate_imu`` on ``table5_test1``'s config
 (600 steps, oversample 7), ``--rounds`` alternating pairs, in median
@@ -48,15 +56,23 @@ def load(src: Path) -> dict:
 class Side:
     """One package's filter loops, with its stage functions timed."""
 
+    STAGES = ("predict", "update", "basis", "dispatch", "history", "drop/prune/spawn",
+              "diagnostics")
+
     def __init__(self, mods: dict):
-        self.spent: dict[str, float] = {}
+        self.spent = dict.fromkeys(self.STAGES, 0.0)
+        self._inner = 0.0  # time spent so far in timed calls under the current one
         sw = mods["switching"]
         for owner, name, stage in (
             (sw, "predict", "predict"), (sw, "linear_update", "update"),
-            (sw.Bank, "record", "history"), (sw.Bank, "drop", "drop/prune/spawn"),
-            (sw.Bank, "spawn", "drop/prune/spawn"), (sw, "prune", "drop/prune/spawn"),
+            (sw, "write_offset_basis", "basis"),
+            (sw.SwitchingFilter, "_observation_maps", "basis"),
+            (sw, "_run_live", "dispatch"), (sw.Bank, "record", "history"),
+            (sw.Bank, "drop", "drop/prune/spawn"), (sw.Bank, "spawn", "drop/prune/spawn"),
+            (sw, "prune", "drop/prune/spawn"), (sw, "StepDiagnostics", "diagnostics"),
         ):
-            setattr(owner, name, self._timed(getattr(owner, name), stage))
+            if hasattr(owner, name):
+                setattr(owner, name, self._timed(getattr(owner, name), stage))
         parse = mods["harness"].parse_single
         load_config = mods["configio"].load_config
         balloon, shuttle = mods["scenarios.balloon"], mods["scenarios.shuttle"]
@@ -73,19 +89,24 @@ class Side:
         }
 
     def _timed(self, fn, stage):
+        """``fn``, adding its own time to ``stage``: its whole time less that
+        of the timed calls that it makes."""
         def timed(*args, **kwargs):
+            outer, self._inner = self._inner, 0.0
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.spent[stage] = self.spent.get(stage, 0.0) + time.perf_counter() - start
+                whole = time.perf_counter() - start
+                self.spent[stage] += whole - self._inner
+                self._inner = outer + whole
         return timed
 
     def run(self, case: str) -> dict[str, float]:
         """Microseconds per step of each stage in one run of ``case``."""
         build, measurements, n_steps = self.cases[case]
         filt = build()
-        self.spent.clear()
+        self.spent = dict.fromkeys(self.STAGES, 0.0)
         start = time.perf_counter()
         filt.run(measurements, n_steps)
         step = 1e6 * (time.perf_counter() - start) / n_steps

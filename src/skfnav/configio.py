@@ -126,6 +126,9 @@ SHUTTLE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the axes a sweep may vary, in the order its cells and aggregates enumerate them
+SWEEP_AXES = ("q_p", "r", "A", "B", "C")
+
 SWEEP_SCHEMA = {
     "type": "object",
     "required": ["scenario", "axes"],
@@ -137,7 +140,7 @@ SWEEP_SCHEMA = {
             "type": "object",
             "properties": {
                 name: {"type": "array", "items": {"type": "number"}, "minItems": 1}
-                for name in ("q_p", "r", "A", "B", "C")
+                for name in SWEEP_AXES
             },
             "additionalProperties": False,
             "minProperties": 1,

@@ -41,7 +41,8 @@ _EIG_FLOOR = -1e-9  # least eigenvalue that still counts as semi-definite
 
 def _lapack_errstate() -> np.errstate:
     """The error state ``numpy.linalg`` sets around its gufuncs, with the
-    ``invalid`` flag of a failed factorisation or solve raised."""
+    ``invalid`` flag of a failed factorisation or solve raised: a fresh one
+    for each use, as numpy cannot re-enter an ``errstate``."""
     return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 
@@ -152,19 +153,27 @@ def linear_update(
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != mu.shape[-1] or not np.isfinite(y).all():
         raise InvalidMeasurementError(f"measurement {y}: need {mu.shape[-1]} finite entries")
-    chol = _cholesky_innovation(D)
     resid = (y - mu)[..., None]
     try:
         with _lapack_errstate():
-            # K = cross D^{-1} via two solves with the factor, and the
-            # whitened residual
+            # the innovation factor, K = cross D^{-1} via two solves with it,
+            # and the whitened residual, under one error state
+            chol = _umath_linalg.cholesky_lo(D, signature="d->d")
             gain = _T(_solve(_T(chol), _solve(chol, _T(cross))))
             white = _solve(chol, resid)
     except FloatingPointError as exc:
         raise SingularInnovationError("innovation covariance singular") from exc
+    diag = chol.diagonal(axis1=-2, axis2=-1)
+    lo, hi = diag.min(axis=-1), diag.max(axis=-1)
+    # The checks run outside the error state: inside it, a factor whose
+    # diagonal is all infinite would raise on inf / inf, where the check has
+    # always let it through.  ``lo > 0.0`` is False for the NaN factor that
+    # a NaN in D gives without failing the factorisation.
+    if not (lo > 0.0).all() or ((hi / lo) ** 2 > 1e14).any():
+        raise SingularInnovationError("innovation covariance singular")
     mean = mean + (gain @ resid)[..., 0]
     cov = cov - gain @ D @ _T(gain)
-    log_det = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    log_det = 2.0 * np.log(diag).sum(axis=-1)
     log_lik = -log_det - (_T(white) @ white)[..., 0, 0]
     return mean, symmetrize(cov), log_lik
 
@@ -172,16 +181,3 @@ def linear_update(
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b, signature="dd->d")
 
-
-def _cholesky_innovation(D: np.ndarray) -> np.ndarray:
-    try:
-        with _lapack_errstate():
-            chol = _umath_linalg.cholesky_lo(D, signature="d->d")
-    except FloatingPointError as exc:
-        raise SingularInnovationError("innovation covariance singular") from exc
-    diag = chol.diagonal(axis1=-2, axis2=-1)
-    lo, hi = diag.min(axis=-1), diag.max(axis=-1)
-    # ``lo > 0.0`` is False for the NaN factor that a NaN in D gives
-    if not (lo > 0.0).all() or ((hi / lo) ** 2 > 1e14).any():
-        raise SingularInnovationError("innovation covariance singular")
-    return chol

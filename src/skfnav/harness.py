@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .configio import config_to_dict, parse_single, validate_config
+from .configio import SWEEP_AXES, config_to_dict, parse_single, validate_config
 from .exceptions import ConfigError, SkfnavError
 from .metrics import GREEN, YELLOW, classify, relative_rmse
 from .scenarios.balloon import build_balloon_filter, simulate_balloon
@@ -40,7 +40,6 @@ from .switching import reports_no_corruption
 
 log = logging.getLogger("skfnav")
 
-AXIS_ORDER = ("q_p", "r", "A", "B", "C")
 RMSE_STATES = {
     "balloon": ("lon", "lat"),
     "shuttle": STATE_LABELS,
@@ -229,7 +228,7 @@ class SweepGrid:
 
     def _cells(self):
         """Each cell's config with its axis values as text (``r=1e-06, A=0.0``)."""
-        names = [a for a in AXIS_ORDER if a in self.axes]
+        names = [a for a in SWEEP_AXES if a in self.axes]
         for combo in itertools.product(*(self.axes[a] for a in names)):
             data = dict(self.base)
             data["scenario"] = self.scenario
@@ -398,7 +397,7 @@ def _sweep_groups(grid: SweepGrid, records: list[RunRecord]):
     these groups, so their rates agree."""
     levels = sorted({rec.config["q_p"] for rec in records})
     groups = []
-    for axis in (a for a in AXIS_ORDER if a in grid.axes):
+    for axis in (a for a in SWEEP_AXES if a in grid.axes):
         cells = []
         for value in grid.axes[axis]:
             matching = [rec for rec in records if _axis_value(rec, axis) == value]

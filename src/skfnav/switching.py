@@ -107,8 +107,10 @@ class Bank:
         every corrupted row's onset is read, by the rows in the bank and by
         any later spawn, for its nominal row only, so it is replaced by one
         that holds that row alone."""
-        self.snapshots.append((self.mean.copy(), self.cov.diagonal(axis1=1, axis2=2).copy(),
-                               self.log_lik.tolist(), tuple(self.s_index)))
+        n = len(self.s_index)
+        self.snapshots.append((self._mean[:n].copy(),
+                               self._cov[:n].diagonal(axis1=1, axis2=2).copy(),
+                               self._log_lik[:n].tolist(), tuple(self.s_index)))
         oldest = min(self.s_index[1:], default=len(self.snapshots))
         for t in range(self._trimmed, oldest):
             mean, var, scores, onsets = self.snapshots[t]
@@ -141,7 +143,7 @@ class SwitchEstimate:
         return self.row == 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepDiagnostics:
     """Bookkeeping emitted by one filter step (for tests and reporting).
 
@@ -264,9 +266,11 @@ class SwitchingFilter:
         self.d_theta = d_theta
         self._offset_columns = offset_columns(self.observed.size, d_theta)
         # observation maps by bank row, written in place at each epoch: row 0,
-        # the nominal's, is the column selector, and every corrupted row gets
-        # its theta block at this epoch's tau from write_offset_basis
+        # the nominal's, is the column selector, and the corrupted rows' theta
+        # blocks are gathered by lag k - s from ``_phi_by_lag``
+        # (``_observation_maps``)
         self._H = np.repeat(np.eye(d_x + d_theta)[None, self.observed], capacity + 1, axis=0)
+        self._phi_by_lag = np.zeros((0, self.observed.size, d_theta))
         self.Q_aug = np.zeros((d_x + d_theta, d_x + d_theta))
         self.Q_aug[:d_x, :d_x] = Q_x
         self.Q_aug[d_x:, d_x:] = q_p * np.eye(d_theta)
@@ -283,9 +287,28 @@ class SwitchingFilter:
         self.k = 0
 
     # -- stepping ---------------------------------------------------------
+    def _observation_maps(self, n: int) -> np.ndarray:
+        """The observation maps of the first ``n`` bank rows at this step: the
+        nominal's column selector, then each corrupted row's with Phi at
+        ``tau = (k - s) dt``.  The Phi blocks are gathered by lag from a table
+        whose taus are ``np.arange(size) * dt``, the bits of ``(k - s) * dt``;
+        the table doubles when row 1's lag, the largest as the corrupted rows
+        are in spawn order, outgrows it."""
+        H = self._H[:n]
+        if n > 1:
+            lags = self.k - np.array(self.bank.s_index[1:n])
+            if lags[0] >= len(self._phi_by_lag):
+                size = max(2 * len(self._phi_by_lag), lags[0] + 1)
+                phi = np.zeros((size,) + self._phi_by_lag.shape[1:])
+                write_offset_basis(phi, self._offset_columns, np.arange(size) * self.dt)
+                self._phi_by_lag = phi
+            H[1:, :, self.d_x :] = self._phi_by_lag[lags]
+        return H
+
     def step(self, y: Optional[np.ndarray] = None) -> StepDiagnostics:
         """Advance one step; ``y`` must be supplied exactly at observation
-        epochs (every ``delta``-th step) and omitted elsewhere."""
+        epochs (every ``delta``-th step) and omitted elsewhere.  The stages
+        read and write the bank's row buffers in place."""
         self.k += 1
         k = self.k
         is_epoch = (k % self.delta) == 0
@@ -301,15 +324,16 @@ class SwitchingFilter:
                 y = None
 
         bank = self.bank
+        means, covs, scores = bank._buffers()
+        d_x = self.d_x
 
         def dynamics(points):
             out = points.copy()
-            out[:, : self.d_x] = self.dynamics(points[:, : self.d_x], k)
+            out[:, :d_x] = self.dynamics(points[:, :d_x], k)
             return out
 
         def predict_rows(rows):
-            bank.mean[rows], bank.cov[rows] = predict(
-                bank.mean[rows], bank.cov[rows], dynamics, self.Q_aug)
+            means[rows], covs[rows] = predict(means[rows], covs[rows], dynamics, self.Q_aug)
 
         twin = bank.twin(k - self.delta)
         _run_live(bank, predict_rows, len(bank) - twin)
@@ -321,13 +345,12 @@ class SwitchingFilter:
         scores_before: tuple = ()
         if y is not None:
             n = len(bank)
-            taus = (k - np.array(bank.s_index[1:])) * self.dt
-            write_offset_basis(self._H[1:n, :, self.d_x :], self._offset_columns, taus)
+            H = self._observation_maps(n)
 
             def update_rows(rows):
-                bank.mean[rows], bank.cov[rows], log_lik = linear_update(
-                    bank.mean[rows], bank.cov[rows], self._H[:n][rows], y, self.R)
-                bank.log_lik[rows] += log_lik
+                means[rows], covs[rows], log_lik = linear_update(
+                    means[rows], covs[rows], H[rows], y, self.R)
+                scores[rows] += log_lik
 
             _run_live(bank, update_rows, n)
             if bank.cause[0] is None:
@@ -337,9 +360,9 @@ class SwitchingFilter:
                 bank.spawn(k)
                 spawned_s = k
 
-            scores = bank.log_lik.tolist()
-            scores_before = tuple(zip(bank.s_index[1:], scores[1:]))
-            removed = prune(scores, bank.s_index, self.capacity)
+            listed = scores[: len(bank)].tolist()
+            scores_before = tuple(zip(bank.s_index[1:], listed[1:]))
+            removed = prune(listed, bank.s_index, self.capacity)
             pruned_info = tuple(scores_before[i - 1] for i in removed)
             bank.drop(removed)
         # the rows that this prune dropped leave no entry at this step

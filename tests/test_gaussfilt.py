@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skfnav.biasmodels import offset_columns, write_offset_basis
@@ -11,7 +11,6 @@ from skfnav.exceptions import (
     SingularInnovationError,
 )
 from skfnav.gaussfilt import (
-    _cholesky_innovation,
     _sqrt_factor,
     linear_update,
     predict,
@@ -342,6 +341,14 @@ def update_with_public_linalg(mean, cov, H, y, R):
     return mean, symmetrize(cov), -log_det - (np.swapaxes(white, -1, -2) @ white)[..., 0, 0]
 
 
+def update_with_innovation(D):
+    """``linear_update`` of a stack whose innovation covariances are exactly
+    the symmetric stack ``D``: a zero prior observed directly with noise ``D``."""
+    rows, m, _ = D.shape
+    return linear_update(np.zeros((rows, m)), np.zeros_like(D),
+                         np.broadcast_to(np.eye(m), D.shape), np.zeros(m), D)
+
+
 def with_member(covs, i, bad):
     covs = covs.copy()
     covs[i] = bad
@@ -355,10 +362,8 @@ class TestLapackGufuncs:
     public functions' bits, and a stack fails where theirs fails."""
 
     def test_factors_match_public_cholesky(self, size):
-        _, cov, H, _, R = bank_update_case(size, 1)
-        D = symmetrize(H @ cov @ np.swapaxes(H, -1, -2) + R)
+        _, cov, *_ = bank_update_case(size, 1)
         assert _sqrt_factor(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
-        assert _cholesky_innovation(D).tobytes() == np.linalg.cholesky(D).tobytes()
 
     def test_update_matches_public_solves(self, size):
         case = bank_update_case(size, 2)
@@ -372,7 +377,7 @@ class TestLapackGufuncs:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(bad)
         with pytest.raises(SingularInnovationError):
-            _cholesky_innovation(bad)
+            update_with_innovation(bad)
         with pytest.raises(CovarianceError):
             _sqrt_factor(bad)
         # a semi-definite member sends the stack one matrix at a time
@@ -399,7 +404,7 @@ class TestLapackGufuncs:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(inf)
         with pytest.raises(SingularInnovationError):
-            _cholesky_innovation(inf)
+            update_with_innovation(inf)
         with np.errstate(invalid="ignore"), pytest.raises(CovarianceError):
             _sqrt_factor(inf)
 
@@ -432,13 +437,21 @@ class TestLogLikelihood:
     )
 
     @given(_residuals, _residuals)
+    @example(0.001, -0.0010000000000000002)  # distinct residuals, equal squares
+    @example(0.001, -0.0010000000000000005)  # distinct squares, equal scores
     @settings(max_examples=50, deadline=None)
     def test_ordering_follows_mahalanobis(self, y1, y2):
+        """The score never rises as the residual grows in magnitude, and it
+        falls once the squares that it reads differ by more than its own
+        rounding: it adds the square to a log-determinant of order one."""
         l1 = log_likelihood_increment([y1], [0.0], np.array([[0.7]]))
         l2 = log_likelihood_increment([y2], [0.0], np.array([[0.7]]))
-        if abs(y1) < abs(y2):
+        if abs(y1) > abs(y2):
+            y1, y2, l1, l2 = y2, y1, l2, l1
+        assert l1 >= l2
+        if y2 * y2 - y1 * y1 > 1e-12 * (1.0 + y2 * y2):
             assert l1 > l2
-        elif abs(y1) == abs(y2):
+        else:
             assert l1 == pytest.approx(l2)
 
 

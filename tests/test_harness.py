@@ -326,6 +326,24 @@ class TestSweep:
         with open(target / "aggregates.csv", newline="") as fh:
             assert [row["successes"] for row in csv.DictReader(fh)] == ["2", "2", "1", "1"]
 
+    def test_every_schema_axis_is_enumerated(self):
+        """The cells and the aggregate groups enumerate every axis that the
+        schema admits, in its order, whatever the config's order."""
+        axes = list(configio.SWEEP_SCHEMA["properties"]["axes"]["properties"])
+        grid = harness.sweep_from_dict(self.sweep_dict(
+            axes={axis: [1e-6, 1e-4] for axis in reversed(axes)}, seeds=1))
+        cells = list(grid._cells())
+        assert len(cells) == 2 ** len(axes)
+        assert cells[0][0] == ", ".join(f"{axis}=1e-06" for axis in axes)
+        records = [harness.RunRecord(scenario="balloon", config=cell, config_hash="cell", seed=0)
+                   for _, cell in cells]
+        _, groups = harness._sweep_groups(grid, records)
+        assert [axis for axis, _ in groups] == axes
+        half = 2 ** (len(axes) - 1)
+        for _, by_value in groups:
+            assert [(value, len(matching)) for value, matching, _ in by_value] == [
+                (1e-6, half), (1e-4, half)]
+
     def test_non_finite_axis_value_is_a_config_error(self):
         with pytest.raises(ConfigError, match="must be finite"):
             harness.sweep_from_dict(self.sweep_dict(axes={"A": [0.0, float("nan")]}))

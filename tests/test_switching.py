@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -673,6 +674,51 @@ class TestStackedStepEquivalence:
         assert [s for s, _ in diags[5].pruned] == ([] if pruned is None else [pruned])
         assert diags[5].frozen == frozen
         assert len(stacked.bank) == 4
+
+
+def bookkeeping_digest(filt, diags) -> str:
+    """sha256 prefix of a run's bookkeeping: every ``StepDiagnostics``, with
+    the frozen causes by name, every ``bank.snapshots`` entry, and the final
+    bank's rows, onsets and causes."""
+    h = hashlib.sha256()
+    for d in diags:
+        h.update(repr((d.k, d.epoch, d.spawned_s, d.pruned, d.scores_before_prune,
+                       d.n_branches, d.frozen,
+                       tuple(cause.__name__ for cause in d.frozen_causes))).encode())
+    bank = filt.bank
+    for mean, var, scores, onsets in bank.snapshots:
+        h.update(repr((mean.shape, var.shape, scores, onsets)).encode())
+        h.update(mean.tobytes() + var.tobytes())
+    h.update(bank.mean.tobytes() + bank.cov.tobytes() + bank.log_lik.tobytes())
+    h.update(repr((bank.s_index, [c and c.__name__ for c in bank.cause])).encode())
+    return h.hexdigest()[:16]
+
+
+class TestBookkeepingDigest:
+    """A whole run's bookkeeping is pinned bit for bit, so that a reordered
+    row or a changed bit fails here and not only in the snapshot outputs.
+    The digests were taken when the step read the bank through its
+    ``mean``/``cov``/``log_lik`` views and wrote each epoch's offset basis
+    channel by channel; ``table5_test22`` freezes rows (GimbalLockError in
+    242 of its steps)."""
+
+    def test_balloon_run(self):
+        from skfnav.scenarios.balloon import build_balloon_filter, simulate_balloon
+
+        _, cfg, field = parse_single(load_config(CONFIGS / "table3_test3.json"))
+        filt = build_balloon_filter(cfg, field)
+        diags = filt.run(simulate_balloon(cfg, field).measurement_map(), cfg.n_steps)
+        assert bookkeeping_digest(filt, diags) == "0fc185c8967a7003"
+
+    def test_shuttle_run_that_freezes_rows(self):
+        from skfnav.scenarios.shuttle import build_shuttle_filter, simulate_shuttle
+
+        _, cfg, _ = parse_single(load_config(CONFIGS / "table5_test22.json"))
+        truth = simulate_shuttle(cfg)
+        filt = build_shuttle_filter(cfg, truth)
+        diags = filt.run(truth.measurement_map(), cfg.n_steps)
+        assert sum(bool(d.frozen) for d in diags) == 242
+        assert bookkeeping_digest(filt, diags) == "8d5fbfc7c46328c0"
 
 
 class TestOnsetLeadUnderParameterNoise:
