@@ -55,16 +55,21 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def commits_stamp(parent_rev: str) -> dict:
-    """The ``commits`` entry of a BENCH document: the parent commit, and the
-    working tree's commit, HEAD, or None when the tree has uncommitted
+def tree_commit() -> str | None:
+    """The working tree's commit, HEAD, or None when the tree has uncommitted
     changes, untracked files included, since HEAD then is not what was
     measured."""
-    dirty = bool(git("status", "--porcelain"))
+    return None if git("status", "--porcelain") else git("rev-parse", "HEAD")
+
+
+def commits_stamp(parent_rev: str) -> dict:
+    """The ``commits`` entry of a BENCH document: the parent commit and the
+    working tree's (``tree_commit``)."""
+    tree = tree_commit()
     return {
         "parent": git("rev-parse", parent_rev),
-        "tree": None if dirty else git("rev-parse", "HEAD"),
-        "tree_has_uncommitted_changes": dirty,
+        "tree": tree,
+        "tree_has_uncommitted_changes": tree is None,
     }
 
 

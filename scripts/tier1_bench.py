@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from perf_pairs import ROOT, git
+from perf_pairs import ROOT, tree_commit
 
 COMMAND = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "--durations=10"]
@@ -66,10 +66,10 @@ def stamp() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import skfnav
 
-    dirty = bool(git("status", "--porcelain"))
+    commit = tree_commit()
     return {
-        "commit": None if dirty else git("rev-parse", "HEAD"),
-        "tree_has_uncommitted_changes": dirty,
+        "commit": commit,
+        "tree_has_uncommitted_changes": commit is None,
         "backend": skfnav.BACKEND,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

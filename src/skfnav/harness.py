@@ -33,16 +33,17 @@ import numpy as np
 from .configio import SWEEP_AXES, config_to_dict, parse_single, validate_config
 from .exceptions import ConfigError, SkfnavError
 from .metrics import GREEN, YELLOW, classify, relative_rmse
+from .scenarios import balloon, shuttle
 from .scenarios.balloon import build_balloon_filter, simulate_balloon
 from .scenarios.fields import field_from_dict
-from .scenarios.shuttle import STATE_LABELS, build_shuttle_filter, simulate_shuttle
+from .scenarios.shuttle import build_shuttle_filter, simulate_shuttle
 from .switching import reports_no_corruption
 
 log = logging.getLogger("skfnav")
 
 RMSE_STATES = {
-    "balloon": ("lon", "lat"),
-    "shuttle": STATE_LABELS,
+    "balloon": balloon.STATE_LABELS,
+    "shuttle": shuttle.STATE_LABELS,
 }
 _CSV_FIELDS = [
     "config_hash", "scenario", "seed", "n_steps", "dt", "delta",
@@ -647,18 +648,17 @@ def rows_to_records(rows: list[dict]) -> list[RunRecord]:
 
 
 def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
-    """Persist a single run: summary JSON, records.csv, best-branch CSV, and
-    (when the truth object is supplied) truth/measurement CSV exports."""
+    """Persist a single run: summary JSON, records.csv and, unless the run
+    failed, its numeric tables (``write_numeric_table``): the best branch's
+    and, when the truth object is supplied, the truth's (``truth.tables()``)."""
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
     write_records_csv(target / "records.csv", [record])
+    dt = record.config["dt"]
     if truth is not None:
-        if record.scenario == "balloon":
-            from .scenarios import balloon as scenario_io
-        else:
-            from .scenarios import shuttle as scenario_io
-        scenario_io.write_truth_csv(target / "truth.csv", truth)
-        scenario_io.write_measurements_csv(target / "measurements.csv", truth)
+        states, fixes = truth.tables()
+        write_numeric_table(target / "truth.csv", *states, dt)
+        write_numeric_table(target / "measurements.csv", *fixes, dt)
     summary = {
         "config": record.config,
         "config_hash": record.config_hash,
@@ -667,7 +667,7 @@ def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
         "est_switch_step": record.est_switch_step,
         "est_switch_time": (
             None if record.est_switch_step is None
-            else record.est_switch_step * record.config["dt"]
+            else record.est_switch_step * dt
         ),
         "no_corruption": record.no_corruption,
         "outcome": record.outcome,
@@ -679,27 +679,21 @@ def write_run_outputs(record: RunRecord, filt, out_dir, truth=None) -> Path:
     (target / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     if filt is not None:
         est = filt.estimate()
-        export_branch_history(
-            target / "branch_trajectory.csv", filt.bank.trajectory(est.row),
-            est.s_index * filt.dt, record.config["dt"],
-        )
+        t_s, dim = est.s_index * filt.dt, filt.bank.mean.shape[1]
+        labels = ["branch_t_s", "logL"]
+        labels += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]
+        rows = ((k, (t_s, loglik, *mean.tolist(), *var.tolist()))
+                for k, (mean, var, loglik) in enumerate(filt.bank.trajectory(est.row)))
+        write_numeric_table(target / "branch_trajectory.csv", labels, rows, dt)
     return target
 
 
-def export_branch_history(path, trajectory, t_s: float, dt: float) -> None:
-    """Best-branch ``trajectory`` (``Bank.trajectory``) and onset time ``t_s``:
-    step, time, hypothesis, score, means, variances.
-
-    Rows are formatted whole, with the cells and CRLF line ends that
-    ``csv.writer`` writes for them."""
-    dim = trajectory[0][0].size
-    fields = ["step", "time", "branch_t_s", "logL"]
-    fields += [f"mean_{i}" for i in range(dim)] + [f"var_{i}" for i in range(dim)]
-    t_s = fmt(t_s)
-    row = "%d,%s,%s,%s" + ",%.17g" * (2 * dim) + "\r\n"
+def write_numeric_table(path, labels, rows, dt: float) -> None:
+    """A run's numeric table: columns ``step``, ``time`` (``step * dt``, on
+    the config's clock) and ``labels``, one line per ``(step, values)`` of
+    ``rows``, streamed.  Floats are written as ``fmt`` writes them, and the
+    header, cells and CRLF line ends are ``csv.writer``'s."""
+    line = "%d,%.17g" + ",%.17g" * len(labels) + "\r\n"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(fields)
-        fh.writelines(
-            row % (step, fmt(step * dt), t_s, fmt(loglik), *mean.tolist(), *var.tolist())
-            for step, (mean, var, loglik) in enumerate(trajectory)
-        )
+        csv.writer(fh).writerow(["step", "time", *labels])
+        fh.writelines(line % (k, k * dt, *values) for k, values in rows)

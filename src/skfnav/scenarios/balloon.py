@@ -9,7 +9,6 @@ shared by both channels.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -19,6 +18,8 @@ from ..biasmodels import BiasSpec, gated_offsets
 from ..exceptions import DynamicsDivergedError
 from ..switching import SwitchingFilter
 from .fields import AnalyticField
+
+STATE_LABELS = ("lon", "lat")
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class BalloonTruth:
 
     def measurement_map(self) -> dict[int, np.ndarray]:
         return {int(k): self.measurements[i] for i, k in enumerate(self.epochs)}
+
+    def tables(self):
+        """The labels and ``(step, values)`` rows of the trajectory and of
+        the fixes, for ``harness.write_numeric_table``."""
+        return ((STATE_LABELS, enumerate(self.states.tolist())),
+                ([f"y_{name}" for name in STATE_LABELS],
+                 zip(self.epochs.tolist(), self.measurements.tolist())))
 
 
 def simulate_balloon(cfg: BalloonConfig, field=None) -> BalloonTruth:
@@ -117,22 +125,3 @@ def build_balloon_filter(
         delta=cfg.delta,
         capacity=cfg.capacity,
     )
-
-
-def write_truth_csv(path, truth: BalloonTruth) -> None:
-    """Truth trajectory as CSV rows (step, time, lon, lat), 17 digits."""
-    row = "%d,%.17g,%.17g,%.17g\r\n"  # csv.writer's cells and line end
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["step", "time", "lon", "lat"])
-        fh.writelines(row % (k, t, *state) for k, (t, state) in
-                      enumerate(zip(truth.times.tolist(), truth.states.tolist())))
-
-
-def write_measurements_csv(path, truth: BalloonTruth) -> None:
-    """Position fixes as CSV rows (step, time, y_lon, y_lat)."""
-    row = "%d,%.17g,%.17g,%.17g\r\n"  # csv.writer's cells and line end
-    times = truth.times.tolist()
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["step", "time", "y_lon", "y_lat"])
-        fh.writelines(row % (k, times[k], *y)
-                      for k, y in zip(truth.epochs.tolist(), truth.measurements.tolist()))

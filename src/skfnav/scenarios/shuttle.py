@@ -108,6 +108,15 @@ class ShuttleTruth:
     def measurement_map(self) -> dict[int, np.ndarray]:
         return {int(k): self.gps[i] for i, k in enumerate(self.epochs)}
 
+    def tables(self):
+        """The labels and ``(step, values)`` rows of the inertial-model
+        trajectory (the error reference) and of the position fixes, for
+        ``harness.write_numeric_table``."""
+        return (([*STATE_LABELS, "ba_x", "ba_y", "ba_z", "bg_x", "bg_y", "bg_z"],
+                 enumerate(self.inertial_states.tolist())),
+                ([f"y_{name}" for name in STATE_LABELS[:3]],
+                 zip(self.epochs.tolist(), self.gps.tolist())))
+
 
 def _command_accel(t) -> np.ndarray:
     """Commanded net inertial acceleration (N, E, D) at time ``t``, a float or
@@ -359,32 +368,6 @@ def build_shuttle_filter(
         delta=cfg.delta,
         capacity=cfg.capacity,
     )
-
-
-def write_truth_csv(path, truth: ShuttleTruth) -> None:
-    """Inertial-model trajectory (the error reference) as CSV, 17 digits."""
-    header = ["step", "time", *STATE_LABELS,
-              "ba_x", "ba_y", "ba_z", "bg_x", "bg_y", "bg_z"]
-    dt = _row_dt(truth)
-    row = "%d" + ",%.17g" * 16 + "\r\n"  # csv.writer's cells and line end
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(row % (k, k * dt, *state)
-                      for k, state in enumerate(truth.inertial_states.tolist()))
-
-
-def write_measurements_csv(path, truth: ShuttleTruth) -> None:
-    """Position fixes as CSV rows (step, time, y_h, y_L, y_lam)."""
-    dt = _row_dt(truth)
-    row = "%d" + ",%.17g" * 4 + "\r\n"  # csv.writer's cells and line end
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["step", "time", "y_h", "y_L", "y_lam"])
-        fh.writelines(row % (k, k * dt, *y)
-                      for k, y in zip(truth.epochs.tolist(), truth.gps.tolist()))
-
-
-def _row_dt(truth: ShuttleTruth) -> float:
-    return float(truth.reference.times[1] - truth.reference.times[0])
 
 
 _REFERENCE_HEADER = [

@@ -45,6 +45,25 @@ def test_simulate_happy_path(tmp_path, balloon_cfg):
     assert (run_dirs[0] / "summary.json").exists()
 
 
+def test_failed_run_writes_its_record_and_summary_only(tmp_path):
+    # a pitch this close to pi/2 trips the gimbal-lock guard at the first substep
+    config = tmp_path / "gimbal.json"
+    config.write_text(json.dumps({
+        "scenario": "shuttle", "n_steps": 20, "true_switch_step": 10,
+        "init_state": [1.5e5, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.6, 1.5707963, 0.65],
+    }))
+    out = tmp_path / "runs"
+    rc = main(["--quiet", "simulate", "shuttle", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    (run_dir,) = out.iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["records.csv", "summary.json"]
+    (row,) = harness.read_records_csv(run_dir / "records.csv")
+    summary = json.loads((run_dir / "summary.json").read_text())
+    for doc in (row, summary):
+        assert doc["status"] == "error"
+        assert doc["error"] == "GimbalLockError: pitch at Euler-rate singularity"
+
+
 def test_negative_seed_override_is_config_error(tmp_path):
     config = Path(__file__).resolve().parent.parent / "configs" / "table3_test3.json"
     rc = main(["--quiet", "simulate", "balloon", "--config", str(config),

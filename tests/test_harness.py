@@ -999,6 +999,55 @@ class TestPersistence:
         y_back = float(meas_rows[1].split(",")[2])
         assert y_back == truth.gps[0, 0]
 
+    def test_every_time_column_is_the_step_times_the_config_dt(self, tmp_path):
+        # the file's clock starts at 1000 s, so its own step is
+        # 1001.4 - 1000 = 1.3999999999999773, not the config's 1.4
+        from skfnav.scenarios.shuttle import (
+            ReferenceTrajectory,
+            ShuttleConfig,
+            generate_reference,
+            save_reference_csv,
+        )
+
+        ref = generate_reference(ShuttleConfig(n_steps=20, true_switch_step=None))
+        path = tmp_path / "ref.csv"
+        save_reference_csv(path, ReferenceTrajectory(ref.times + 1000.0, ref.states,
+                                                     ref.imu_true))
+        record, filt, truth = harness.execute_case({
+            "scenario": "shuttle", "n_steps": 20, "dt": 1.4, "true_switch_step": None,
+            "reference_path": str(path),
+        })
+        assert record.status == "ok"
+        target = harness.write_run_outputs(record, filt, tmp_path / "run", truth=truth)
+        for name, n_rows in [("truth", 21), ("measurements", 20), ("branch_trajectory", 21)]:
+            with open(target / f"{name}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == n_rows
+            assert [row["time"] for row in rows] == [
+                harness.fmt(int(row["step"]) * 1.4) for row in rows], name
+
+    @pytest.mark.parametrize("k, dt, values", [
+        (0, 1.4, [-0.0, float("nan"), float("inf"), -float("inf")]),
+        (7, 0.01, [5e-324, 1e16, 0.1, 1 / 3]),
+        (2**31 + 5, 1.4, [-1e16, -0.0]),
+    ], ids=["signed_zero_nan_inf", "subnormal_large_inexact", "step_above_2_31"])
+    def test_a_table_line_is_what_csv_writer_writes(self, tmp_path, k, dt, values):
+        labels = [f"c{i}" for i in range(len(values))]
+        harness.write_numeric_table(tmp_path / "table.csv", labels, [(k, values)], dt)
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "time", *labels])
+            writer.writerow([k, harness.fmt(k * dt), *map(harness.fmt, values)])
+        assert ((tmp_path / "table.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+
+    def test_a_table_without_rows_is_its_header(self, tmp_path):
+        record, filt, truth = harness.execute_case(
+            balloon_config(n_steps=20, delta=30, true_switch_step=10))
+        assert record.status == "ok"
+        target = harness.write_run_outputs(record, filt, tmp_path / "run", truth=truth)
+        assert (target / "measurements.csv").read_bytes() == b"step,time,y_lon,y_lat\r\n"
+
 
 def test_public_exports_resolve():
     import skfnav

@@ -1,4 +1,4 @@
-"""The parser of scripts/tier1_bench.py on canned pytest output."""
+"""The parser of scripts/tier1_bench.py on canned pytest output, and its stamp."""
 
 import sys
 from pathlib import Path
@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from tier1_bench import parse_pytest  # noqa: E402
+import perf_pairs  # noqa: E402
+from tier1_bench import parse_pytest, stamp  # noqa: E402
 
 OUTPUT = """\
 ........................................................................ [ 14%]
@@ -48,3 +49,13 @@ def test_summary_line_forms(line, counts, wall):
 def test_output_without_a_summary_line_is_an_error():
     with pytest.raises(ValueError, match="no pytest summary line"):
         parse_pytest("ImportError while loading conftest\n")
+
+
+@pytest.mark.parametrize("status, commit", [
+    ("", "b" * 40), (" M src/skfnav/harness.py", None), ("?? src/skfnav/new.py", None),
+], ids=["clean", "uncommitted", "untracked"])
+def test_stamp_takes_the_tree_commit_rule_of_perf_pairs(monkeypatch, status, commit):
+    answers = {("rev-parse", "HEAD"): "b" * 40, ("status", "--porcelain"): status}
+    monkeypatch.setattr(perf_pairs, "git", lambda *args: answers[args])
+    doc = stamp()
+    assert (doc["commit"], doc["tree_has_uncommitted_changes"]) == (commit, bool(status))
