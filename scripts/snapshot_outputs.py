@@ -8,10 +8,11 @@ at its configured seed and writes the single-run outputs (records.csv,
 summary.json, branch_trajectory.csv, truth.csv, measurements.csv) to
 ``OUT/<config name>/``.  ``table3_test3`` and ``table5_test22`` run again
 with ``"r": 0.0`` into ``OUT/r0_<config name>/``: an exact update without
-measurement noise leaves semi-definite covariances, so these runs factor
-stacks one matrix at a time, partly by ``eigh``, which no run at its
-configured ``r`` reaches.  The table configs share one shuttle reference
-key, so five more shuttle runs of ``table5_test22`` cover reference
+measurement noise leaves semi-definite covariances, which Cholesky fails,
+so in these runs the members of a stack that it fails go on to ``eigh``,
+a path that no run at its configured ``r`` reaches.  The table configs
+share one shuttle reference key, so five more shuttle runs of
+``table5_test22`` cover reference
 generation: ``oversample`` 1 and 3, an initial altitude 250 ft higher, an
 initial yaw 0.02 rad short of pi, whose reference wraps the yaw past pi (no
 shipped config's reference leaves (-pi, pi]), and a run whose reference is

@@ -5,15 +5,19 @@
 
 Exports ``PARENT_REV`` with ``git archive``, imports its package and the
 working tree's side by side in one process, and runs the filter loop of
-``table3_test3`` (balloon, 500 steps) and of ``table5_test1`` (shuttle, 600
-steps) on each, in pairs whose first side alternates (``--rounds`` balloon
-pairs, half as many shuttle pairs).  It prints, parent -> working tree, the
-median microseconds per step of each stage's own time, that of the stages
-it calls excluded: ``predict`` (the sigma points, the scenario dynamics and
-the moments), ``update`` (the scored update), ``basis`` (the epoch's
-observation maps: ``SwitchingFilter._observation_maps`` where it exists,
-and ``write_offset_basis``), ``dispatch`` (``_run_live`` and the row
-closures through which it calls ``predict`` and ``update``), ``history`` (``Bank.record``), ``drop/prune/spawn``,
+``table3_test3`` (balloon, 500 steps), of ``table5_test1`` (shuttle, 600
+steps) and of the corrupted ``shuttle_sa`` cell ``A=0, B=100, C=10,
+r=1e-6, q_p=1e-12`` at seed 0 (280 steps, in which rows fail and freeze) on
+each, in pairs whose first side alternates (``--rounds`` balloon pairs,
+half as many pairs of each shuttle loop).  It prints, parent -> working
+tree, the median microseconds per step of each stage's own time, that of
+the stages it calls excluded: ``predict`` (the sigma points, the scenario
+dynamics and the moments), ``update`` (the scored update), ``basis`` (the
+epoch's observation maps: ``SwitchingFilter._observation_maps`` where it
+exists, and ``write_offset_basis``), ``dispatch`` (``_run_live``, which
+runs a stage on the live rows and freezes the rows that it names, and the
+row closures through which it calls ``predict`` and ``update``),
+``history`` (``Bank.record``), ``drop/prune/spawn``,
 ``diagnostics`` (building the ``StepDiagnostics``) and ``glue`` (the rest
 of ``SwitchingFilter.step``), with the pairs in which the whole step was
 faster.  A stage whose function a revision lacks reads 0 there, and code
@@ -80,12 +84,21 @@ class Side:
         btruth = balloon.simulate_balloon(bcfg, field)
         _, scfg, _ = parse(load_config(ROOT / "configs" / "table5_test1.json"))
         struth = shuttle.simulate_shuttle(scfg)
+        sweep = mods["harness"].sweep_from_dict(
+            load_config(ROOT / "configs" / "shuttle_sa.json"))
+        cell = next(c for c in sweep.cell_configs() if (
+            c["bias"]["A"], c["bias"]["B"], c["bias"]["C"], c["r"], c["q_p"]
+        ) == (0.0, 100.0, 10.0, 1e-6, 1e-12))
+        _, ccfg, _ = parse(cell)
+        ctruth = shuttle.simulate_shuttle(ccfg)
         self.shuttle, self.scfg = shuttle, scfg
         self.cases = {
             "balloon": (lambda: balloon.build_balloon_filter(bcfg, field),
                         btruth.measurement_map(), bcfg.n_steps),
             "shuttle": (lambda: shuttle.build_shuttle_filter(scfg, struth),
                         struth.measurement_map(), scfg.n_steps),
+            "shuttle_sa": (lambda: shuttle.build_shuttle_filter(ccfg, ctruth),
+                           ctruth.measurement_map(), ccfg.n_steps),
         }
 
     def _timed(self, fn, stage):
@@ -135,7 +148,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="step-stages-") as tmp:
         export(args.parent_rev, Path(tmp))
         sides = {"parent": Side(load(Path(tmp) / "src")), "tree": Side(load(ROOT / "src"))}
-        for case, rounds in (("balloon", args.rounds), ("shuttle", max(args.rounds // 2, 1))):
+        shuttle_rounds = max(args.rounds // 2, 1)
+        for case, rounds in (("balloon", args.rounds), ("shuttle", shuttle_rounds),
+                             ("shuttle_sa", shuttle_rounds)):
             report(case, sides, rounds, lambda side, case=case: side.run(case))
         report("reference", sides, args.rounds, Side.run_reference,
                unit="ms per call", whole="reference plus re-integration")

@@ -12,7 +12,9 @@ pytest reports, collection included), the pass and skip counts, the ten
 slowest test phases of the run whose wall is the median (the lower middle
 one for an even count), and the stamp of the other BENCH files: the commit
 (null when the working tree has uncommitted changes, untracked files
-included), the backend, the CPU count and the Python and numpy versions.
+included), the digest of the package's sources that ``perfbench/run.py``
+stamps its results with (``source_sha256``), the backend, the CPU count and
+the Python and numpy versions.
 The exit code is 1, and nothing is written, when a run fails or the runs
 disagree on their counts.
 """
@@ -20,6 +22,7 @@ disagree on their counts.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -61,8 +64,21 @@ def parse_pytest(output: str) -> dict:
     return {"counts": counts, "wall_s": float(summary.group(2)), "slowest": slowest}
 
 
+def source_sha256() -> str:
+    """sha256 over every ``.py`` and ``.pyx`` file of ``src/skfnav``, in
+    sorted path order, of its path under ``src/`` and then its bytes: the
+    digest of ``perfbench/run.py``'s ``source_stamp``."""
+    digest = hashlib.sha256()
+    src = ROOT / "src"
+    for path in sorted((src / "skfnav").rglob("*")):
+        if path.suffix in (".py", ".pyx") and path.is_file():
+            digest.update(path.relative_to(src).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def stamp() -> dict:
-    """The commit, backend and machine of the measured tree."""
+    """The commit, sources, backend and machine of the measured tree."""
     sys.path.insert(0, str(ROOT / "src"))
     import skfnav
 
@@ -70,6 +86,7 @@ def stamp() -> dict:
     return {
         "commit": commit,
         "tree_has_uncommitted_changes": commit is None,
+        "source_sha256": source_sha256(),
         "backend": skfnav.BACKEND,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

@@ -2,7 +2,15 @@
 
 
 class SkfnavError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.
+
+    A check that runs on many points at once (a dynamics map on a stack's
+    sigma points) names the points that failed it: ``points`` holds their
+    indices in increasing order, or None when the error names none."""
+
+    def __init__(self, *args, points=None):
+        super().__init__(*args)
+        self.points = points
 
 
 class CovarianceError(SkfnavError):

@@ -1,5 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Compiled strapdown kernel; agrees to a relative 1e-13 with kernels._numpy.strapdown_batch."""
+"""Compiled strapdown kernel; agrees to a relative 1e-13 with kernels._numpy.strapdown_batch.
+
+A state that fails a guard stops there, and the loop goes on to the next
+one; the error then raised names the failing states (``_stopped``)."""
 
 import numpy as np
 
@@ -15,6 +18,7 @@ cdef double EARTH_RADIUS_FT = 20902900.0
 cdef double PI = 3.141592653589793
 cdef double PITCH_GUARD = PI / 2.0 - 1e-6
 cdef double POLAR_COS_GUARD = 1e-9
+cdef char GIMBAL = 1, POLAR = 2
 
 
 cdef inline double _wrap(double angle) nogil:
@@ -32,6 +36,7 @@ def strapdown_batch(states, f_meas, omega_meas, double dt):
     if s.shape[1] != 15 or f.shape[0] != 3 or w.shape[0] != 3:
         raise ValueError("expected (n, 15) states and 3-vector IMU sample")
     cdef cnp.ndarray[cnp.float64_t, ndim=2] out = np.empty_like(s)
+    cdef cnp.ndarray[cnp.int8_t, ndim=1] status = np.zeros(s.shape[0], dtype=np.int8)
     cdef Py_ssize_t n = s.shape[0]
     cdef Py_ssize_t i, j
     cdef double h, L, lam, v, gamma, alpha, phi, theta, psi
@@ -44,7 +49,7 @@ def strapdown_batch(states, f_meas, omega_meas, double dt):
     cdef double cg, v_n, v_e, v_d, g_d, v_n_new, v_e_new, v_d_new
     cdef double speed, ratio, gamma_n, alpha_n
     cdef double h_n, r_old, r_new, L_n, cos_L, cos_L_n, lam_n
-    cdef int gimbal = 0, polar = 0
+    cdef int failed = 0
 
     with nogil:
         for i in range(n):
@@ -52,8 +57,9 @@ def strapdown_batch(states, f_meas, omega_meas, double dt):
             v = s[i, 3]; gamma = s[i, 4]; alpha = s[i, 5]
             phi = s[i, 6]; theta = s[i, 7]; psi = s[i, 8]
             if fabs(theta) >= PITCH_GUARD:
-                gimbal = 1
-                break
+                status[i] = GIMBAL
+                failed = 1
+                continue
             wx = w[0] - s[i, 12]; wy = w[1] - s[i, 13]; wz = w[2] - s[i, 14]
             fx = f[0] - s[i, 9]; fy = f[1] - s[i, 10]; fz = f[2] - s[i, 11]
 
@@ -66,8 +72,9 @@ def strapdown_batch(states, f_meas, omega_meas, double dt):
             theta_n = _wrap(theta + theta_dot * dt)
             psi_n = _wrap(psi + psi_dot * dt)
             if fabs(theta_n) >= PITCH_GUARD:
-                gimbal = 1
-                break
+                status[i] = GIMBAL
+                failed = 1
+                continue
 
             _attitude(phi, theta, psi, c_old)
             _attitude(phi_n, theta_n, psi_n, c_new)
@@ -105,8 +112,9 @@ def strapdown_batch(states, f_meas, omega_meas, double dt):
             L_n = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
             cos_L = cos(L); cos_L_n = cos(L_n)
             if fabs(cos_L) < POLAR_COS_GUARD or fabs(cos_L_n) < POLAR_COS_GUARD:
-                polar = 1
-                break
+                status[i] = POLAR
+                failed = 1
+                continue
             lam_n = lam + 0.5 * dt * (
                 v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_n)
             )
@@ -117,11 +125,27 @@ def strapdown_batch(states, f_meas, omega_meas, double dt):
             for j in range(9, 15):
                 out[i, j] = s[i, j]
 
-    if gimbal:
-        raise GimbalLockError("pitch at Euler-rate singularity")
-    if polar:
-        raise PolarSingularityError("position angle at polar singularity")
+    if failed:
+        raise _stopped(status)
     return out
+
+
+def _stopped(status):
+    """The error of the first state that failed a guard, naming the states
+    that failed the same kind of guard before the first state that failed
+    the other kind (``status`` holds GIMBAL or POLAR at each failing state,
+    0 elsewhere).  A stack's row of sigma points, a run of consecutive
+    states, that holds a named state failed this kind first, as a run of
+    that row alone reports; the other failing rows are named when the
+    dynamics runs again without these."""
+    failing = np.flatnonzero(status)
+    kind = status[failing[0]]
+    other = failing[status[failing] != kind]
+    if other.size:
+        failing = failing[failing < other[0]]
+    if kind == GIMBAL:
+        return GimbalLockError("pitch at Euler-rate singularity", points=failing)
+    return PolarSingularityError("position angle at polar singularity", points=failing)
 
 
 cdef inline void _attitude(double phi, double theta, double psi, double C[3][3]) nogil:

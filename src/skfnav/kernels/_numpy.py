@@ -53,6 +53,12 @@ def _anywhere(flag):
     return flag.any() if isinstance(flag, np.ndarray) else flag
 
 
+def _where(flag):
+    """The indices at which a guard's comparison holds, which its error
+    names: None on floats, one state's, whose error names no point."""
+    return np.flatnonzero(flag) if isinstance(flag, np.ndarray) else None
+
+
 def _everywhere(flag):
     """Whether a comparison holds everywhere, as ``_anywhere``.  Not
     ``_anywhere(~flag)``: on a Python bool ``~`` gives -1 or -2, both truthy."""
@@ -101,8 +107,9 @@ def attitude_half(angles, trig, b_g, omega_meas, dt):
     xp = _ufuncs(theta)
     # abs and % (in wrap_angle) dispatch to numpy on columns and stay Python
     # float operations on floats, with the same IEEE results either way
-    if _anywhere(abs(theta) >= PITCH_GUARD):
-        raise GimbalLockError("pitch at Euler-rate singularity")
+    locked = abs(theta) >= PITCH_GUARD
+    if _anywhere(locked):
+        raise GimbalLockError("pitch at Euler-rate singularity", points=_where(locked))
     sp, cp, st, ct, sy, cy = trig
     w0 = omega_meas[0] - b_g[0]
     w1 = omega_meas[1] - b_g[1]
@@ -114,8 +121,10 @@ def attitude_half(angles, trig, b_g, omega_meas, dt):
     phi_new = wrap_angle(phi + phi_dot * dt)
     theta_new = wrap_angle(theta + theta_dot * dt)
     psi_new = wrap_angle(psi + psi_dot * dt)
-    if _anywhere(abs(theta_new) >= PITCH_GUARD):
-        raise GimbalLockError("pitch at Euler-rate singularity after update")
+    locked = abs(theta_new) >= PITCH_GUARD
+    if _anywhere(locked):
+        raise GimbalLockError("pitch at Euler-rate singularity after update",
+                              points=_where(locked))
     return (phi_new, theta_new, psi_new), angle_trig(phi_new, theta_new, psi_new)
 
 
@@ -168,8 +177,9 @@ def translation_half(nav, c, cos_L, b_a, f_meas, dt):
     r_new = EARTH_RADIUS_FT + h_new
     L_new = L + 0.5 * dt * (v_n / r_old + v_n_new / r_new)
     cos_L_new = xp.cos(L_new)
-    if _anywhere(abs(cos_L) < POLAR_COS_GUARD) or _anywhere(abs(cos_L_new) < POLAR_COS_GUARD):
-        raise PolarSingularityError("position angle at polar singularity")
+    polar = (abs(cos_L) < POLAR_COS_GUARD) | (abs(cos_L_new) < POLAR_COS_GUARD)
+    if _anywhere(polar):
+        raise PolarSingularityError("position angle at polar singularity", points=_where(polar))
     lam_new = lam + 0.5 * dt * (v_e / (r_old * cos_L) + v_e_new / (r_new * cos_L_new))
 
     return (h_new, L_new, lam_new, speed, gamma_new, alpha_new), cos_L_new

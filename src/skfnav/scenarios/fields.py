@@ -62,9 +62,14 @@ class GriddedField:
                 raise ConfigError(f"grid values {name} must have shape {shape}")
 
     def _locate(self, axis: np.ndarray, value: np.ndarray, name: str):
+        """The cell index and fraction of each query ``value`` on ``axis``.  A
+        query outside the hull raises, naming the points of an array query
+        that lie outside (none for one value, which every point shares)."""
         value = np.asarray(value, dtype=float)
-        if np.any(value < axis[0]) or np.any(value > axis[-1]):
-            raise FieldDomainError(f"{name} query outside grid hull")
+        outside = (value < axis[0]) | (value > axis[-1])
+        if outside.any():
+            raise FieldDomainError(f"{name} query outside grid hull",
+                                   points=np.flatnonzero(outside) if outside.ndim else None)
         idx = np.clip(np.searchsorted(axis, value, side="right") - 1, 0, axis.size - 2)
         frac = (value - axis[idx]) / (axis[idx + 1] - axis[idx])
         return idx, frac

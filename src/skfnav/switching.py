@@ -13,8 +13,9 @@ The filter keeps its branches as one ``Bank`` of stacked rows between steps,
 so that prediction makes one factorisation and one dynamics call, and the
 measurement update, exact because the observation map is linear in the
 augmented state, is one scored update.  A branch whose numerics fail freezes
-alone: when the stack raises, that stage is re-run one row at a time.  A
-branch spawned at an epoch is a copy of the nominal until the next epoch's
+alone: each stage names its failing rows, with the error that a run of the
+row alone raises, and leaves them as they were (``gaussfilt``).  A branch
+spawned at an epoch is a copy of the nominal until the next epoch's
 update, so it is not predicted: it takes the nominal's prediction
 (``Bank.twin``).
 """
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .biasmodels import offset_columns, write_offset_basis
-from .exceptions import ConfigError, InvalidMeasurementError, SkfnavError
+from .exceptions import ConfigError, InvalidMeasurementError
 from .gaussfilt import linear_update, predict, symmetrize
 
 
@@ -37,9 +38,10 @@ class Bank:
     ``cov`` (B, d, d) and ``log_lik`` are views of the first B rows of
     buffers sized for ``size`` rows; the prior ``(mean, cov)`` starts row 0.
     The lists hold per row the onset step ``s_index`` (0 for the nominal), and
-    in ``cause`` the type of the exception that froze the row, or None while
-    it is live (a frozen row keeps its belief and score and no longer updates
-    or spawns).  ``snapshots`` holds one entry per step, ``(means,
+    in ``cause`` the type of the error with which a stage named the row as
+    failing, the one that a run of the row alone raises, or None while it is
+    live (a frozen row keeps its belief and score and no longer updates or
+    spawns).  ``snapshots`` holds one entry per step, ``(means,
     variances, scores, onsets)`` of the rows then in the bank, from which
     ``trajectory`` rebuilds any row's; ``record`` appends it."""
 
@@ -161,25 +163,21 @@ class StepDiagnostics:
 
 
 def _run_live(bank: Bank, stage: Callable, n: int) -> None:
-    """Run ``stage(rows)``, which writes its results into ``bank``'s rows, on
-    the live rows among the first ``n`` as one stack (``rows`` is
-    ``slice(n)`` when none of them is frozen, so that no row is copied, and a
-    list of rows otherwise).  When it raises for the stack, it is re-run one
-    row at a time, and a row that fails alone freezes, keeping the type of
-    its exception."""
+    """Run ``stage(rows, failed)``, which writes its results into ``bank``'s
+    rows, on the live rows among the first ``n`` as one stack (``rows`` is
+    ``slice(n)`` when none of them is frozen, so that no row is copied, and
+    an index array of rows otherwise, which each gather and scatter of the
+    stage takes without converting a list).  The stage puts the position in
+    the stack of each row that fails into the dict ``failed``, with the type
+    of its error, and leaves the row's belief and score as they were; the
+    row freezes with that type."""
     live = [row for row in bank.live() if row < n] if any(bank.cause) else range(n)
     if not live:
         return
-    try:
-        stage(slice(n) if len(live) == n else live)
-        return
-    except SkfnavError:
-        pass
-    for row in live:
-        try:
-            stage([row])
-        except SkfnavError as exc:
-            bank.cause[row] = type(exc)
+    failed: dict = {}
+    stage(slice(n) if len(live) == n else np.array(live), failed)
+    for i, cause in failed.items():
+        bank.cause[live[i]] = cause
 
 
 def prune(log_lik, s_index, capacity: int) -> list[int]:
@@ -332,8 +330,9 @@ class SwitchingFilter:
             out[:, :d_x] = self.dynamics(points[:, :d_x], k)
             return out
 
-        def predict_rows(rows):
-            means[rows], covs[rows] = predict(means[rows], covs[rows], dynamics, self.Q_aug)
+        def predict_rows(rows, failed):
+            means[rows], covs[rows] = predict(means[rows], covs[rows], dynamics, self.Q_aug,
+                                              failed)
 
         twin = bank.twin(k - self.delta)
         _run_live(bank, predict_rows, len(bank) - twin)
@@ -347,9 +346,9 @@ class SwitchingFilter:
             n = len(bank)
             H = self._observation_maps(n)
 
-            def update_rows(rows):
+            def update_rows(rows, failed):
                 means[rows], covs[rows], log_lik = linear_update(
-                    means[rows], covs[rows], H[rows], y, self.R)
+                    means[rows], covs[rows], H[rows], y, self.R, failed)
                 scores[rows] += log_lik
 
             _run_live(bank, update_rows, n)

@@ -3,12 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skfnav import kernels
 from skfnav.biasmodels import offset_columns, write_offset_basis
+from skfnav.constants import PITCH_GUARD
 from skfnav.exceptions import (
     CovarianceError,
     DynamicsDivergedError,
+    FieldDomainError,
+    GimbalLockError,
     InvalidMeasurementError,
+    PolarSingularityError,
     SingularInnovationError,
+    SkfnavError,
 )
 from skfnav.gaussfilt import (
     _sqrt_factor,
@@ -17,6 +23,7 @@ from skfnav.gaussfilt import (
     sigma_points,
     symmetrize,
 )
+from skfnav.scenarios.fields import GriddedField
 
 
 def belief(mean, cov):
@@ -341,12 +348,12 @@ def update_with_public_linalg(mean, cov, H, y, R):
     return mean, symmetrize(cov), -log_det - (np.swapaxes(white, -1, -2) @ white)[..., 0, 0]
 
 
-def update_with_innovation(D):
+def update_with_innovation(D, failed=None):
     """``linear_update`` of a stack whose innovation covariances are exactly
     the symmetric stack ``D``: a zero prior observed directly with noise ``D``."""
     rows, m, _ = D.shape
     return linear_update(np.zeros((rows, m)), np.zeros_like(D),
-                         np.broadcast_to(np.eye(m), D.shape), np.zeros(m), D)
+                         np.broadcast_to(np.eye(m), D.shape), np.zeros(m), D, failed)
 
 
 def with_member(covs, i, bad):
@@ -373,20 +380,31 @@ class TestLapackGufuncs:
     def test_non_pd_member_fails_where_public_fails(self, size):
         _, cov, *_ = bank_update_case(size, 3)
         d = cov.shape[-1]
+        others = [i for i in range(10) if i != 4]
         bad = with_member(cov, 4, -np.eye(d))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(bad)
         with pytest.raises(SingularInnovationError):
             update_with_innovation(bad)
+        failed = {}
+        update_with_innovation(bad, failed)
+        assert failed == {4: SingularInnovationError}
         with pytest.raises(CovarianceError):
             _sqrt_factor(bad)
-        # a semi-definite member sends the stack one matrix at a time
+        # the member is reported, and the others keep the public factors
+        failed = {}
+        factor = _sqrt_factor(bad, failed)
+        assert failed == {4: CovarianceError}
+        assert factor[others].tobytes() == np.linalg.cholesky(cov[others]).tobytes()
+        # a semi-definite member alone goes on to eigh
         semi = with_member(cov, 4, np.diag([1.0, 0.0] + [1.0] * (d - 2)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(semi)
-        factor = _sqrt_factor(semi)
-        for i in set(range(10)) - {4}:
-            assert factor[i].tobytes() == np.linalg.cholesky(semi[i]).tobytes()
+        failed = {}
+        factor = _sqrt_factor(semi, failed)
+        assert failed == {}
+        assert factor[others].tobytes() == np.linalg.cholesky(semi[others]).tobytes()
+        assert factor[4].tobytes() == _sqrt_factor(semi[4]).tobytes()
         assert np.array_equal(factor[4] @ factor[4].T, semi[4])
 
     def test_nan_member_gives_public_nan_factor(self, size):
@@ -405,8 +423,163 @@ class TestLapackGufuncs:
             np.linalg.cholesky(inf)
         with pytest.raises(SingularInnovationError):
             update_with_innovation(inf)
-        with np.errstate(invalid="ignore"), pytest.raises(CovarianceError):
+        with pytest.raises(CovarianceError):
             _sqrt_factor(inf)
+        failed = {}
+        _sqrt_factor(inf, failed)
+        assert failed == {4: CovarianceError}
+
+
+# A reentry state (altitude, two position angles, speed, flight-path angle,
+# azimuth, roll, pitch, yaw, then six IMU biases), one IMU sample whose pitch
+# rate turns the pitch by about 0.0096 rad a step, and the altitude at which
+# the test dynamics turns a point non-finite.
+NAV = np.array([1.5e5, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.3, 0.2, 0.65] + [0.0] * 6)
+IMU_F, IMU_W, DT = np.array([10.0, 0.0, -30.0]), np.array([0.0, 0.1, 0.0]), 0.1
+DIVERGE = 1.25e5
+
+
+def strapdown(points):
+    out = kernels.strapdown_batch(points, IMU_F, IMU_W, DT)
+    out[points[:, 0] == DIVERGE] = np.nan
+    return out
+
+
+def reentry_stack(rows=5, seed=0):
+    """``rows`` beliefs near ``NAV`` whose sigma points pass every guard."""
+    rng = np.random.default_rng(seed)
+    roots = rng.standard_normal((rows, 15, 15))
+    means = NAV + 1e-4 * rng.standard_normal((rows, 15))
+    return means, 1e-9 * (roots @ np.swapaxes(roots, -1, -2) + np.eye(15))
+
+
+def fails_alone(stage, n, row, prior):
+    """Run ``stage(select, failed=None)`` on the ``n`` rows of a stack whose
+    row ``row`` fails, and check that the stack names that row, alone, with
+    the error that a run of the row alone raises (``stage(row)``), leaves it
+    as ``prior``, its means and covariances, had it, and gives the other rows
+    the bytes of the stack without it.  Returns the error type."""
+    with pytest.raises(SkfnavError) as alone:
+        stage(row)
+    failed, without = {}, {}
+    got = stage(list(range(n)), failed)
+    others = [i for i in range(n) if i != row]
+    want = stage(others, without)
+    assert failed == {row: type(alone.value)} and without == {}
+    for got_part, want_part in zip(got, want):
+        assert np.delete(got_part, row, axis=0).tobytes() == want_part.tobytes()
+    assert got[0][row].tobytes() == prior[0][row].tobytes()
+    assert got[1][row].tobytes() == prior[1][row].tobytes()
+    if len(got) == 3:  # an update's failing row scores nothing
+        assert got[2][row] == 0.0
+    return type(alone.value)
+
+
+def predict_stage(means, covs, dynamics, Q):
+    return lambda select, failed=None: predict(means[select], covs[select], dynamics, Q,
+                                               failed)
+
+
+def set_row(means, covs, row, cov=None, **nav):
+    """Copies of a stack with row ``row``'s mean components (by name) and
+    covariance replaced."""
+    names = ("h", "L", "lam", "v", "gamma", "alpha", "phi", "theta", "psi")
+    means, covs = means.copy(), covs.copy()
+    for name, value in nav.items():
+        means[row, names.index(name)] = value
+    if cov is not None:
+        covs[row] = cov
+    return means, covs
+
+
+NOT_PD = np.diag([1e-9] * 14 + [-1.0])
+
+
+class TestFailingRows:
+    """Each check of a stage names the stack's rows that fail it, with the
+    error that a run of each row alone raises; the other rows keep their
+    bits, and a row that fails two checks takes the first."""
+
+    @pytest.mark.parametrize("site, cause", [
+        ({"cov": NOT_PD}, CovarianceError),
+        ({"theta": np.pi / 2 - 1e-7}, GimbalLockError),
+        ({"theta": PITCH_GUARD - 0.005}, GimbalLockError),  # crosses in the step
+        ({"L": np.pi / 2}, PolarSingularityError),
+        ({"h": DIVERGE}, DynamicsDivergedError),
+        # two failing checks: the first in a run of the row alone
+        ({"cov": NOT_PD, "theta": np.pi / 2 - 1e-7}, CovarianceError),
+        ({"theta": np.pi / 2 - 1e-7, "L": np.pi / 2}, GimbalLockError),
+        ({"theta": PITCH_GUARD - 0.005, "h": DIVERGE}, GimbalLockError),
+        ({"L": np.pi / 2, "h": DIVERGE}, PolarSingularityError),
+    ], ids=["not-pd", "pitch-before", "pitch-after", "polar", "diverged",
+            "not-pd+pitch", "pitch+polar", "pitch-after+diverged", "polar+diverged"])
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_predict_names_the_failing_row(self, site, cause, row):
+        means, covs = set_row(*reentry_stack(), row, **site)
+        stage = predict_stage(means, covs, strapdown, 1e-10 * np.eye(15))
+        assert fails_alone(stage, 5, row, (means, covs)) is cause
+
+    def test_the_dynamics_runs_again_without_the_rows_it_named(self):
+        # row 1 fails its covariance and is never propagated; row 3 fails the
+        # pitch guard, and the dynamics runs once more on rows 0, 2 and 4
+        means, covs = set_row(*set_row(*reentry_stack(), 1, cov=NOT_PD), 3,
+                              theta=np.pi / 2 - 1e-7)
+        calls, failed = [], {}
+
+        def dynamics(points):
+            calls.append(len(points))
+            return strapdown(points)
+
+        predict(means, covs, dynamics, np.zeros((15, 15)), failed)
+        assert failed == {1: CovarianceError, 3: GimbalLockError}
+        assert calls == [4 * 31, 3 * 31]
+
+    def test_every_row_failing_leaves_the_stack_as_it_was(self):
+        means, covs = reentry_stack(3)
+        means[:, 7] = np.pi / 2 - 1e-7
+        failed = {}
+        mean, cov = predict(means, covs, strapdown, np.zeros((15, 15)), failed)
+        assert failed == dict.fromkeys(range(3), GimbalLockError)
+        assert mean.tobytes() == means.tobytes() and cov.tobytes() == covs.tobytes()
+
+    def test_a_field_query_outside_the_grid_names_its_rows(self):
+        axis = np.array([-40.0, -30.0, -20.0])
+        field = GriddedField(lons=axis, lats=axis + 60.0, times=np.array([0.0, 10.0]),
+                             u=np.full((3, 3, 2), 0.1), v=np.full((3, 3, 2), 0.2))
+
+        def advect(points):
+            u, v = field.eval(points[:, 0], points[:, 1], 1.0)
+            return points + 0.1 * np.stack([u, v], axis=1)
+
+        beliefs = [(np.array([-30.0 + i, 30.0 - i]), 0.01 * np.eye(2)) for i in range(4)]
+        means, covs = stack(beliefs)
+        means[2, 1] = 45.0  # latitude beyond the grid
+        stage = predict_stage(means, covs, advect, 1e-4 * np.eye(2))
+        assert fails_alone(stage, 4, 2, (means, covs)) is FieldDomainError
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_update_names_a_singular_innovation(self, size, row):
+        mean, cov, H, y, R = bank_update_case(size, 6)
+        # one observed variance 1e16 times the others and the noise: the
+        # factor's squared diagonal ratio passes 1e14
+        cov[row] = np.diag(np.r_[1e16, np.full(cov.shape[-1] - 1, 1e-6)])
+
+        def stage(select, failed=None):
+            return linear_update(mean[select], cov[select], H[select], y, 1e-2 * R, failed)
+
+        assert fails_alone(stage, 10, row, (mean, cov)) is SingularInnovationError
+
+    def test_an_all_infinite_innovation_diagonal_is_singular(self):
+        # its factor's diagonal is all infinite, whose ratio is inf / inf
+        D = np.stack([np.eye(2) + 0.1 * i for i in range(3)])
+        D[1] = [[np.inf, 1.0], [1.0, np.inf]]
+        with pytest.raises(SingularInnovationError):
+            update_with_innovation(D[1:2])
+        failed = {}
+        mean, cov, log_lik = update_with_innovation(D, failed)
+        assert failed == {1: SingularInnovationError}
+        assert np.isfinite(log_lik).all() and np.isfinite(cov).all()
 
 
 def log_likelihood_increment(y, mu, D):

@@ -2,15 +2,20 @@ import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
+from skfnav import kernels
 from skfnav.configio import load_config, parse_single
+from skfnav.constants import PITCH_GUARD
 from skfnav.exceptions import (
     ConfigError,
     CovarianceError,
     DynamicsDivergedError,
+    GimbalLockError,
+    PolarSingularityError,
     SingularInnovationError,
     SkfnavError,
 )
@@ -257,10 +262,10 @@ class TestStepping:
             calls.append(pts.shape)
             return pts + 0.1 * np.sin(pts)
 
-        def spy(mean, cov, dynamics, Q):
+        def spy(mean, cov, dynamics, Q, failed):
             rows = sigma_points(mean, cov)[0].reshape(-1, mean.shape[-1])
             propagated.append((rows, dynamics(rows)))
-            return predict(mean, cov, dynamics, Q)
+            return predict(mean, cov, dynamics, Q, failed)
 
         monkeypatch.setattr(switching, "predict", spy)
         filt = SwitchingFilter(
@@ -360,8 +365,9 @@ class TestStepping:
         assert diag.frozen == (0, 1) and diag.frozen_causes == (DynamicsDivergedError,) * 2
         assert bank.mean[1].tobytes() == bank.mean[0].tobytes()
         assert bank.cov[1].tobytes() == bank.cov[0].tobytes()
-        # row 0 as the stack, then row 0 alone: the twin is never predicted
-        assert [n for k, n in calls if k == 2] == [9, 9]
+        # row 0 as the stack, once: the twin is never predicted, and the
+        # failing row is not run again alone
+        assert [n for k, n in calls if k == 2] == [9]
 
     def test_non_finite_fix_is_a_skipped_epoch(self):
         filt = random_walk_filter()
@@ -442,22 +448,23 @@ class TestNoCorruptionConvention:
 class ReferenceBranch:
     """One onset hypothesis of the reference: onset step (0 for the nominal),
     accumulated score, belief mean and covariance, and the ``(mean,
-    variances, score)`` it held after each step.  A frozen branch no longer
-    updates, spawns or scores."""
+    variances, score)`` it held after each step.  A frozen branch, whose
+    ``frozen`` is the type of the error that froze it, no longer updates,
+    spawns or scores."""
 
     s_index: int
     log_lik: float
     mean: np.ndarray
     cov: np.ndarray
     is_nominal: bool = False
-    frozen: bool = False
+    frozen: Optional[type] = None
     history: list = field(default_factory=list)
 
 
 class PerBranchReference:
     """The per-branch step, independent of the filter's bank: every branch is
     predicted, updated and scored on its own single belief, a branch whose
-    numerics fail freezes, a nominal that is live after its update spawns,
+    numerics raise freezes with the error's type, a nominal that is live after its update spawns,
     and the lowest-score corrupted branches are discarded one at a time.
     ``branches`` holds the nominal first, then the corrupted branches in
     spawn order.  It starts from row 0 of ``model``'s bank and reads only its
@@ -486,8 +493,8 @@ class PerBranchReference:
                 return branch
             try:
                 mean, cov = predict(branch.mean, branch.cov, dynamics, filt.Q_aug)
-            except SkfnavError:
-                return replace(branch, frozen=True)
+            except SkfnavError as exc:
+                return replace(branch, frozen=type(exc))
             return replace(branch, mean=mean, cov=cov)
 
         def observation_matrix(s_index):
@@ -510,9 +517,9 @@ class PerBranchReference:
                     branch.mean, branch.cov,
                     observation_matrix(None if is_nominal else s_index), y, filt.R,
                 )
-                log_lik, frozen = branch.log_lik + float(increment), False
-            except SkfnavError:
-                mean, cov, log_lik, frozen = branch.mean, branch.cov, branch.log_lik, True
+                log_lik, frozen = branch.log_lik + float(increment), None
+            except SkfnavError as exc:
+                mean, cov, log_lik, frozen = branch.mean, branch.cov, branch.log_lik, type(exc)
             return ReferenceBranch(s_index, log_lik, mean, cov, is_nominal, frozen, history)
 
         nominal, *corrupted = (predict_branch(b) for b in self.branches)
@@ -537,8 +544,7 @@ def assert_same_branches(bank, branches, history_from=-1):
     """Every row of ``bank`` equals the reference branch at its position."""
     assert len(bank) == len(branches)
     for i, y in enumerate(branches):
-        assert (bank.s_index[i], i == 0, bank.cause[i] is not None) == (
-            y.s_index, y.is_nominal, y.frozen)
+        assert (bank.s_index[i], i == 0, bank.cause[i]) == (y.s_index, y.is_nominal, y.frozen)
         assert bank.log_lik[i] == y.log_lik
         assert np.array_equal(bank.mean[i], y.mean)
         assert np.array_equal(bank.cov[i], y.cov)
@@ -589,7 +595,7 @@ def poisoned_pair(stage, row, capacity=10):
 
 class TestStackedStepEquivalence:
     # with r = 0 a stack mixes rows that Cholesky factors with semi-definite
-    # rows that it cannot, so each stack is factored one matrix at a time
+    # rows that it fails, which go on to eigh
     @pytest.mark.parametrize("noise", [{}, {"r": 0.0}], ids=["config-r", "r0"])
     def test_balloon_run(self, noise):
         from skfnav.scenarios.balloon import build_balloon_filter, simulate_balloon
@@ -674,6 +680,85 @@ class TestStackedStepEquivalence:
         assert [s for s, _ in diags[5].pruned] == ([] if pruned is None else [pruned])
         assert diags[5].frozen == frozen
         assert len(stacked.bank) == 4
+
+
+# A reentry state (altitude, two position angles, speed, flight-path angle,
+# azimuth, roll, pitch, yaw, then six IMU biases), one IMU sample at every
+# step, whose pitch rate turns the pitch by about 0.0096 rad a step, and the
+# altitude at which the filter's dynamics turns a point non-finite.
+NAV = np.array([1.5e5, 0.93, 0.32, 1.4e4, -0.006, 0.8, 0.3, 0.2, 0.65] + [0.0] * 6)
+IMU_F, IMU_W, DT = np.array([10.0, 0.0, -30.0]), np.array([0.0, 0.1, 0.0]), 0.1
+DIVERGE = 1.25e5
+NAV_NAMES = ("h", "L", "lam", "v", "gamma", "alpha", "phi", "theta", "psi")
+
+
+def reentry_filter():
+    """A filter over the strapdown kernel, 15 states and one offset triple
+    per observed position component, and its fixes: the noiseless path of
+    ``NAV`` at steps 1..8."""
+    def dynamics(points, k):
+        out = kernels.strapdown_batch(points, IMU_F, IMU_W, DT)
+        out[points[:, 0] == DIVERGE] = np.nan
+        return out
+
+    filt = SwitchingFilter(
+        dynamics=dynamics, observed=np.arange(3), d_theta=9, Q_x=1e-10 * np.eye(15),
+        q_p=1e-10, R=1e-8 * np.eye(3), x0=NAV, C0=1e-9 * np.eye(15), dt=DT,
+    )
+    path, fixes = NAV[None], {}
+    for k in range(1, 9):
+        path = dynamics(path, k)
+        fixes[k] = path[0, :3].copy()
+    return filt, fixes
+
+
+class TestOneFailingRowInAStep:
+    """A step freezes exactly the row that a stage names, with the error
+    that a run of the row alone raises (the per-branch reference), and the
+    other rows get the bytes of a bank without that row."""
+
+    @pytest.mark.parametrize("site, cause", [
+        ({"cov": np.diag([1e-9] * 23 + [-1.0])}, CovarianceError),
+        ({"theta": np.pi / 2 - 1e-7}, GimbalLockError),
+        ({"theta": PITCH_GUARD - 0.005}, GimbalLockError),  # crosses in the step
+        ({"L": np.pi / 2}, PolarSingularityError),
+        ({"h": DIVERGE}, DynamicsDivergedError),
+        # predicts, but its update's squared factor diagonal ratio passes 1e14
+        ({"cov": np.diag([1e10] + [1e-9] * 23)}, SingularInnovationError),
+        # two failing checks: the first in a run of the row alone
+        ({"cov": np.diag([1e-9] * 23 + [-1.0]), "theta": np.pi / 2 - 1e-7}, CovarianceError),
+        ({"theta": np.pi / 2 - 1e-7, "L": np.pi / 2}, GimbalLockError),
+        ({"L": np.pi / 2, "h": DIVERGE}, PolarSingularityError),
+    ], ids=["not-pd", "pitch-before", "pitch-after", "polar", "diverged", "singular",
+            "not-pd+pitch", "pitch+polar", "polar+diverged"])
+    def test_the_row_freezes_with_the_cause_of_its_run_alone(self, site, cause):
+        # after four epochs the bank holds onsets 0..4; row 2 (onset 2) fails
+        # at step 5, while a filter without that row steps alongside
+        (stacked, fixes), (without, _) = reentry_filter(), reentry_filter()
+        reference = PerBranchReference(reentry_filter()[0])
+        for k in range(1, 5):
+            for filt in (stacked, without, reference):
+                filt.step(fixes[k])
+        row = 2
+        mean, cov = stacked.bank.mean[row].copy(), stacked.bank.cov[row].copy()
+        for name, value in site.items():
+            if name == "cov":
+                cov = value
+            else:
+                mean[NAV_NAMES.index(name)] = value
+        stacked.bank.mean[row], stacked.bank.cov[row] = mean, cov
+        reference.branches[row] = replace(reference.branches[row], mean=mean, cov=cov)
+        without.bank.drop([row])
+        diag = stacked.step(fixes[5])
+        without.step(fixes[5])
+        reference.step(fixes[5])
+        assert diag.frozen == (2,) and diag.frozen_causes == (cause,)
+        assert_same_branches(stacked.bank, reference.branches)
+        others = [i for i in range(len(stacked.bank)) if i != row]
+        assert [stacked.bank.s_index[i] for i in others] == without.bank.s_index
+        for name in ("mean", "cov", "log_lik"):
+            assert getattr(stacked.bank, name)[others].tobytes() == (
+                getattr(without.bank, name).tobytes()), name
 
 
 def bookkeeping_digest(filt, diags) -> str:

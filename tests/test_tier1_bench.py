@@ -1,13 +1,17 @@
-"""The parser of scripts/tier1_bench.py on canned pytest output, and its stamp."""
+"""The parser of scripts/tier1_bench.py on canned pytest output, its stamp,
+and the source digests of the committed BENCH files."""
 
+import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 import perf_pairs  # noqa: E402
-from tier1_bench import parse_pytest, stamp  # noqa: E402
+from tier1_bench import parse_pytest, source_sha256, stamp  # noqa: E402
 
 OUTPUT = """\
 ........................................................................ [ 14%]
@@ -59,3 +63,21 @@ def test_stamp_takes_the_tree_commit_rule_of_perf_pairs(monkeypatch, status, com
     monkeypatch.setattr(perf_pairs, "git", lambda *args: answers[args])
     doc = stamp()
     assert (doc["commit"], doc["tree_has_uncommitted_changes"]) == (commit, bool(status))
+
+
+def test_every_committed_bench_file_names_its_sources():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        digest = json.loads(path.read_text())["source_sha256"]
+        # BENCH_all.json holds one digest per side, BENCH_tier1.json one
+        for value in digest.values() if isinstance(digest, dict) else [digest]:
+            assert isinstance(value, str) and len(value) == 64, path.name
+
+
+def test_the_source_digest_is_the_benchmark_stamps():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    sk = run.load_skfnav()
+    assert source_sha256() == run.source_stamp(sk, "tier-1", 0, 0, 0.0)["source_sha256"]
