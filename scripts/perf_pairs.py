@@ -15,7 +15,17 @@ and whether the median gain exceeds it, and one verdict (see ``verdict``),
 and last the pairs in which ``green_frac`` differs between the two sides,
 which a change with byte-identical outputs leaves empty.  ``W`` may be
 ``all``; the metric names then carry the workload as a prefix.  Seeds are a
-range ``A-B`` or a comma list.  The same comparison, with both commits, each
+range ``A-B`` or a comma list, in which a seed may repeat.
+
+The seed list is the seed policy, and it decides what the parent's IQR
+measures.  Distinct seeds (``--seeds 3101-3110``) give each pair its own
+perfbench draw, so the IQR holds the spread across draws as well as
+run-to-run noise, and a gain beyond it holds across draws.  One seed
+repeated (``--seeds 1,1,1,1,1,1,1,1,1,1``) runs one draw in every pair, so
+the IQR is run-to-run noise alone, and a gain beyond it is shown on that
+draw only.  A claimed gain names its policy.
+
+The same comparison, with both commits, each
 side's backend and source digest, the CPU count, the Python and numpy
 versions and the seeds, is written to ``BENCH_<W>.json`` at the repository
 root (see ``bench_document``); the tree's commit is null when the working

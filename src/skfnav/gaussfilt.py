@@ -22,6 +22,10 @@ for a single belief, and for a stack too unless the caller passes
 ``failed``, an empty dict: each failing row then goes there with the type
 of its first failing check, the error a run of that row alone raises, and
 keeps its belief, while the other rows get the bits of a stack without it.
+
+The checks here are of numerics only.  Inputs are taken as given, as the
+caller checked them: ``predict``'s ``Q`` is symmetric, and ``linear_update``'s
+measurement is an ``(m,)`` float vector of finite entries.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from numpy.linalg import _umath_linalg
 from .exceptions import (
     CovarianceError,
     DynamicsDivergedError,
-    InvalidMeasurementError,
     SingularInnovationError,
     SkfnavError,
 )
@@ -217,7 +220,9 @@ def linear_update(
     comparable across filters sharing an observation stream; it is not a
     calibrated probability.
 
-    An innovation covariance that cannot be inverted, or whose factor's
+    ``y`` must be an ``(m,)`` float vector of finite entries: it is taken as
+    given, and it broadcasts against each row's prediction ``mu``.  An
+    innovation covariance that cannot be inverted, or whose factor's
     diagonal is not positive with a squared ratio of its extremes at most
     1e14, raises SingularInnovationError.  Given ``failed``, an empty dict,
     a stack reports its failing rows there instead; a failing row keeps its
@@ -226,9 +231,6 @@ def linear_update(
     mu = (H @ mean[..., None])[..., 0]
     cross = cov @ _T(H)
     D = symmetrize(H @ cross + R)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != mu.shape[-1] or not np.isfinite(y).all():
-        raise InvalidMeasurementError(f"measurement {y}: need {mu.shape[-1]} finite entries")
     resid = (y - mu)[..., None]
     failures: list = []
     with _lapack_errstate(failures):

@@ -228,7 +228,8 @@ class SwitchingFilter:
     ``observed`` state columns; a corrupted branch with onset ``s`` adds the
     offset ``Phi((k - s) dt) @ theta``, laid out by ``offset_columns``.  A fix
     with a non-finite entry is skipped: every branch predicts, and none is
-    updated.
+    updated.  A fix of the wrong size, or one at a step that is not an
+    epoch, raises and leaves the filter unchanged.
     """
 
     def __init__(
@@ -307,8 +308,7 @@ class SwitchingFilter:
         """Advance one step; ``y`` must be supplied exactly at observation
         epochs (every ``delta``-th step) and omitted elsewhere.  The stages
         read and write the bank's row buffers in place."""
-        self.k += 1
-        k = self.k
+        k = self.k + 1
         is_epoch = (k % self.delta) == 0
         if y is not None:
             if not is_epoch:
@@ -320,6 +320,7 @@ class SwitchingFilter:
                 )
             if not np.isfinite(y).all():
                 y = None
+        self.k = k  # only now: a fix that raises leaves the filter as it was
 
         bank = self.bank
         means, covs, scores = bank._buffers()

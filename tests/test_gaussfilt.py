@@ -11,7 +11,6 @@ from skfnav.exceptions import (
     DynamicsDivergedError,
     FieldDomainError,
     GimbalLockError,
-    InvalidMeasurementError,
     PolarSingularityError,
     SingularInnovationError,
     SkfnavError,
@@ -166,10 +165,6 @@ class TestUpdate:
             asym = np.abs(cov - cov.T).max()
             assert asym < 1e-10
 
-    def test_nonfinite_measurement_rejected(self):
-        with pytest.raises(InvalidMeasurementError):
-            linear_update(*belief([0.0], [[1.0]]), np.eye(1), np.array([np.nan]), np.eye(1))
-
     def test_singular_innovation_rejected(self):
         with pytest.raises(SingularInnovationError):
             linear_update(*belief([0.0], np.zeros((1, 1))), np.eye(1), np.array([0.0]),
@@ -304,14 +299,6 @@ class TestLinearUpdate:
             assert np.array_equal(mean[i], want_mean)
             assert np.array_equal(cov[i], want_cov)
             assert log_lik[i] == want_log_lik
-
-    def test_bad_measurements_rejected(self):
-        prior = belief([0.0, 0.0], np.eye(2))
-        H = np.eye(2)
-        with pytest.raises(InvalidMeasurementError):
-            linear_update(*prior, H, np.array([np.nan, 0.0]), np.eye(2))
-        with pytest.raises(InvalidMeasurementError):
-            linear_update(*prior, H, np.zeros(3), np.eye(2))
 
 
 # (state columns, parameter-block width, observed columns) of each scenario

@@ -1051,8 +1051,8 @@ class TestPersistence:
 
 def test_public_exports_resolve():
     import skfnav
-    import skfnav.scenarios
+    import skfnav.kernels
 
-    for module in (skfnav, skfnav.scenarios):
+    for module in (skfnav, skfnav.kernels):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"

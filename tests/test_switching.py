@@ -43,6 +43,27 @@ def random_walk_filter(n_theta=3, delta=1, capacity=10, q_x=1e-4, q_p=1e-4, r=1e
     )
 
 
+def assert_rejected_fix_changes_nothing(delta, fix, error):
+    """A 1-channel random-walk filter with period ``delta``, given ``fix`` at
+    step 5, raises ``error`` and is left as it was: its step, and its bank's
+    bytes, whose pickle holds the row buffers and the snapshots.  Stepping
+    on then gives the bytes of a filter that never saw ``fix``."""
+    filt, clean = random_walk_filter(delta=delta), random_walk_filter(delta=delta)
+    rng = np.random.default_rng(7)
+    fixes = {k: 0.01 * rng.standard_normal(1) for k in range(delta, 11, delta)}
+    for model in (filt, clean):
+        model.run(fixes, 4)
+    assert len(filt.bank) > 1
+    before = (filt.k, pickle.dumps(filt.bank))
+    with pytest.raises(error):
+        filt.step(fix)
+    assert (filt.k, pickle.dumps(filt.bank)) == before
+    for model in (filt, clean):
+        model.run(fixes, 10)
+    assert (filt.k, pickle.dumps(filt.bank)) == (clean.k, pickle.dumps(clean.bank))
+    assert len(filt.bank.trajectory(0)) == 11
+
+
 def fresh_filter(x0, C0, d_theta):
     """A filter before its first step; one (A, B, C) triple per channel."""
     m = d_theta // 3
@@ -125,9 +146,8 @@ class TestStepping:
         assert filt.bank.log_lik[0] == 0.0
 
     def test_measurement_at_non_epoch_rejected(self):
-        filt = random_walk_filter(delta=5)
-        with pytest.raises(ConfigError):
-            filt.step(np.array([0.0]))
+        # step 5 is not an epoch at period 2
+        assert_rejected_fix_changes_nothing(2, np.array([0.0]), ConfigError)
 
     def test_one_sigma_point_set_per_step(self, monkeypatch):
         # prediction only: the measurement update is the exact linear one,
@@ -162,9 +182,37 @@ class TestStepping:
     def test_measurement_dimension_checked(self):
         from skfnav.exceptions import InvalidMeasurementError
 
-        filt = random_walk_filter()
+        assert_rejected_fix_changes_nothing(1, np.array([0.0, 1.0]), InvalidMeasurementError)
+
+    def test_wrong_size_fix_on_two_channels_changes_nothing(self):
+        # a 3-entry fix on a 2-channel filter: before, the step counter moved
+        # ahead of the bank and the next trajectory came up one step short
+        from skfnav.exceptions import InvalidMeasurementError
+
+        filt, clean = (fresh_filter(np.zeros(2), np.eye(2), 6) for _ in range(2))
+        rng = np.random.default_rng(8)
+        fixes = {k: 0.01 * rng.standard_normal(2) for k in range(1, 7)}
+        for model in (filt, clean):
+            model.run(fixes, 3)
+        before = (filt.k, pickle.dumps(filt.bank))
         with pytest.raises(InvalidMeasurementError):
-            filt.step(np.array([0.0, 1.0]))
+            filt.step(np.zeros(3))
+        assert (filt.k, pickle.dumps(filt.bank)) == before
+        for model in (filt, clean):
+            model.run(fixes, 6)
+        assert (filt.k, pickle.dumps(filt.bank)) == (clean.k, pickle.dumps(clean.bank))
+        assert len(filt.bank.trajectory(0)) == 7
+
+    def test_fix_is_flattened_at_step(self):
+        # step is the one place a fix is converted: a column or a nested
+        # list steps to the bytes of the flat (m,) vector
+        rng = np.random.default_rng(9)
+        fixes = [0.01 * rng.standard_normal(2) for _ in range(4)]
+        flat, shaped = (fresh_filter(np.zeros(2), np.eye(2), 6) for _ in range(2))
+        for y in fixes:
+            flat.step(y)
+            shaped.step(y.reshape(2, 1).tolist())
+        assert pickle.dumps(shaped.bank) == pickle.dumps(flat.bank)
 
     def test_first_epoch_spawns_one_branch(self):
         filt = random_walk_filter()
